@@ -1,8 +1,12 @@
 """Exact generalized-inverse computations in small finite rings."""
 
+# set before the submodules load: cli and theoremlab import it
+__version__ = "0.1.0"
+
 from .errors import (BadTensorShape, BudgetExceeded, GinvError, InvalidModulus,
                      NoUnity, NotAssociative, NotInnerInverse, NotReflexiveInverse,
-                     NotRegular, ParseError, RingMismatch, UnknownCheck, WrongRing)
+                     NotRegular, ParseError, RingMismatch, TableCapExceeded,
+                     UnknownCheck, WrongRing)
 from .fixture import build_example_ring, is_example_ring
 from .ginv import (IdempotentFrame, InverseReport, additive_span,
                    idempotent_frame, iann_decomposition, inner_annihilator,
@@ -23,5 +27,3 @@ from .theoremlab import (CHECK_NAMES, CheckVerdict, SuiteReport,
                          check_jain_prasad, check_nielsen, check_refl_map,
                          check_subset_criterion, check_theorem_inner,
                          check_theorem_reflexive, run_suite)
-
-__version__ = "0.1.0"

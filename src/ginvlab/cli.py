@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import fixture, ginv, gfmatrix, parsing, rings, theoremlab
+from . import __version__, fixture, ginv, gfmatrix, parsing, rings, theoremlab
 from .errors import BudgetExceeded, GinvError
 from .rings import DEFAULT_BUDGET, Elem, Ring
 
@@ -21,11 +21,6 @@ DISPLAY_CAP = 64
 
 _INV_KINDS = ("inner", "outer", "reflexive", "iann", "left-ann", "right-ann",
               "ideals")
-
-
-def _tool_version() -> str:
-    from ginvlab import __version__
-    return __version__
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +81,7 @@ def _document(ring_obj: dict, checks: list) -> dict:
                theoremlab.SKIPPED: 0}
     for c in checks:
         summary[c["status"]] += 1
-    return {"tool": "ginvlab", "version": _tool_version(), "ring": ring_obj,
+    return {"tool": "ginvlab", "version": __version__, "ring": ring_obj,
             "checks": checks, "summary": summary}
 
 
@@ -193,10 +188,11 @@ def cmd_check(args) -> int:
                                    for w in witnesses) + "] "
         ttxt = "" if args.no_timing else f" ({v.elapsed_ms:.0f} ms)"
         lines.append(f"{v.name:20s} {v.status:10s} {wtxt}{v.note}{ttxt}")
-    s = report.summary()
+    document = _document(ring_obj, checks)
+    s = document["summary"]
     lines.append(f"summary: pass={s['pass']} violation={s['violation']} "
                  f"skipped={s['skipped']}")
-    _emit(args, _document(ring_obj, checks), lines)
+    _emit(args, document, lines)
     rc = 1 if report.has_violation() else 0
     if args.expect_violation:
         rc = 1 - rc

@@ -32,10 +32,18 @@ class RingMismatch(GinvError):
 class BudgetExceeded(GinvError):
     """Ring is too large for exhaustive enumeration; carries the size."""
 
+    limit = "enumeration budget"
+
     def __init__(self, size, budget):
-        super().__init__(f"ring has {size} elements, enumeration budget is {budget}")
+        super().__init__(f"ring has {size} elements, {self.limit} is {budget}")
         self.size = size
         self.budget = budget
+
+
+class TableCapExceeded(BudgetExceeded):
+    """Ring is above TABLE_CAP, and the scan needs full op tables."""
+
+    limit = "op-table cap"
 
 
 class ParseError(GinvError):

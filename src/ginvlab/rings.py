@@ -28,6 +28,7 @@ from .errors import (
     NoUnity,
     NotAssociative,
     RingMismatch,
+    TableCapExceeded,
 )
 
 DEFAULT_BUDGET = 1 << 20
@@ -214,7 +215,7 @@ class Ring:
         """
         if self._units is None:
             if not self.has_tables():
-                raise BudgetExceeded(self.size, TABLE_CAP)
+                raise TableCapExceeded(self.size, TABLE_CAP)
             mul, _, _ = self._tables()
             one = self._one_index
             has_right = (mul == one).any(axis=1)
@@ -287,21 +288,30 @@ class Elem:
 
 
 class ElemSet:
-    """Duplicate-free element set ordered by canonical index."""
+    """Duplicate-free element set ordered by canonical index.
 
-    __slots__ = ("ring", "idx", "_lookup")
+    The members live in one sorted, read-only int64 array, `idx`;
+    indices() returns that array itself, not a copy.
+    """
 
-    def __init__(self, ring: Ring, sorted_indices: tuple):
+    __slots__ = ("ring", "idx")
+
+    def __init__(self, ring: Ring, sorted_indices: np.ndarray):
+        sorted_indices.flags.writeable = False
         self.ring = ring
         self.idx = sorted_indices
-        self._lookup = None
 
     @classmethod
     def from_indices(cls, ring: Ring, indices) -> "ElemSet":
         if not isinstance(indices, np.ndarray):
-            indices = np.fromiter((int(i) for i in indices), dtype=np.int64)
-        arr = np.unique(indices.astype(np.int64))
-        return cls(ring, tuple(int(i) for i in arr))
+            indices = np.fromiter(indices, dtype=np.int64)
+        # np.unique's result from one sort and a neighbour comparison:
+        # numpy 2's np.unique hashes first, several times slower on indices
+        arr = np.sort(indices, axis=None).astype(np.int64, copy=False)
+        keep = np.empty(len(arr), dtype=bool)
+        keep[:1] = True
+        np.not_equal(arr[1:], arr[:-1], out=keep[1:])
+        return cls(ring, arr[keep])
 
     @classmethod
     def from_elems(cls, ring: Ring, elems) -> "ElemSet":
@@ -313,13 +323,13 @@ class ElemSet:
         return cls.from_indices(ring, out)
 
     def indices(self) -> np.ndarray:
-        return np.asarray(self.idx, dtype=np.int64)
+        return self.idx
 
     def __len__(self):
         return len(self.idx)
 
     def __iter__(self):
-        return (Elem(self.ring, i) for i in self.idx)
+        return (Elem(self.ring, i) for i in self.idx.tolist())
 
     def __contains__(self, e):
         if isinstance(e, Elem):
@@ -328,33 +338,33 @@ class ElemSet:
             key = e.index
         else:
             key = int(e)
-        if self._lookup is None:
-            self._lookup = frozenset(self.idx)
-        return key in self._lookup
+        pos = int(np.searchsorted(self.idx, key))
+        return pos < len(self.idx) and int(self.idx[pos]) == key
 
     def __eq__(self, other):
         if not isinstance(other, ElemSet):
             return NotImplemented
-        return self.idx == other.idx and self.ring == other.ring
+        return np.array_equal(self.idx, other.idx) and self.ring == other.ring
 
     def __hash__(self):
-        return hash((self.ring.kind, self.ring.size, self.idx))
+        return hash((self.ring.kind, self.ring.size, self.idx.tobytes()))
 
     def __repr__(self):
-        shown = ", ".join(parsing.render_elem(Elem(self.ring, i)) for i in self.idx[:8])
+        shown = ", ".join(parsing.render_elem(Elem(self.ring, i))
+                          for i in self.idx[:8].tolist())
         tail = ", ..." if len(self.idx) > 8 else ""
         return f"{{{shown}{tail}}} ({len(self.idx)} elements)"
 
     def intersection(self, other: "ElemSet") -> "ElemSet":
         if other.ring != self.ring:
             raise RingMismatch("sets belong to different rings")
-        common = np.intersect1d(self.indices(), other.indices())
-        return ElemSet(self.ring, tuple(int(i) for i in common))
+        return ElemSet(self.ring, np.intersect1d(self.idx, other.idx,
+                                                   assume_unique=True))
 
     def issubset(self, other: "ElemSet") -> bool:
         if other.ring != self.ring:
             raise RingMismatch("sets belong to different rings")
-        return bool(np.isin(self.indices(), other.indices()).all())
+        return bool(np.isin(self.idx, other.idx).all())
 
 
 # ---------------------------------------------------------------------------
@@ -697,18 +707,6 @@ def build_table_algebra(p: int, basis: Sequence[str], unity: Sequence[int],
 # module-level helpers
 
 
-def canonical_index(x: Elem) -> int:
-    return x.index
-
-
-def elements(ring: Ring, budget: Optional[int] = None) -> Iterator[Elem]:
-    return ring.elements(budget)
-
-
-def parse_element(ring: Ring, text: str) -> Elem:
-    return parsing.parse_element(ring, text)
-
-
 def is_regular(a: Elem) -> Optional[Elem]:
     """Some a0 with a·a0·a = a, or None.
 
@@ -734,7 +732,7 @@ def regular_elements(ring: Ring) -> ElemSet:
     ring.ensure_enumerable()
     if ring.kind == "matrix":
         # constructive: every matrix over a field is regular
-        return ElemSet(ring, tuple(range(ring.size)))
+        return ElemSet(ring, np.arange(ring.size, dtype=np.int64))
     if ring.has_tables():
         mul, _, _ = ring._tables()
         idx = ring.all_indices()
@@ -742,7 +740,7 @@ def regular_elements(ring: Ring) -> ElemSet:
         mask = (prod == idx[:, None]).any(axis=1)
         return ElemSet.from_indices(ring, idx[mask])
     # large non-matrix ring: quadratic scan would blow the budget
-    raise BudgetExceeded(ring.size, TABLE_CAP)
+    raise TableCapExceeded(ring.size, TABLE_CAP)
 
 
 class SemiprimeVerdict(NamedTuple):

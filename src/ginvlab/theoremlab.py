@@ -1,9 +1,26 @@
 """Executable forms of the generalized-inverse theorems.
 
 Each check scans a ring and returns pass, violation, or skipped together
-with witness elements and a note.  Rings of at most TABLE_CAP elements
-get full quantification; larger (but still budget-sized) rings are
-checked on a deterministic evenly-spaced sample and the note says so.
+with witness elements and a note.  Every set a check reads (I(a),
+Ref(a), Iann(a), l(a), r(a), aR, Ra) comes from a ginv kernel, and
+regularity from rings.regular_elements or rings.is_regular.
+
+_Scan alone decides between exhaustive and sampled quantification.
+Rings of at most TABLE_CAP elements quantify over every element; larger
+(but still budget-sized) rings over a deterministic evenly-spaced sample,
+and _Scan.note marks their notes "sampled".  Five checks keep two
+algorithms, because each is the cheaper one on its side of TABLE_CAP:
+
+- inner_param tests every frame (a*a0, a0*a) of every inner inverse,
+  which for a = 0 above the cap would need a |R| x |R| block, so sampled
+  rings test the first inner inverse only;
+- refl_map's product law I(a)*a*I(a) samples factor pairs once the pair
+  count passes 2^22;
+- decomposition checks the sums l(a)+r(a) and Re'+f'R in full, and the
+  reflexive decomposition for every reflexive inverse, only below the cap;
+- jain_prasad and subset_criterion read the n x n ideal interning, which
+  needs op tables, and otherwise build principal ideals per sampled pair.
+
 Checks on rings whose hypotheses fail are never asserted silently: they
 either skip with an observational note or report the counterexample and
 label it as consistent with the hypothesis failing.
@@ -18,10 +35,12 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import fixture, parsing, rings
+from . import __version__, fixture, parsing, rings
 from .errors import BudgetExceeded, UnknownCheck, WrongRing
-from .ginv import (_pairwise, additive_span, principal_left_ideal,
-                   principal_right_ideal, ref_decomposition)
+from .ginv import (_pairwise, additive_span, inner_annihilator,
+                   inner_inverses, inner_inverses_param, left_annihilator,
+                   principal_left_ideal, principal_right_ideal,
+                   ref_decomposition, reflexive_inverses, right_annihilator)
 from .rings import TABLE_CAP, Elem, Ring
 
 PASS = "pass"
@@ -81,7 +100,13 @@ def _render(ring: Ring, i: int) -> str:
 
 
 class _Scan:
-    """Shared per-run caches over one ring."""
+    """Shared per-run caches over one ring, and its quantified domain.
+
+    The one place that tells exhaustive from sampled mode: `sample` is
+    the domain, `regulars` its regular elements, `regular_at` answers
+    regularity anywhere, `ideal_key` groups elements by (aR, Ra), and
+    `note` marks the notes of sampled runs.
+    """
 
     def __init__(self, ring: Ring):
         self.ring = ring
@@ -102,9 +127,8 @@ class _Scan:
 
     @cached_property
     def sample(self) -> np.ndarray:
-        if not self.sampled:
-            return self.idx
-        return _sample_indices(self.ring.size)
+        idx = self.idx  # enforces the enumeration budget in sampled mode too
+        return _sample_indices(self.ring.size) if self.sampled else idx
 
     @cached_property
     def reg_mask(self) -> np.ndarray:
@@ -114,45 +138,43 @@ class _Scan:
 
     @cached_property
     def regulars(self) -> np.ndarray:
-        if not self.sampled:
-            return np.nonzero(self.reg_mask)[0]
-        return np.asarray([i for i in self.sample if self.is_reg(int(i))],
-                          dtype=np.int64)
+        return self.sample[self.regular_at(self.sample)]
 
-    def is_reg(self, i: int) -> bool:
+    def regular_at(self, indices) -> np.ndarray:
+        """Whether each index is regular, as a bool array of the same shape."""
         if not self.sampled:
-            return bool(self.reg_mask[i])
-        if i not in self._isreg:
-            ring = self.ring
-            axa = ring.idx_mul(ring.idx_mul(i, self.idx), i)
-            self._isreg[i] = bool(np.any(np.asarray(axa) == i))
-        return self._isreg[i]
+            return self.reg_mask[indices]
+        arr = np.asarray(indices, dtype=np.int64)
+        flat = arr.reshape(-1).tolist()
+        for i in flat:
+            if i not in self._isreg:
+                self._isreg[i] = rings.is_regular(Elem(self.ring, i)) is not None
+        return np.asarray([self._isreg[i] for i in flat],
+                          dtype=bool).reshape(arr.shape)
 
-    def iset_raw(self, a: int) -> np.ndarray:
-        ring = self.ring
-        axa = np.asarray(ring.idx_mul(ring.idx_mul(a, self.idx), a))
-        return np.nonzero(axa == a)[0].astype(np.int64)
+    def _kept(self, cache: dict, kernel, a: int) -> np.ndarray:
+        if a in cache:
+            return cache[a]
+        out = kernel(Elem(self.ring, a)).indices()
+        if not self.sampled:  # sampled sets are not kept; they may be large
+            cache[a] = out
+        return out
 
     def iset(self, a: int) -> np.ndarray:
-        if self.sampled:
-            return self.iset_raw(a)  # not cached; may be large
-        if a not in self._isets:
-            self._isets[a] = self.iset_raw(a)
-        return self._isets[a]
-
-    def refset_raw(self, a: int) -> np.ndarray:
-        ring = self.ring
-        idx = self.idx
-        inner = np.asarray(ring.idx_mul(ring.idx_mul(a, idx), a)) == a
-        outer = np.asarray(ring.idx_mul(ring.idx_mul(idx, a), idx)) == idx
-        return np.nonzero(inner & outer)[0].astype(np.int64)
+        return self._kept(self._isets, inner_inverses, a)
 
     def refset(self, a: int) -> np.ndarray:
-        if self.sampled:
-            return self.refset_raw(a)
-        if a not in self._refsets:
-            self._refsets[a] = self.refset_raw(a)
-        return self._refsets[a]
+        return self._kept(self._refsets, reflexive_inverses, a)
+
+    def ideal_key(self, a: int):
+        """Equal for a and b exactly when aR = bR and Ra = Rb."""
+        if not self.sampled:
+            return int(self.right_ideals[0][a]), int(self.left_ideals[0][a])
+        e = Elem(self.ring, a)
+        return principal_right_ideal(e), principal_left_ideal(e)
+
+    def note(self, text: str) -> str:
+        return "sampled: " + text if self.sampled else text
 
     def _ideal_interning(self, side: str):
         ring = self.ring
@@ -206,6 +228,15 @@ class _Scan:
 # individual checks: each returns (status, [(name, index)], note)
 
 
+def _frames(ring: Ring, a: int, ia: np.ndarray):
+    """Each distinct frame (a0*a, a*a0) over a0 in I(a), with its a0s."""
+    f_arr = np.asarray(ring.idx_mul(ia, a), dtype=np.int64)
+    e_arr = np.asarray(ring.idx_mul(a, ia), dtype=np.int64)
+    uniq, inv = np.unique(f_arr * ring.size + e_arr, return_inverse=True)
+    for k_i, key in enumerate(uniq.tolist()):
+        yield key // ring.size, key % ring.size, ia[inv == k_i]
+
+
 def _check_inner_param(s: _Scan):
     ring = s.ring
     idx = s.idx
@@ -214,11 +245,8 @@ def _check_inner_param(s: _Scan):
         for a in (int(v) for v in regs):
             ia = s.iset(a)
             a0 = int(ia[0])
-            f = int(ring.idx_mul(a0, a))
-            e = int(ring.idx_mul(a, a0))
-            vals = ring.idx_add(
-                a0, ring.idx_sub(idx, ring.idx_mul(ring.idx_mul(f, idx), e)))
-            if not np.array_equal(np.unique(np.asarray(vals)), ia):
+            param = inner_inverses_param(Elem(ring, a), Elem(ring, a0))
+            if not np.array_equal(param.indices(), ia):
                 return VIOLATION, [("a", a), ("a0", a0)], \
                     "sampled: parametrized I(a) differs from the scan"
         return PASS, [], (
@@ -230,15 +258,9 @@ def _check_inner_param(s: _Scan):
         total += len(ia)
         in_ia = np.zeros(ring.size, dtype=bool)
         in_ia[ia] = True
-        f_arr = np.asarray(ring.idx_mul(ia, a), dtype=np.int64)
-        e_arr = np.asarray(ring.idx_mul(a, ia), dtype=np.int64)
-        keys = f_arr * ring.size + e_arr
-        uniq, inv = np.unique(keys, return_inverse=True)
-        for k_i, key in enumerate(uniq):
-            f, e = int(key) // ring.size, int(key) % ring.size
+        for f, e, group in _frames(ring, a, ia):
             base = np.unique(np.asarray(
                 ring.idx_sub(idx, ring.idx_mul(ring.idx_mul(f, idx), e))))
-            group = ia[inv == k_i]
             if len(base) != len(ia):
                 return VIOLATION, [("a", a), ("a0", int(group[0]))], (
                     f"parametrized set has {len(base)} members, "
@@ -320,36 +342,35 @@ def _check_refl_map(s: _Scan):
                 w = int(diff[0]) if len(diff) else int(np.setdiff1d(ref, prods)[0])
                 return VIOLATION, [("a", a), ("x", w)], \
                     "the product set I(a)*a*I(a) differs from Ref(a)"
-    note = f"all four properties on {len(s.regulars)} regular elements"
-    if s.sampled:
-        note = "sampled: " + note + (
-            "; product law restricted to sampled factor pairs"
-            if sampled_products else "")
-    return PASS, [], note
+    return PASS, [], s.note(
+        f"all four properties on {len(s.regulars)} regular elements"
+        + ("; product law restricted to sampled factor pairs"
+           if sampled_products else ""))
 
 
 def _check_decomposition(s: _Scan):
     ring = s.ring
-    idx = s.idx
     one = ring._one_index
 
-    def parts(a):
-        axa = np.asarray(ring.idx_mul(ring.idx_mul(a, idx), a))
-        iann = np.nonzero(axa == 0)[0].astype(np.int64)
-        l_arr = np.nonzero(np.asarray(ring.idx_mul(idx, a)) == 0)[0]
-        r_arr = np.nonzero(np.asarray(ring.idx_mul(a, idx)) == 0)[0]
-        return iann, l_arr.astype(np.int64), r_arr.astype(np.int64)
+    def annihilators(a):
+        """Iann(a), l(a) and r(a)."""
+        ea = Elem(ring, a)
+        return (inner_annihilator(ea).indices(), left_annihilator(ea).indices(),
+                right_annihilator(ea).indices())
+
+    def frame_ideals(e, f):
+        """R*e_c and f_c*R, with e_c = 1-e and f_c = 1-f."""
+        e_c, f_c = int(ring.idx_sub(one, e)), int(ring.idx_sub(one, f))
+        return (principal_left_ideal(Elem(ring, e_c)).indices(),
+                principal_right_ideal(Elem(ring, f_c)).indices())
 
     if s.sampled:
         for a in (int(v) for v in s.regulars):
-            iann, l_arr, r_arr = parts(a)
+            iann, l_arr, r_arr = annihilators(a)
             iann_mask = np.zeros(ring.size, dtype=bool)
             iann_mask[iann] = True
             ia = s.iset(a)
             a0 = int(ia[0])
-            e = int(ring.idx_mul(a, a0))
-            f = int(ring.idx_mul(a0, a))
-            e_c, f_c = int(ring.idx_sub(one, e)), int(ring.idx_sub(one, f))
             ls = l_arr[:: max(1, len(l_arr) // SAMPLE_COUNT)]
             rs = r_arr[:: max(1, len(r_arr) // SAMPLE_COUNT)]
             sums = _pairwise(ring.idx_add, ls, rs)
@@ -357,8 +378,8 @@ def _check_decomposition(s: _Scan):
                 w = int(sums[~iann_mask[sums]][0])
                 return VIOLATION, [("a", a), ("x", w)], \
                     "sampled: an l(a)+r(a) sum falls outside Iann(a)"
-            r_ec = np.unique(np.asarray(ring.idx_mul(idx, e_c)))
-            fc_r = np.unique(np.asarray(ring.idx_mul(f_c, idx)))
+            r_ec, fc_r = frame_ideals(int(ring.idx_mul(a, a0)),
+                                      int(ring.idx_mul(a0, a)))
             pieces = _pairwise(ring.idx_add,
                                r_ec[:: max(1, len(r_ec) // SAMPLE_COUNT)],
                                fc_r[:: max(1, len(fc_r) // SAMPLE_COUNT)])
@@ -376,26 +397,17 @@ def _check_decomposition(s: _Scan):
             "decomposition is exercised only in exhaustive mode")
 
     for a in (int(v) for v in s.regulars):
-        iann, l_arr, r_arr = parts(a)
+        iann, l_arr, r_arr = annihilators(a)
         via_lr = _pairwise(ring.idx_add, l_arr, r_arr)
         if not np.array_equal(via_lr, iann):
             diff = np.setdiff1d(via_lr, iann)
             w = int(diff[0]) if len(diff) else int(np.setdiff1d(iann, via_lr)[0])
             return VIOLATION, [("a", a), ("x", w)], "l(a)+r(a) differs from Iann(a)"
         ia = s.iset(a)
-        f_arr = np.asarray(ring.idx_mul(ia, a), dtype=np.int64)
-        e_arr = np.asarray(ring.idx_mul(a, ia), dtype=np.int64)
-        keys = f_arr * ring.size + e_arr
-        uniq, inv = np.unique(keys, return_inverse=True)
-        for k_i, key in enumerate(uniq):
-            f, e = int(key) // ring.size, int(key) % ring.size
-            e_c, f_c = int(ring.idx_sub(one, e)), int(ring.idx_sub(one, f))
-            r_ec = np.unique(np.asarray(ring.idx_mul(idx, e_c)))
-            fc_r = np.unique(np.asarray(ring.idx_mul(f_c, idx)))
-            via_frame = _pairwise(ring.idx_add, r_ec, fc_r)
-            if not np.array_equal(via_frame, iann):
-                a0 = int(ia[inv == k_i][0])
-                return VIOLATION, [("a", a), ("a0", a0)], \
+        for f, e, group in _frames(ring, a, ia):
+            r_ec, fc_r = frame_ideals(e, f)
+            if not np.array_equal(_pairwise(ring.idx_add, r_ec, fc_r), iann):
+                return VIOLATION, [("a", a), ("a0", int(group[0]))], \
                     "Re'+f'R differs from Iann(a)"
         if len(iann) != len(ia):
             return VIOLATION, [("a", a), ("a0", int(ia[0]))], (
@@ -425,10 +437,9 @@ def _check_decomposition(s: _Scan):
 
 def _check_invariance(s: _Scan):
     ring = s.ring
-    idx = s.idx
     semi = s.semi
     gens = ring.additive_generator_indices()
-    bcols = s.sample if s.sampled else idx
+    bcols = s.sample
     only_singleton = 0
     only_member = 0
     first_sm: Optional[tuple] = None
@@ -443,11 +454,9 @@ def _check_invariance(s: _Scan):
         for d in np.asarray(diffs).reshape(-1):
             vals = ring.idx_mul(ring.idx_mul(bcols, int(d)), bcols)
             singleton &= np.asarray(vals) == 0
-        in_ar = np.zeros(ring.size, dtype=bool)
-        in_ar[np.asarray(ring.idx_mul(a, idx))] = True
-        in_ra = np.zeros(ring.size, dtype=bool)
-        in_ra[np.asarray(ring.idx_mul(idx, a))] = True
-        member = in_ar[bcols] & in_ra[bcols]
+        ea = Elem(ring, a)
+        member = (np.isin(bcols, principal_right_ideal(ea).indices())
+                  & np.isin(bcols, principal_left_ideal(ea).indices()))
         pairs += len(bcols)
         d1 = singleton & ~member
         d2 = member & ~singleton
@@ -463,28 +472,22 @@ def _check_invariance(s: _Scan):
         only_singleton += int(d1.sum())
         only_member += int(d2.sum())
     if semi.semiprime:
-        note = f"biconditional on {pairs} (a, b) pairs"
-        if s.sampled:
-            note = "sampled: " + note
-        return PASS, [], note
-    parts = [
+        return PASS, [], s.note(f"biconditional on {pairs} (a, b) pairs")
+    clauses = [
         "ring is not semiprime, so the biconditional is not asserted"]
     if only_singleton:
         a, b = first_sm
-        parts.append(
+        clauses.append(
             f"{only_singleton} pair(s) had b*I(a)*b a singleton with b outside "
             f"Ra and aR (first: a = {_render(ring, a)}, b = {_render(ring, b)})")
     if only_member:
         a, b = first_mem
-        parts.append(
+        clauses.append(
             f"{only_member} pair(s) had b in Ra and aR without the singleton "
             f"(first: a = {_render(ring, a)}, b = {_render(ring, b)})")
     if not (only_singleton or only_member):
-        parts.append("no direction failed on the scanned pairs")
-    note = "; ".join(parts)
-    if s.sampled:
-        note = "sampled: " + note
-    return SKIPPED, [], note
+        clauses.append("no direction failed on the scanned pairs")
+    return SKIPPED, [], s.note("; ".join(clauses))
 
 
 def _jp_conditions(ring, b, d):
@@ -509,10 +512,11 @@ def _check_jain_prasad(s: _Scan):
     ring = s.ring
     if s.sampled:
         pts = s.sample[:: max(1, len(s.sample) // PAIR_SAMPLE)]
+        ok = s.regular_at(ring.idx_add(pts[:, None], pts[None, :]))
         pairs = 0
-        for b in (int(v) for v in pts):
-            for d in (int(v) for v in pts):
-                if not s.is_reg(int(ring.idx_add(b, d))):
+        for i, b in enumerate(pts.tolist()):
+            for j, d in enumerate(pts.tolist()):
+                if not ok[i, j]:
                     continue
                 pairs += 1
                 c1, c2, c3 = _jp_conditions(ring, b, d)
@@ -524,11 +528,10 @@ def _check_jain_prasad(s: _Scan):
     rid, rmasks = s.right_ideals
     lid, lmasks = s.left_ideals
     tr, tl = s.tint_right, s.tint_left
-    regm = s.reg_mask
     checked = 0
     for b in range(ring.size):
         srow = np.asarray(ring.idx_add(b, idx))
-        ok = regm[srow]
+        ok = s.regular_at(srow)
         int_r = tr[rid[b], rid]
         int_l = tl[lid[b], lid]
         c1 = int_r & rmasks[rid[srow], b]
@@ -553,8 +556,8 @@ def _check_subset_criterion(s: _Scan):
             "stated for semiprime rings only; this ring has witness "
             f"{_render(ring, semi.witness.index)} with a*R*a = 0")
     if s.sampled:
-        pts = [int(v) for v in s.sample[:: max(1, len(s.sample) // PAIR_SAMPLE)]
-               if s.is_reg(int(v))]
+        sub = s.sample[:: max(1, len(s.sample) // PAIR_SAMPLE)]
+        pts = sub[s.regular_at(sub)].tolist()
         pairs = 0
         for a in pts:
             ia = s.iset(a)
@@ -649,19 +652,18 @@ def _collisions(s: _Scan, setter: Callable[[int], np.ndarray]):
 
 def _theorem_verdict(s: _Scan, which: str, first_pair, npairs: int, extra=""):
     ring = s.ring
-    scope = (f"{len(s.regulars)} sampled regular elements" if s.sampled
-             else f"{len(s.regulars)} regular elements")
+    scope = f"{len(s.regulars)} regular elements"
     if first_pair is None:
         note = f"{which}-sets pairwise distinct across {scope}{extra}"
         if not s.semi.semiprime:
             note += "; the ring is not semiprime, so this was not guaranteed"
-        return PASS, [], note
+        return PASS, [], s.note(note)
     a, b = first_pair
     if s.semi.semiprime:
-        return VIOLATION, [("a", a), ("b", b)], (
+        return VIOLATION, [("a", a), ("b", b)], s.note(
             f"distinct regular elements share {which}-sets on a semiprime "
             f"ring ({npairs} colliding pairs; {scope}{extra})")
-    return VIOLATION, [("a", a), ("b", b)], (
+    return VIOLATION, [("a", a), ("b", b)], s.note(
         f"distinct regular elements share {which}-sets; the ring is not "
         f"semiprime (witness {_render(ring, s.semi.witness.index)}), so this "
         f"is the expected counterexample, consistent with the theorem "
@@ -681,11 +683,7 @@ def _check_nielsen(s: _Scan):
             continue
         arr = np.asarray(members, dtype=np.int64)
         diffs = np.asarray(ring.idx_sub(arr[:, None], arr[None, :]))
-        if s.sampled:
-            reg = np.asarray([[s.is_reg(int(d)) for d in row]
-                              for row in diffs])
-        else:
-            reg = s.reg_mask[diffs]
+        reg = s.regular_at(diffs)
         np.fill_diagonal(reg, False)
         if reg.any():
             i, j = (int(v[0]) for v in np.nonzero(reg))
@@ -693,13 +691,11 @@ def _check_nielsen(s: _Scan):
                 [("a", int(arr[i])), ("b", int(arr[j])),
                  ("d", int(diffs[i, j]))], \
                 "I(a) = I(b) with a-b regular but a != b"
-    scope = "sampled: " if s.sampled else ""
     if npairs:
-        note = (f"{scope}{npairs} pairs of distinct regular elements share "
-                "I-sets; every such difference is non-regular")
-    else:
-        note = f"{scope}no I-set collisions among regular elements"
-    return PASS, [], note
+        return PASS, [], s.note(
+            f"{npairs} pairs of distinct regular elements share I-sets; "
+            "every such difference is non-regular")
+    return PASS, [], s.note("no I-set collisions among regular elements")
 
 
 def _check_theorem_reflexive(s: _Scan):
@@ -718,21 +714,9 @@ def _check_hartwig(s: _Scan):
         units = np.asarray(s.unit_idx, dtype=np.int64)
     except BudgetExceeded as exc:
         return SKIPPED, [], f"unit enumeration is not feasible here: {exc}"
-    if s.sampled:
-        classes: dict[bytes, list] = {}
-        for a in (int(v) for v in s.regulars):
-            m_r = np.zeros(ring.size, dtype=bool)
-            m_r[np.asarray(ring.idx_mul(a, s.idx))] = True
-            m_l = np.zeros(ring.size, dtype=bool)
-            m_l[np.asarray(ring.idx_mul(s.idx, a))] = True
-            key = (np.packbits(m_r).tobytes(), np.packbits(m_l).tobytes())
-            classes.setdefault(key, []).append(a)
-    else:
-        rid, _ = s.right_ideals
-        lid, _ = s.left_ideals
-        classes = {}
-        for a in (int(v) for v in s.regulars):
-            classes.setdefault((int(rid[a]), int(lid[a])), []).append(a)
+    classes: dict = {}
+    for a in (int(v) for v in s.regulars):
+        classes.setdefault(s.ideal_key(a), []).append(a)
     pairs = 0
     for members in classes.values():
         arr = np.asarray(members, dtype=np.int64)
@@ -750,9 +734,8 @@ def _check_hartwig(s: _Scan):
                 return VIOLATION, [("a", a), ("b", b)], \
                     "no unit v with b = v*a although aR = bR and Ra = Rb"
             pairs += len(arr)
-    scope = "sampled: " if s.sampled else ""
-    return PASS, [], (
-        f"{scope}{pairs} ordered pairs across {len(classes)} ideal classes, "
+    return PASS, [], s.note(
+        f"{pairs} ordered pairs across {len(classes)} ideal classes, "
         f"unit group of order {len(units)}")
 
 
@@ -795,11 +778,9 @@ def _check_example_claims(s: _Scan):
                                   ("a", "b", "ax", "bx", "axb", "bxa")]).indices()
     span_l = additive_span(ring, [Elem(ring, gens[w]) for w in
                                   ("a", "b", "xa", "xb", "axb", "bxa")]).indices()
-    idx = s.idx
-    r_a = np.nonzero(np.asarray(ring.idx_mul(a, idx)) == 0)[0]
-    r_b = np.nonzero(np.asarray(ring.idx_mul(b, idx)) == 0)[0]
-    l_a = np.nonzero(np.asarray(ring.idx_mul(idx, a)) == 0)[0]
-    l_b = np.nonzero(np.asarray(ring.idx_mul(idx, b)) == 0)[0]
+    ea, eb = Elem(ring, a), Elem(ring, b)
+    r_a, r_b = right_annihilator(ea).indices(), right_annihilator(eb).indices()
+    l_a, l_b = left_annihilator(ea).indices(), left_annihilator(eb).indices()
     for name, ann in (("r(a)", r_a), ("r(b)", r_b)):
         got = np.intersect1d(ann, sub9)
         if not np.array_equal(got, span_r):
@@ -861,11 +842,6 @@ _CHECKS = {
 }
 
 
-def _tool_version() -> str:
-    from ginvlab import __version__
-    return __version__
-
-
 def _run_one(scan: _Scan, name: str) -> CheckVerdict:
     start = time.perf_counter()
     try:
@@ -893,7 +869,7 @@ def run_suite(ring: Ring, selection: Optional[Sequence[str]] = None,
         verdicts = [_run_one(scan, name) for name in ordered]
     finally:
         ring.enumeration_budget = saved
-    return SuiteReport(ring=ring, verdicts=verdicts, version=_tool_version())
+    return SuiteReport(ring=ring, verdicts=verdicts, version=__version__)
 
 
 def _single(name: str):

@@ -218,3 +218,29 @@ def test_vectorized_ops_match_scalar(z30):
         i = rng.randrange(30)
         row = np.asarray(z30.idx_mul(i, idx))
         assert all(int(row[j]) == (i * j) % 30 for j in range(30))
+
+
+def test_elemset_indices_are_read_only(z6):
+    s = ElemSet.from_indices(z6, [1, 3, 5])
+    with pytest.raises(ValueError):
+        s.indices()[0] = 0
+    assert s.indices() is s.idx
+
+
+def test_elemset_membership(z6, z30):
+    s = ElemSet.from_indices(z6, [1, 3])
+    assert z6.from_index(3) in s and 1 in s
+    assert 2 not in s
+    assert 5 not in s  # past the last member
+    assert z30.from_index(3) not in s  # same index, another ring
+
+
+def test_elemset_equal_sets_hash_equal(z6):
+    s = ElemSet.from_indices(z6, [1, 3, 5])
+    t = ElemSet.from_indices(z6, np.asarray([5, 3, 5, 1, 1], dtype=np.uint16))
+    assert s == t and hash(s) == hash(t)
+    assert ElemSet.from_elems(z6, [z6.from_index(5), z6.from_index(1),
+                                   z6.from_index(3)]) == s
+    assert s != ElemSet.from_indices(z6, [1, 3])
+    assert tuple(s.idx) == (1, 3, 5)
+    assert [e.index for e in s] == [1, 3, 5]

@@ -4,9 +4,9 @@ import pytest
 
 import ginvlab
 from ginvlab import (CHECK_NAMES, UnknownCheck, WrongRing, ZmodRing,
-                     build_table_algebra, check_example_claims, check_nielsen,
-                     inner_inverses, is_regular, parse_element,
-                     reflexive_inverses, run_suite)
+                     build_table_algebra, check_example_claims, check_hartwig,
+                     check_nielsen, inner_inverses, is_regular, parse_element,
+                     reflexive_inverses, run_suite, theoremlab)
 from ginvlab.fixture import BASIS
 
 
@@ -164,3 +164,26 @@ def test_example_claims_skips_elsewhere(z6):
     verdict = check_example_claims(z6)
     assert verdict.status == "skipped"
     assert "builtin example ring" in verdict.note
+
+
+@pytest.mark.parametrize("name", ["z30", "m2gf3", "example"])
+def test_sampled_mode_agrees_with_exhaustive(request, monkeypatch, name):
+    # TABLE_CAP = 0 samples every quantifier while the op tables stay
+    ring = request.getfixturevalue(name)
+    exhaustive = (request.getfixturevalue("example_report")
+                  if name == "example" else run_suite(ring))
+    monkeypatch.setattr(theoremlab, "TABLE_CAP", 0)
+    sampled = run_suite(ring)
+    assert _by_name(sampled, "inner_param").note.startswith("sampled: ")
+    assert _statuses(sampled) == _statuses(exhaustive)
+
+
+def test_hartwig_skip_names_the_table_cap():
+    # GF(2)[t]/(t^13): 8192 elements, above TABLE_CAP, units need op tables
+    basis = ["1"] + [f"t{k}" for k in range(1, 13)]
+    rows = [[i, j, i + j, 1] for i in range(13) for j in range(13) if i + j < 13]
+    ring = build_table_algebra(2, basis, [1] + [0] * 12, rows)
+    verdict = check_hartwig(ring)
+    assert verdict.status == "skipped"
+    assert verdict.note == ("unit enumeration is not feasible here: ring has "
+                            "8192 elements, op-table cap is 4096")
