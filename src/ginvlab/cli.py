@@ -33,6 +33,23 @@ def _field(data: dict, name: str):
     return data[name]
 
 
+def _int_field(data: dict, name: str) -> int:
+    """An integer field; 6.7, 6.0 and true are refused, not truncated."""
+    value = _field(data, name)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(
+            f"ring spec field {name!r} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _list_field(data: dict, name: str) -> list:
+    value = _field(data, name)
+    if not isinstance(value, list):
+        raise ValueError(
+            f"ring spec field {name!r} must be a list, got {json.dumps(value)}")
+    return value
+
+
 def load_ring(spec: str, budget: Optional[int] = None) -> Ring:
     """Builtin name or path to a JSON ring spec file."""
     bud = DEFAULT_BUDGET if budget is None else budget
@@ -47,14 +64,14 @@ def load_ring(spec: str, budget: Optional[int] = None) -> Ring:
         raise ValueError("ring spec must be a JSON object")
     kind = _field(data, "kind")
     if kind == "zmod":
-        return rings.build_zmod(int(_field(data, "n")), bud)
+        return rings.build_zmod(_int_field(data, "n"), bud)
     if kind == "matrix":
-        return rings.build_matrix_ring(int(_field(data, "k")),
-                                       int(_field(data, "q")), bud)
+        return rings.build_matrix_ring(_int_field(data, "k"),
+                                       _int_field(data, "q"), bud)
     if kind == "table":
         return rings.build_table_algebra(
-            int(_field(data, "p")), _field(data, "basis"),
-            _field(data, "unity"), _field(data, "constants"), bud)
+            _int_field(data, "p"), _list_field(data, "basis"),
+            _list_field(data, "unity"), _list_field(data, "constants"), bud)
     raise ValueError(f"unknown ring spec kind {kind!r}")
 
 
@@ -206,8 +223,9 @@ def cmd_matrix(args) -> int:
         print(f"error: {args.op} takes {need} matrix argument(s), "
               f"got {len(args.matrices)}", file=sys.stderr)
         return 2
+    ring = rings.build_matrix_ring(k, q)  # validates k and q before arithmetic
     mats = [gfmatrix.parse_matrix(t, k, q) for t in args.matrices]
-    ring_obj, header = _ring_header(rings.build_matrix_ring(k, q))
+    ring_obj, header = _ring_header(ring)
     lines = [header]
     if args.op == "ginverse":
         g = gfmatrix.inner_inverse_matrix(mats[0], q)

@@ -21,7 +21,8 @@ from .errors import (
     NotRegular,
     RingMismatch,
 )
-from .rings import _CHUNK, Elem, ElemSet, Ring, is_regular
+from .rings import (_CHUNK, Elem, ElemSet, Ring, _mask_members,
+                    _sorted_distinct, is_regular)
 
 
 def _scan_indices(ring: Ring, budget: Optional[int]) -> np.ndarray:
@@ -43,18 +44,28 @@ def _require_inner(a: Elem, a0: Elem):
         raise NotInnerInverse(f"{a0} is not an inner inverse of {a}")
 
 
-def _pairwise(op, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _distinct(ring: Ring, blocks) -> np.ndarray:
+    """Sorted distinct int64 values over an iterable of index blocks.
+
+    With op tables one index mask collects them; above TABLE_CAP each
+    block is np.unique'd and the pieces are merged.
+    """
+    if ring.has_tables():
+        return _mask_members(ring, blocks)
+    pieces = [np.unique(b) for b in blocks]
+    return pieces[0] if len(pieces) == 1 else np.unique(np.concatenate(pieces))
+
+
+def _pairwise(ring: Ring, op, left: np.ndarray,
+              right: np.ndarray) -> np.ndarray:
     """Deduplicated op(l, r) over the full cross product, chunked."""
-    left = np.unique(np.asarray(left, dtype=np.int64))
-    right = np.unique(np.asarray(right, dtype=np.int64))
+    left = _distinct(ring, [np.asarray(left, dtype=np.int64)])
+    right = _distinct(ring, [np.asarray(right, dtype=np.int64)])
     if len(left) == 0 or len(right) == 0:
         return np.empty(0, dtype=np.int64)
-    pieces = []
     step = max(1, _CHUNK // len(right))
-    for lo in range(0, len(left), step):
-        block = op(left[lo:lo + step, None], right[None, :])
-        pieces.append(np.unique(block))
-    return np.unique(np.concatenate(pieces))
+    return _distinct(ring, (op(left[lo:lo + step, None], right[None, :])
+                            for lo in range(0, len(left), step)))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +125,7 @@ def reflexive_via_product(a: Elem, budget: Optional[int] = None) -> ElemSet:
         raise NotRegular(f"{a} has no inner inverse")
     inner = inner_inverses(a, budget)
     left = ring.idx_mul(inner.indices(), a.index)
-    prod = _pairwise(ring.idx_mul, left, inner.indices())
+    prod = _pairwise(ring, ring.idx_mul, left, inner.indices())
     return ElemSet.from_indices(ring, prod)
 
 
@@ -225,27 +236,34 @@ def ref_decomposition(a: Elem, a0: Elem,
     as a0 + r*e_c + f_c*s and conjugating kills the cross terms, leaving
     the two-parameter family above.  The r and s occurrences are shared
     between summands, so the family is strictly smaller than the sumset
-    of the three independent product sets.  Staged evaluation: r only
-    enters through the pair (f*r*e_c, a*r*e_c), so the outer loop runs
-    over the distinct pairs and each one costs a single scan over s.
+    of the three independent product sets.  Evaluation: r enters only
+    through the pair (u, v) = (f*r*e_c, a*r*e_c), and s only through
+    t = f_c*s, because f_c*s*e + f_c*s*a*r*e_c = t*(e + v).  So the family
+    is the table (a0 + u) + t*(e + v) over the distinct pairs (u, v) and
+    the distinct t in f_c*R, gathered in row blocks of about _CHUNK
+    entries and deduplicated once.
     """
     if a0 * a * a0 != a0:
         raise NotReflexiveInverse(f"{a0} is not an outer inverse of {a}")
     frame = idempotent_frame(a, a0)  # raises NotInnerInverse on that half
     ring = a.ring
+    n = ring.size
     idx = _scan_indices(ring, budget)
     f, e = frame.f.index, frame.e.index
     f_c, e_c = frame.f_c.index, frame.e_c.index
-    u = np.asarray(ring.idx_mul(ring.idx_mul(f, idx), e_c)).reshape(-1)
-    v = np.asarray(ring.idx_mul(ring.idx_mul(a.index, idx), e_c)).reshape(-1)
-    pairs = np.unique(np.stack([u, v], axis=1), axis=0)
-    fc_s = ring.idx_mul(f_c, idx)  # f_c*s for every s
-    pieces = []
-    for ui, vi in pairs:
-        tail = ring.idx_mul(fc_s, int(ring.idx_add(e, int(vi))))
-        head = int(ring.idx_add(a0.index, int(ui)))
-        pieces.append(np.unique(ring.idx_add(head, tail)))
-    return ElemSet.from_indices(ring, np.concatenate(pieces))
+    u = np.asarray(ring.idx_mul(ring.idx_mul(f, idx), e_c), dtype=np.int64)
+    v = np.asarray(ring.idx_mul(ring.idx_mul(a.index, idx), e_c),
+                   dtype=np.int64)
+    pairs = _sorted_distinct(u * n + v)
+    heads = ring.idx_add(a0.index, pairs // n)  # a0 + u
+    factors = ring.idx_add(e, pairs % n)  # e + v
+    fc_r = _distinct(ring, [ring.idx_mul(f_c, idx)])
+    step = max(1, _CHUNK // len(fc_r))
+    blocks = (ring.idx_add(heads[lo:lo + step, None],
+                           ring.idx_mul(fc_r[None, :],
+                                        factors[lo:lo + step, None]))
+              for lo in range(0, len(pairs), step))
+    return ElemSet(ring, _distinct(ring, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +301,7 @@ def sumset(s: ElemSet, t: ElemSet) -> ElemSet:
     if s.ring != t.ring:
         raise RingMismatch("sets belong to different rings")
     ring = s.ring
-    return ElemSet.from_indices(ring, _pairwise(ring.idx_add,
+    return ElemSet.from_indices(ring, _pairwise(ring, ring.idx_add,
                                                 s.indices(), t.indices()))
 
 

@@ -232,6 +232,31 @@ class Ring:
         return self.units()[0]
 
 
+def _sorted_distinct(values) -> np.ndarray:
+    """np.unique's result as int64, from one sort and a neighbour comparison.
+
+    numpy 2's np.unique hashes first, several times slower on index arrays.
+    """
+    arr = np.sort(values, axis=None).astype(np.int64, copy=False)
+    keep = np.empty(len(arr), dtype=bool)
+    keep[:1] = True
+    np.not_equal(arr[1:], arr[:-1], out=keep[1:])
+    return arr[keep]
+
+
+def _mask_members(ring: Ring, blocks) -> np.ndarray:
+    """Sorted distinct int64 indices over an iterable of index arrays.
+
+    One boolean mask over range(ring.size) collects every block, so the
+    cost is linear in the input plus |R| and no sort runs.  Meant for rings
+    with op tables, where |R| <= TABLE_CAP.
+    """
+    mask = np.zeros(ring.size, dtype=bool)
+    for block in blocks:
+        mask[block] = True
+    return np.flatnonzero(mask).astype(np.int64, copy=False)
+
+
 class Elem:
     """A single ring element, identified by its canonical index."""
 
@@ -305,13 +330,9 @@ class ElemSet:
     def from_indices(cls, ring: Ring, indices) -> "ElemSet":
         if not isinstance(indices, np.ndarray):
             indices = np.fromiter(indices, dtype=np.int64)
-        # np.unique's result from one sort and a neighbour comparison:
-        # numpy 2's np.unique hashes first, several times slower on indices
-        arr = np.sort(indices, axis=None).astype(np.int64, copy=False)
-        keep = np.empty(len(arr), dtype=bool)
-        keep[:1] = True
-        np.not_equal(arr[1:], arr[:-1], out=keep[1:])
-        return cls(ring, arr[keep])
+        if ring.has_tables():
+            return cls(ring, _mask_members(ring, [indices]))
+        return cls(ring, _sorted_distinct(indices))
 
     @classmethod
     def from_elems(cls, ring: Ring, elems) -> "ElemSet":
@@ -640,13 +661,20 @@ def build_matrix_ring(k: int, q: int,
     return MatrixRing(k, q, enumeration_budget)
 
 
+def _strict_int(value, what: str) -> int:
+    """value as an int; bools, floats and other types are refused, not cut."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadTensorShape(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_table_algebra(p: int, basis: Sequence[str], unity: Sequence[int],
                         constants, enumeration_budget: int = DEFAULT_BUDGET) -> TableRing:
     """A finite-dimensional algebra over GF(p) from structure constants.
 
     constants: either a dense dim^3 array c[i][j][k], or a sparse list of
-    [i, j, k, c] quadruples with omitted entries zero.  Associativity is
-    checked in full for dimension <= 16 and unity is always checked.
+    [i, j, k, c] quadruples with omitted entries zero.  Associativity and
+    unity are always checked in full.
     """
     if not _is_prime(p):
         raise InvalidModulus(f"base characteristic must be prime, got {p!r}")
@@ -656,37 +684,41 @@ def build_table_algebra(p: int, basis: Sequence[str], unity: Sequence[int],
     if len(set(basis)) != dim:
         raise BadTensorShape("basis labels must be distinct")
     for label in basis:
-        if label != "1" and not parsing.LABEL_RE.fullmatch(label):
+        if label != "1" and not (isinstance(label, str)
+                                 and parsing.LABEL_RE.fullmatch(label)):
             raise BadTensorShape(f"bad basis label {label!r}")
     if len(unity) != dim:
         raise BadTensorShape("unity vector length must match basis size")
+    unity = [_strict_int(v, "unity entry") for v in unity]
 
     if isinstance(constants, np.ndarray):
         if constants.shape != (dim, dim, dim):
             raise BadTensorShape(
                 f"dense tensor must have shape {(dim, dim, dim)}, got {constants.shape}")
+        if constants.dtype.kind not in "iu":
+            raise BadTensorShape(
+                f"dense tensor must have an integer dtype, got {constants.dtype}")
         tensor = constants.astype(np.int64) % p
     else:
         tensor = np.zeros((dim, dim, dim), dtype=np.int64)
         for entry in constants:
-            if len(entry) != 4:
+            if not isinstance(entry, (list, tuple, np.ndarray)) or len(entry) != 4:
                 raise BadTensorShape(f"sparse entry must be [i,j,k,c], got {entry!r}")
-            i, j, k, c = (int(v) for v in entry)
+            i, j, k, c = (_strict_int(v, "sparse entry value") for v in entry)
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise BadTensorShape(f"index out of range in entry {entry!r}")
             tensor[i, j, k] = c % p
 
     # associativity: sum_m c[i,j,m] c[m,l,k] == sum_m c[j,l,m] c[i,m,k]
-    if dim <= 16:
-        left = np.einsum("ijm,mlk->ijlk", tensor, tensor) % p
-        right = np.einsum("jlm,imk->ijlk", tensor, tensor) % p
-        bad = np.argwhere((left != right).any(axis=3))
-        if len(bad):
-            i, j, l = (int(v) for v in bad[0])
-            raise NotAssociative(
-                f"(b{i}·b{j})·b{l} != b{i}·(b{j}·b{l})", triple=(i, j, l))
+    left = np.einsum("ijm,mlk->ijlk", tensor, tensor) % p
+    right = np.einsum("jlm,imk->ijlk", tensor, tensor) % p
+    bad = np.argwhere((left != right).any(axis=3))
+    if len(bad):
+        i, j, l = (int(v) for v in bad[0])
+        raise NotAssociative(
+            f"(b{i}·b{j})·b{l} != b{i}·(b{j}·b{l})", triple=(i, j, l))
 
-    u = np.asarray([int(v) % p for v in unity], dtype=np.int64)
+    u = np.asarray(unity, dtype=np.int64) % p
     left_mul = np.einsum("i,ijk->jk", u, tensor) % p
     right_mul = np.einsum("j,ijk->ik", u, tensor) % p
     if not (np.array_equal(left_mul, np.eye(dim, dtype=np.int64))

@@ -17,7 +17,9 @@ algorithms, because each is the cheaper one on its side of TABLE_CAP:
 - refl_map's product law I(a)*a*I(a) samples factor pairs once the pair
   count passes 2^22;
 - decomposition checks the sums l(a)+r(a) and Re'+f'R in full, and the
-  reflexive decomposition for every reflexive inverse, only below the cap;
+  reflexive decomposition for every reflexive inverse, only below the cap
+  (one ginv.ref_decomposition call per witness, each a single chunked
+  table gather deduplicated through an index mask);
 - jain_prasad and subset_criterion read the n x n ideal interning, which
   needs op tables, and otherwise build principal ideals per sampled pair.
 
@@ -328,7 +330,7 @@ def _check_refl_map(s: _Scan):
         if s.sampled and len(left) * len(ia) > pair_cap:
             sampled_products = True
             step = max(1, len(ia) // SAMPLE_COUNT)
-            prods = _pairwise(ring.idx_mul, left, ia[::step])
+            prods = _pairwise(ring, ring.idx_mul, left, ia[::step])
             ref_mask = np.zeros(n, dtype=bool)
             ref_mask[ref] = True
             if not ref_mask[prods].all():
@@ -336,7 +338,7 @@ def _check_refl_map(s: _Scan):
                 return VIOLATION, [("a", a), ("x", w)], \
                     "a product x*a*y with x,y in I(a) falls outside Ref(a)"
         else:
-            prods = _pairwise(ring.idx_mul, left, ia)
+            prods = _pairwise(ring, ring.idx_mul, left, ia)
             if not np.array_equal(prods, ref):
                 diff = np.setdiff1d(prods, ref)
                 w = int(diff[0]) if len(diff) else int(np.setdiff1d(ref, prods)[0])
@@ -373,14 +375,14 @@ def _check_decomposition(s: _Scan):
             a0 = int(ia[0])
             ls = l_arr[:: max(1, len(l_arr) // SAMPLE_COUNT)]
             rs = r_arr[:: max(1, len(r_arr) // SAMPLE_COUNT)]
-            sums = _pairwise(ring.idx_add, ls, rs)
+            sums = _pairwise(ring, ring.idx_add, ls, rs)
             if not iann_mask[sums].all():
                 w = int(sums[~iann_mask[sums]][0])
                 return VIOLATION, [("a", a), ("x", w)], \
                     "sampled: an l(a)+r(a) sum falls outside Iann(a)"
             r_ec, fc_r = frame_ideals(int(ring.idx_mul(a, a0)),
                                       int(ring.idx_mul(a0, a)))
-            pieces = _pairwise(ring.idx_add,
+            pieces = _pairwise(ring, ring.idx_add,
                                r_ec[:: max(1, len(r_ec) // SAMPLE_COUNT)],
                                fc_r[:: max(1, len(fc_r) // SAMPLE_COUNT)])
             if not iann_mask[pieces].all():
@@ -398,7 +400,7 @@ def _check_decomposition(s: _Scan):
 
     for a in (int(v) for v in s.regulars):
         iann, l_arr, r_arr = annihilators(a)
-        via_lr = _pairwise(ring.idx_add, l_arr, r_arr)
+        via_lr = _pairwise(ring, ring.idx_add, l_arr, r_arr)
         if not np.array_equal(via_lr, iann):
             diff = np.setdiff1d(via_lr, iann)
             w = int(diff[0]) if len(diff) else int(np.setdiff1d(iann, via_lr)[0])
@@ -406,7 +408,7 @@ def _check_decomposition(s: _Scan):
         ia = s.iset(a)
         for f, e, group in _frames(ring, a, ia):
             r_ec, fc_r = frame_ideals(e, f)
-            if not np.array_equal(_pairwise(ring.idx_add, r_ec, fc_r), iann):
+            if not np.array_equal(_pairwise(ring, ring.idx_add, r_ec, fc_r), iann):
                 return VIOLATION, [("a", a), ("a0", int(group[0]))], \
                     "Re'+f'R differs from Iann(a)"
         if len(iann) != len(ia):

@@ -203,6 +203,41 @@ def test_matrix_malformed_input():
     assert res.stderr.startswith("error:")
 
 
+def test_matrix_rejects_bad_q_before_arithmetic():
+    res = run_cli("matrix", "--k", "2", "--q", "0", "ginverse", "1,0;0,1")
+    assert res.returncode == 2
+    assert res.stderr == "error: field order must be prime, got 0\n"
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"kind": "zmod", "n": 6.7},
+     "ring spec field 'n' must be an integer, got 6.7"),
+    ({"kind": "zmod", "n": True},
+     "ring spec field 'n' must be an integer, got true"),
+    ({"kind": "table", "p": 2, "basis": ["1", "t"], "unity": [1, 0],
+      "constants": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1.9]]},
+     "sparse entry value must be an integer, got 1.9"),
+    ({"kind": "table", "p": 2, "basis": ["1", "t"], "unity": [True, 0],
+      "constants": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]]},
+     "unity entry must be an integer, got True"),
+    ({"kind": "table", "p": 2, "basis": ["1", "t"], "unity": 1,
+      "constants": []},
+     "ring spec field 'unity' must be a list, got 1"),
+    ({"kind": "table", "p": 2, "basis": ["1", "t"], "unity": [1, 0],
+      "constants": [[0, 0, 0, 1], 5]},
+     "sparse entry must be [i,j,k,c], got 5"),
+], ids=["float-n", "bool-n", "float-constant", "bool-unity", "scalar-unity",
+        "scalar-entry"])
+def test_spec_loader_rejects_non_integers(tmp_path, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    res = run_cli("ring", "info", str(path))
+    assert res.returncode == 2
+    assert res.stderr == f"error: {message}\n"
+    assert res.stdout == ""
+
+
 def test_table_spec_file(tmp_path):
     spec = {"kind": "table", "p": 2, "basis": ["1", "t"], "unity": [1, 0],
             "constants": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]]}

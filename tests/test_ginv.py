@@ -1,5 +1,7 @@
 """Inverse sets and annihilators checked against brute-force scans."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from ginvlab import (BudgetExceeded, ElemSet, NotInnerInverse, NotRegular,
                      reflexive_inverses, reflexive_via_product,
                      right_annihilator, scaled_set, singleton_conjugate_test,
                      sumset)
+from ginvlab import rings
+from ginvlab.ginv import _pairwise
 
 
 def _brute(n, a):
@@ -156,6 +160,46 @@ def test_ref_decomposition_matches_scan(z6, z4, m2gf2):
                 assert ref_decomposition(a, a0) == refl
 
 
+def _defining_family(a, a0):
+    """{a0 + f*r*e_c + f_c*s*e + f_c*s*a*r*e_c : r, s in R}, term by term.
+
+    r runs in a Python loop and s as one index vector; every summand is
+    evaluated as written, with no regrouping of the family.
+    """
+    ring = a.ring
+    one = ring.one()
+    e, f = a * a0, a0 * a
+    e_c, f_c = one - e, one - f
+    mul, add = ring.idx_mul, ring.idx_add
+    fc_s = mul(f_c.index, ring.all_indices())
+    fc_s_e = mul(fc_s, e.index)
+    fc_s_a = mul(fc_s, a.index)
+    members = np.zeros(ring.size, dtype=bool)
+    for r in ring.elements():
+        head = (a0 + f * r * e_c).index
+        members[add(add(head, fc_s_e), mul(fc_s_a, (r * e_c).index))] = True
+    return np.flatnonzero(members)
+
+
+def _reflexive_pairs(ring):
+    return [(a, a0) for a in ring.elements() for a0 in reflexive_inverses(a)]
+
+
+@pytest.mark.parametrize("name", ["z6", "z30", "m2gf2"])
+def test_ref_decomposition_matches_defining_family(request, name):
+    ring = request.getfixturevalue(name)
+    for a, a0 in _reflexive_pairs(ring):
+        got = ref_decomposition(a, a0).indices()
+        assert np.array_equal(got, _defining_family(a, a0)), (a, a0)
+
+
+def test_ref_decomposition_matches_defining_family_example(example):
+    pairs = random.Random(7).sample(_reflexive_pairs(example), 6)
+    for a, a0 in pairs:
+        got = ref_decomposition(a, a0).indices()
+        assert np.array_equal(got, _defining_family(a, a0)), (a, a0)
+
+
 def test_ref_decomposition_example(example):
     a = parse_element(example, "a")
     x = parse_element(example, "x")
@@ -237,6 +281,24 @@ def test_set_plumbing(z6):
     span = additive_span(z6, [two])
     assert set(span.indices().tolist()) == {0, 2, 4}
     assert set(additive_span(z6, []).indices().tolist()) == {0}
+
+
+@pytest.mark.parametrize("left,right", [
+    ([4, 1, 4, 29, 1], [2, 2, 0, 17]),
+    (np.asarray([3, 9, 3, 27], dtype=np.uint16), [5, 5, 25]),
+    ([], [1, 2]),
+    ([1, 2], np.empty(0, dtype=np.int64)),
+])
+def test_pairwise_mask_and_sort_paths_agree(z30, monkeypatch, left, right):
+    brute = {(x + y) % 30 for x in np.asarray(left).tolist()
+             for y in np.asarray(right).tolist()}
+    via_mask = _pairwise(z30, z30.idx_add, left, right)
+    monkeypatch.setattr(rings, "TABLE_CAP", 0)  # sort path, raw arithmetic
+    assert not z30.has_tables()
+    via_sort = _pairwise(z30, z30.idx_add, left, right)
+    assert via_mask.dtype == via_sort.dtype == np.int64
+    assert np.array_equal(via_mask, via_sort)
+    assert via_mask.tolist() == sorted(brute)
 
 
 def test_additive_span_example(example):

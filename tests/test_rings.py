@@ -9,6 +9,7 @@ from ginvlab import (BadTensorShape, BudgetExceeded, Elem, ElemSet,
                      InvalidModulus, NoUnity, NotAssociative, RingMismatch,
                      build_matrix_ring, build_table_algebra, build_zmod,
                      is_regular, is_semiprime, regular_elements, squarefree)
+from ginvlab import rings
 from ginvlab.rings import TABLE_CAP
 
 
@@ -102,6 +103,16 @@ def test_table_algebra_rejects_non_associative():
     constants = _unity_entries(3) + [[1, 1, 2, 1], [1, 2, 1, 1]]
     with pytest.raises(NotAssociative):
         build_table_algebra(2, ["1", "u", "v"], [1, 0, 0], constants)
+
+
+def test_table_algebra_rejects_non_associative_above_dim_16():
+    # dim 17 over GF(2): x1*x1 = x2, x2*x1 = x3, x1*x2 = 0, so
+    # (x1*x1)*x1 = x3 but x1*(x1*x1) = 0
+    basis = ["1"] + [f"x{k}" for k in range(1, 17)]
+    constants = _unity_entries(17) + [[1, 1, 2, 1], [2, 1, 3, 1]]
+    with pytest.raises(NotAssociative) as info:
+        build_table_algebra(2, basis, [1] + [0] * 16, constants)
+    assert info.value.triple == (1, 1, 1)
 
 
 def test_table_algebra_rejects_missing_unity():
@@ -244,3 +255,22 @@ def test_elemset_equal_sets_hash_equal(z6):
     assert s != ElemSet.from_indices(z6, [1, 3])
     assert tuple(s.idx) == (1, 3, 5)
     assert [e.index for e in s] == [1, 3, 5]
+
+
+@pytest.mark.parametrize("indices,expected", [
+    ([5, 1, 3, 3, 1, 29, 0], [0, 1, 3, 5, 29]),
+    (np.asarray([7, 7, 2, 29, 2], dtype=np.uint16), [2, 7, 29]),
+    (np.empty(0, dtype=np.int64), []),
+    ([], []),
+    (np.asarray([[4, 4], [0, 9]], dtype=np.int64), [0, 4, 9]),
+    (range(30), list(range(30))),
+])
+def test_from_indices_mask_and_sort_paths_agree(z30, monkeypatch, indices,
+                                                expected):
+    via_mask = ElemSet.from_indices(z30, indices).indices()
+    monkeypatch.setattr(rings, "TABLE_CAP", 0)  # above the cap: one sort
+    assert not z30.has_tables()
+    via_sort = ElemSet.from_indices(z30, indices).indices()
+    assert via_mask.dtype == via_sort.dtype == np.int64
+    assert np.array_equal(via_mask, via_sort)
+    assert via_mask.tolist() == expected

@@ -3,10 +3,12 @@
 import pytest
 
 import ginvlab
-from ginvlab import (CHECK_NAMES, UnknownCheck, WrongRing, ZmodRing,
-                     build_table_algebra, check_example_claims, check_hartwig,
-                     check_nielsen, inner_inverses, is_regular, parse_element,
-                     reflexive_inverses, run_suite, theoremlab)
+from ginvlab import (CHECK_NAMES, ElemSet, UnknownCheck, WrongRing, ZmodRing,
+                     build_table_algebra, check_decomposition,
+                     check_example_claims, check_hartwig, check_nielsen,
+                     inner_inverses, is_regular, parse_element,
+                     ref_decomposition, reflexive_inverses, run_suite,
+                     theoremlab)
 from ginvlab.fixture import BASIS
 
 
@@ -187,3 +189,23 @@ def test_hartwig_skip_names_the_table_cap():
     assert verdict.status == "skipped"
     assert verdict.note == ("unit enumeration is not feasible here: ring has "
                             "8192 elements, op-table cap is 4096")
+
+
+def test_decomposition_checks_every_reflexive_witness(m2gf2, monkeypatch):
+    # break the kernel for one (a, a0) only: the last reflexive witness of
+    # the last element that has several, so every earlier witness passes
+    a, a0 = [(a, ref.indices()[-1]) for a in m2gf2.elements()
+             for ref in [reflexive_inverses(a)] if len(ref) > 1][-1]
+
+    def dropping_one(x, x0, budget=None):
+        got = ref_decomposition(x, x0, budget)
+        if (x.index, x0.index) == (a.index, int(a0)):
+            return ElemSet(m2gf2, got.indices()[1:])
+        return got
+
+    monkeypatch.setattr(theoremlab, "ref_decomposition", dropping_one)
+    verdict = check_decomposition(m2gf2)
+    assert verdict.status == "violation"
+    assert [(k, e.index) for k, e in verdict.witnesses] == \
+        [("a", a.index), ("a0", int(a0))]
+    assert verdict.note == "the reflexive decomposition differs from Ref(a)"
