@@ -12,6 +12,12 @@ and vectorized numpy operations on index arrays for scan-heavy set
 computations.  Rings with at most TABLE_CAP elements build full index
 tables once and answer everything by fancy indexing; larger rings fall
 back to per-backend vectorized formulas, chunked to bound memory.
+
+Over GF(2) a table algebra's index is a bitmask of basis coefficients, so
+addition is XOR, and a product is the XOR of a few lookups into
+precomputed products of bit chunks (TableRing._chunk_tables): 4 lookups
+into 512 KB of tables for dim 13, and at most 2 MB of tables for any
+dim <= 20.
 """
 
 from __future__ import annotations
@@ -37,19 +43,41 @@ TABLE_CAP = 4096
 _CHUNK = 1 << 16
 
 
+# Miller–Rabin with these bases decides every n below _PRIME_LIMIT exactly
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller–Rabin; n at or above _PRIME_LIMIT raises InvalidModulus."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _PRIME_LIMIT:
+        raise InvalidModulus(f"cannot decide whether {n} is prime; "
+                             f"the limit is {_PRIME_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; bools are not integers here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class Ring:
@@ -527,6 +555,13 @@ class MatrixRing(Ring):
 
 
 class TableRing(Ring):
+    """A GF(p)-algebra given by structure constants c[i][j][k].
+
+    Over GF(2) products go through chunk-pair product tables, built once
+    per ring on the first product; odd p contracts the structure constants
+    with einsum.
+    """
+
     kind = "table"
 
     def __init__(self, p: int, labels: Sequence[str], unity: Sequence[int],
@@ -540,14 +575,7 @@ class TableRing(Ring):
         self.tensor = tensor  # dim x dim x dim, entries in [0, p)
         self._powers = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
         self._one_index = int(np.asarray(self.unity, dtype=np.int64) @ self._powers)
-        self._bitmask_products = None
-        if p == 2:
-            # GF(2) indices are bitmasks; pairwise basis products as masks
-            masks = np.zeros((dim, dim), dtype=np.int64)
-            for i in range(dim):
-                for j in range(dim):
-                    masks[i, j] = int(tensor[i, j] @ self._powers)
-            self._bitmask_products = masks
+        self._chunk_products = None
 
     def descriptor(self):
         return ("table", self.p, self.labels, self.unity, self.tensor.tobytes())
@@ -572,20 +600,59 @@ class TableRing(Ring):
             raise BadTensorShape(f"expected a coefficient vector of length {self.dim}")
         return int(self._encode(vec))
 
-    def _raw_mul(self, I, J):
-        I, J = np.broadcast_arrays(np.asarray(I), np.asarray(J))
-        if self._bitmask_products is not None:
-            acc = np.zeros(I.shape, dtype=np.int64)
+    def _chunk_tables(self):
+        """GF(2) chunk-pair product tables; built on the first product.
+
+        Returns (tables, w, nc).  An index is a dim-bit mask, bit b standing
+        for basis element dim-1-b.  It splits into nc = ceil(dim/8) chunks
+        of w = ceil(dim/nc) bits, least significant first, and
+        tables[c·nc + e][x·2^w + y] = (x << c·w)·(y << e·w).  The product
+        is bilinear, so each entry is an XOR of basis products.
+        """
+        if self._chunk_products is None:
             d = self.dim
-            bm = self._bitmask_products
-            for i in range(d):
-                bi = (I >> (d - 1 - i)) & 1
-                for j in range(d):
-                    m = bm[i, j]
-                    if m == 0:
-                        continue
-                    acc ^= (bi & ((J >> (d - 1 - j)) & 1)) * m
+            nc = -(-d // 8)
+            w = -(-d // nc)
+            basis = self.tensor @ self._powers  # [i, j] = mask of b_i·b_j
+            bits = np.zeros((nc * w, nc * w), dtype=np.int64)
+            bits[:d, :d] = basis[::-1, ::-1]  # [a, b] = (1 << a)·(1 << b)
+            bits = bits.reshape(nc, w, nc, w)
+            # rows[c, a, e, y] = (1 << c·w + a)·(y << e·w), one bit of y at a time
+            rows = np.zeros((nc, w, nc, 1 << w), dtype=np.int64)
+            for b in range(w):
+                rows[..., 1 << b:2 << b] = rows[..., :1 << b] ^ bits[..., b, None]
+            tables = np.zeros((nc, nc, 1 << w, 1 << w), dtype=np.int64)
+            for a in range(w):
+                tables[:, :, 1 << a:2 << a] = (tables[:, :, :1 << a]
+                                               ^ rows[:, a, :, None, :])
+            self._chunk_products = (tables.reshape(nc * nc, -1), w, nc)
+        return self._chunk_products
+
+    def _raw_mul(self, I, J):
+        if self.p == 2:
+            # XOR over the chunk pairs of I and J of one table lookup each
+            tables, w, nc = self._chunk_tables()
+            I = np.asarray(I, dtype=np.int64)
+            J = np.asarray(J, dtype=np.int64)
+            low = (1 << w) - 1
+            rows = [(I >> c * w & low) << w for c in range(nc)]
+            cols = [J >> e * w & low for e in range(nc)]
+            shape = np.broadcast_shapes(I.shape, J.shape)
+            acc = np.empty(shape, dtype=np.int64)
+            key = np.empty(shape, dtype=np.int64)
+            part = np.empty(shape, dtype=np.int64)
+            for c, row in enumerate(rows):
+                for e, col in enumerate(cols):
+                    np.add(row, col, out=key)
+                    table = tables[c * nc + e]
+                    # keys are in range by construction; "clip" skips a copy
+                    if c == e == 0:
+                        table.take(key, out=acc, mode="clip")
+                    else:
+                        table.take(key, out=part, mode="clip")
+                        acc ^= part
             return acc
+        I, J = np.broadcast_arrays(np.asarray(I), np.asarray(J))
         shape = I.shape
         X = self._decode(I.reshape(-1))
         Y = self._decode(J.reshape(-1))
@@ -642,9 +709,9 @@ class TableRing(Ring):
 
 def build_zmod(n: int, enumeration_budget: int = DEFAULT_BUDGET) -> ZmodRing:
     """The ring of integers modulo n."""
-    if not isinstance(n, int) or n < 2:
+    if not _is_int(n) or n < 2:
         raise InvalidModulus(f"modulus must be an integer >= 2, got {n!r}")
-    return ZmodRing(n, enumeration_budget)
+    return ZmodRing(int(n), enumeration_budget)
 
 
 def build_matrix_ring(k: int, q: int,
@@ -654,16 +721,16 @@ def build_matrix_ring(k: int, q: int,
     The upper bound keeps the e{row}{col} generator labels unambiguous;
     rings beyond it would be far past any enumeration budget anyway.
     """
-    if not isinstance(k, int) or not 1 <= k <= 9:
+    if not _is_int(k) or not 1 <= k <= 9:
         raise InvalidModulus(f"matrix dimension must be an integer in 1..9, got {k!r}")
-    if not _is_prime(q):
+    if not _is_int(q) or not _is_prime(int(q)):
         raise InvalidModulus(f"field order must be prime, got {q!r}")
-    return MatrixRing(k, q, enumeration_budget)
+    return MatrixRing(int(k), int(q), enumeration_budget)
 
 
 def _strict_int(value, what: str) -> int:
     """value as an int; bools, floats and other types are refused, not cut."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_int(value):
         raise BadTensorShape(f"{what} must be an integer, got {value!r}")
     return int(value)
 
@@ -674,13 +741,18 @@ def build_table_algebra(p: int, basis: Sequence[str], unity: Sequence[int],
 
     constants: either a dense dim^3 array c[i][j][k], or a sparse list of
     [i, j, k, c] quadruples with omitted entries zero.  Associativity and
-    unity are always checked in full.
+    unity are always checked in full.  p**dim must be at most 2^63, so
+    that every index fits in an int64.
     """
-    if not _is_prime(p):
+    if not _is_int(p) or not _is_prime(int(p)):
         raise InvalidModulus(f"base characteristic must be prime, got {p!r}")
+    p = int(p)
     dim = len(basis)
     if dim == 0:
         raise BadTensorShape("basis must be nonempty")
+    if p ** dim > 1 << 63:
+        raise InvalidModulus(
+            f"algebra has {p}^{dim} elements; indices must fit in int64 (at most 2^63)")
     if len(set(basis)) != dim:
         raise BadTensorShape("basis labels must be distinct")
     for label in basis:

@@ -1,5 +1,6 @@
 """Ring constructors, element arithmetic, and structural scans."""
 
+import math
 import random
 
 import numpy as np
@@ -9,7 +10,7 @@ from ginvlab import (BadTensorShape, BudgetExceeded, Elem, ElemSet,
                      InvalidModulus, NoUnity, NotAssociative, RingMismatch,
                      build_matrix_ring, build_table_algebra, build_zmod,
                      is_regular, is_semiprime, regular_elements, squarefree)
-from ginvlab import rings
+from ginvlab import gfmatrix, rings
 from ginvlab.rings import TABLE_CAP
 
 
@@ -20,16 +21,63 @@ def test_zmod_basics(z6):
     assert z6.zero().index == 0
 
 
-@pytest.mark.parametrize("bad", [1, 0, -3, "6", 2.5])
+@pytest.mark.parametrize("bad", [1, 0, -3, "6", 2.5, 6.0, True, np.float64(6)])
 def test_zmod_rejects_bad_modulus(bad):
     with pytest.raises(InvalidModulus):
         build_zmod(bad)
 
 
-@pytest.mark.parametrize("k,q", [(0, 2), (10, 2), (2, 4), (2, 1), ("2", 3)])
+@pytest.mark.parametrize("k,q", [(0, 2), (10, 2), (2, 4), (2, 1), ("2", 3),
+                                 (2, 3.0), (2.0, 3), (True, 3), (2, True),
+                                 (2, np.float64(3))])
 def test_matrix_ring_rejects_bad_shape(k, q):
     with pytest.raises(InvalidModulus):
         build_matrix_ring(k, q)
+
+
+@pytest.mark.parametrize("p", [2.0, True, np.float64(2), "2"])
+def test_table_algebra_rejects_non_integer_characteristic(p):
+    with pytest.raises(InvalidModulus):
+        build_table_algebra(p, ["1"], [1], [[0, 0, 0, 1]])
+
+
+def test_constructors_store_numpy_integers_as_python_ints():
+    z = build_zmod(np.int64(6))
+    m = build_matrix_ring(np.int64(2), np.int32(3))
+    t = build_table_algebra(np.int64(2), ["1"], [1], [[0, 0, 0, 1]])
+    assert (z.size, m.size, t.size) == (6, 81, 2)
+    assert all(type(v) is int for v in (z.n, m.k, m.q, m.size, t.p, t.size))
+
+
+def _trial_division_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    assert [n for n in range(10 ** 5) if rings._is_prime(n)] == \
+        [n for n in range(10 ** 5) if _trial_division_prime(n)]
+
+
+@pytest.mark.parametrize("n,prime", [
+    (2 ** 61 - 1, True),
+    (4611686018427387847, True),
+    (561, False),  # Carmichael number
+    (3215031751, False),  # strong pseudoprime to bases 2, 3, 5 and 7
+    (1000003 * (2 ** 61 - 1), False),
+])
+def test_is_prime_large_and_pseudoprime_values(n, prime):
+    assert rings._is_prime(n) is prime
+
+
+def test_is_prime_refuses_values_past_its_exact_range():
+    with pytest.raises(InvalidModulus):
+        rings._is_prime(2 ** 89 - 1)  # a Mersenne prime, about 6e26
+
+
+def test_matrix_ring_over_a_large_prime_field_builds():
+    q = 4611686018427387847
+    ring = build_matrix_ring(1, q)
+    assert ring.size == q and ring.q == q
 
 
 def test_zmod_arithmetic(z6):
@@ -113,6 +161,15 @@ def test_table_algebra_rejects_non_associative_above_dim_16():
     with pytest.raises(NotAssociative) as info:
         build_table_algebra(2, basis, [1] + [0] * 16, constants)
     assert info.value.triple == (1, 1, 1)
+
+
+@pytest.mark.parametrize("p,dim", [(2, 64), (3, 40)])
+def test_table_algebra_rejects_indices_past_int64(p, dim):
+    # the diagonal algebra GF(p)^dim is valid, but p^dim > 2^63
+    basis = [f"x{k}" for k in range(dim)]
+    constants = [[k, k, k, 1] for k in range(dim)]
+    with pytest.raises(InvalidModulus, match="int64"):
+        build_table_algebra(p, basis, [1] * dim, constants)
 
 
 def test_table_algebra_rejects_missing_unity():
@@ -274,3 +331,92 @@ def test_from_indices_mask_and_sort_paths_agree(z30, monkeypatch, indices,
     assert via_mask.dtype == via_sort.dtype == np.int64
     assert np.array_equal(via_mask, via_sort)
     assert via_mask.tolist() == expected
+
+
+# --- GF(2) products against the structure-constant formula -----------------
+
+
+def _einsum_mul(ring, I, J):
+    """I·J from the structure constants, over coefficients decoded bit by bit."""
+    I, J = np.broadcast_arrays(np.asarray(I, dtype=np.int64),
+                               np.asarray(J, dtype=np.int64))
+    shifts = np.arange(ring.dim - 1, -1, -1)
+    X = (I.reshape(-1, 1) >> shifts) & 1
+    Y = (J.reshape(-1, 1) >> shifts) & 1
+    Z = np.einsum("mi,mj,ijk->mk", X, Y, ring.tensor) % 2
+    return (Z @ (1 << shifts)).reshape(I.shape)
+
+
+def _truncated_polynomials(dim):
+    """GF(2)[t]/(t^dim) on the basis 1, t, ..., t^(dim-1)."""
+    basis = ["1"] + [f"t{k}" for k in range(1, dim)]
+    constants = [[i, j, i + j, 1] for i in range(dim) for j in range(dim - i)]
+    return build_table_algebra(2, basis, [1] + [0] * (dim - 1), constants)
+
+
+def _scrambled_algebra(dim, seed):
+    """M_2(GF(2)) x GF(2)[t]/(t^(dim-4)) (GF(2)[t]/(t^dim) for dim <= 4),
+    on a random basis, so that most basis products have several terms."""
+    poly = dim - 4 if dim > 4 else dim
+    tensor = np.zeros((dim, dim, dim), dtype=np.int64)
+    unity = np.zeros(dim, dtype=np.int64)
+    if dim > 4:  # matrix units e11, e12, e21, e22 first
+        for i, j, k in np.ndindex(2, 2, 2):
+            tensor[2 * i + j, 2 * j + k, 2 * i + k] = 1
+        unity[[0, 3]] = 1
+    base = dim - poly
+    for i in range(poly):
+        for j in range(poly - i):
+            tensor[base + i, base + j, base + i + j] = 1
+    unity[base] = 1
+    rng = np.random.default_rng(seed)
+    while True:
+        S = rng.integers(0, 2, (dim, dim))  # new basis vector i = S[i] · old
+        T = gfmatrix.invert(S, 2)
+        if T is not None:
+            break
+    scrambled = np.einsum("ia,jb,abk,km->ijm", S, S, tensor, T) % 2
+    return build_table_algebra(2, [f"x{k}" for k in range(dim)],
+                               list(unity @ T % 2), scrambled)
+
+
+def test_gf2_products_match_structure_constants_on_every_example_pair(example):
+    idx = example.all_indices()
+    mul, _, _ = example._tables()
+    for lo in range(0, example.size, 128):
+        rows = idx[lo:lo + 128, None]
+        want = _einsum_mul(example, rows, idx[None, :])
+        assert np.array_equal(example._raw_mul(rows, idx[None, :]), want)
+        assert np.array_equal(mul[lo:lo + 128], want)
+
+
+@pytest.mark.parametrize("dim", [13, 17])
+def test_gf2_products_match_structure_constants_on_random_pairs(dim):
+    ring = _truncated_polynomials(dim)
+    rng = np.random.default_rng(dim)
+    I, J = rng.integers(0, ring.size, (2, 10 ** 5))
+    assert np.array_equal(ring.idx_mul(I, J), _einsum_mul(ring, I, J))
+
+
+@pytest.mark.parametrize("dim", [1, 8, 9])
+def test_gf2_products_match_structure_constants_where_chunking_changes(dim):
+    ring = _scrambled_algebra(dim, seed=dim)
+    idx = ring.all_indices()
+    got = ring._raw_mul(idx[:, None], idx[None, :])
+    assert np.array_equal(got, _einsum_mul(ring, idx[:, None], idx[None, :]))
+
+
+@pytest.mark.parametrize("I,J,shape", [
+    (1234, np.arange(0, 8192, 7), (1171,)),
+    (np.arange(0, 8192, 7), 1234, (1171,)),
+    (np.asarray(4321), np.asarray(1234), ()),
+    (4321, 1234, ()),
+    (np.arange(5)[:, None] * 1000, np.arange(7)[None, :] * 999, (5, 7)),
+    (np.arange(3, dtype=np.uint16), np.arange(3, dtype=np.uint16), (3,)),
+])
+def test_gf2_products_broadcast_to_int64(I, J, shape):
+    ring = _truncated_polynomials(13)
+    got = ring._raw_mul(I, J)
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == np.int64 and got.shape == shape
+    assert np.array_equal(got, _einsum_mul(ring, I, J))
