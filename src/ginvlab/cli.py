@@ -138,17 +138,18 @@ def _set_entry(name: str, label: str, fn, a: Elem, cap: int):
         entry = {"name": name, "status": theoremlab.SKIPPED, "witnesses": [],
                  "note": str(exc), "elapsed_ms": 0.0}
         return entry, [f"{label}: skipped ({exc})"]
-    members = [parsing.render_elem(e) for e in s]
-    shown = members if len(members) <= cap else members[:cap]
-    note = f"{len(members)} members"
-    if len(shown) < len(members):
+    total = len(s)
+    shown = [parsing.render_elem(Elem(s.ring, i))
+             for i in s.indices()[:cap].tolist()]
+    note = f"{total} members"
+    if len(shown) < total:
         note += f", showing first {cap}"
     entry = {"name": name, "status": theoremlab.PASS,
              "witnesses": [{"name": "member", "value": m} for m in shown],
              "note": note, "elapsed_ms": 0.0}
     lines = [f"{label}: {note}"] + [f"  {m}" for m in shown]
-    if len(shown) < len(members):
-        lines.append(f"  ... ({len(members) - len(shown)} more; use --all)")
+    if len(shown) < total:
+        lines.append(f"  ... ({total - len(shown)} more; use --all)")
     return entry, lines
 
 

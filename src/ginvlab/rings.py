@@ -13,6 +13,15 @@ computations.  Rings with at most TABLE_CAP elements build full index
 tables once and answer everything by fancy indexing; larger rings fall
 back to per-backend vectorized formulas, chunked to bound memory.
 
+Matrix rings and odd-p table algebras share one digit kernel
+(_DigitRing): an index splits once into its base-q digits, digit o of a
+product is the sum of c·x_i·y_j over the ring's nonzero structure
+constants c = c[i][j][o] (the k^3 terms E_rj·E_jc = E_rc of M_k(GF(q))),
+reduced mod q once, and the digits are re-encoded with multiply-adds.
+It is exact while q^n <= 2^63 and no digit sum can pass 2^63; past that
+the ring still builds, and the first use of an element raises
+InvalidModulus.
+
 Over GF(2) a table algebra's index is a bitmask of basis coefficients, so
 addition is XOR, and a product is the XOR of a few lookups into
 precomputed products of bit chunks (TableRing._chunk_tables): 4 lookups
@@ -464,19 +473,169 @@ class ZmodRing(Ring):
 
 
 # ---------------------------------------------------------------------------
+# digit kernel, shared by the matrix and structure-constant backends
+
+
+def _buffers(*shapes):
+    """A zeroed result and two scratch int64 arrays of the broadcast shape."""
+    shape = np.broadcast_shapes(*shapes)
+    return (np.zeros(shape, dtype=np.int64), np.empty(shape, dtype=np.int64),
+            np.empty(shape, dtype=np.int64))
+
+
+class _DigitRing(Ring):
+    """Elements as n digits in [0, q), indexed base q, most significant first.
+
+    terms[o] lists the (i, j, c) with c = c[i][j][o] != 0, so digit o of
+    x·y is sum(c·x_i·y_j) mod q.  The products sum in int64 and reduce
+    once, which is exact while q^n <= 2^63 (every index fits) and
+    max_o sum(c)·(q-1)^2 < 2^63; otherwise _powers, and with it every
+    use of an element, raises InvalidModulus.
+    """
+
+    def __init__(self, q: int, n: int, terms, one_digits,
+                 enumeration_budget: int):
+        super().__init__(q ** n, q, enumeration_budget)
+        self._ndigits = n
+        self._terms = terms
+        self._one_index = sum(int(d) * q ** (n - 1 - m)
+                              for m, d in enumerate(one_digits))
+        self._digit_powers = None
+
+    def _exactness_error(self) -> Optional[str]:
+        q, n = self.char, self._ndigits
+        if q ** n > 1 << 63:
+            return (f"{self.kind} ring has {q}^{n} elements; "
+                    f"indices must fit in int64 (at most 2^63)")
+        worst = max(sum(c for _, _, c in t) for t in self._terms) * (q - 1) ** 2
+        if worst >= 1 << 63:
+            return (f"{self.kind} ring over GF({q}) sums digit products up to "
+                    f"{worst}, past int64 (2^63)")
+        return None
+
+    @property
+    def _powers(self) -> np.ndarray:
+        """q^(n-1), ..., q, 1 as int64, once the arithmetic is known exact."""
+        if self._digit_powers is None:
+            error = self._exactness_error()
+            if error is not None:
+                raise InvalidModulus(error)
+            self._digit_powers = self.char ** np.arange(
+                self._ndigits - 1, -1, -1, dtype=np.int64)
+        return self._digit_powers
+
+    def _decode(self, I) -> np.ndarray:
+        """I's digits along a new last axis."""
+        I = np.asarray(I, dtype=np.int64)
+        return (I[..., None] // self._powers) % self.char
+
+    def _encode(self, coeffs) -> np.ndarray:
+        return np.asarray(coeffs, dtype=np.int64) @ self._powers
+
+    def _digits(self, I: np.ndarray) -> np.ndarray:
+        """(n,) + I.shape int64 array of I's digits, most significant first."""
+        powers = self._powers.tolist()
+        out = np.empty((len(powers),) + I.shape, dtype=np.int64)
+        for m, power in enumerate(powers):
+            np.floor_divide(I, power, out=out[m, ...])  # I // q^(n-1-m)
+        out[1:] -= self.char * out[:-1]
+        return out
+
+    def _fold(self, out, digit, scratch):
+        """out = out·q + digit mod q, in place; clobbers digit and scratch.
+
+        numpy divides by a scalar several times faster than it takes %,
+        and writing into buffers avoids fresh allocations.
+        """
+        np.floor_divide(digit, self.char, out=scratch)
+        scratch *= self.char
+        digit -= scratch
+        out *= self.char
+        out += digit
+
+    def _int_digits(self, i) -> list:
+        """The digits of a 0-d index as Python ints, most significant first."""
+        i = int(i)
+        return [i // power % self.char for power in self._powers.tolist()]
+
+    def _int_index(self, sums) -> np.ndarray:
+        """The index whose digits are the given Python-int sums mod q."""
+        acc = 0
+        for s in sums:
+            acc = acc * self.char + s % self.char
+        return np.asarray(acc, dtype=np.int64)
+
+    # One product or sum of two elements (Elem arithmetic) runs on Python
+    # ints: the array kernel makes O(n + terms) numpy calls whatever the size.
+
+    def _raw_mul(self, I, J):
+        I, J = np.asarray(I, dtype=np.int64), np.asarray(J, dtype=np.int64)
+        if I.ndim == J.ndim == 0:
+            x, y = self._int_digits(I), self._int_digits(J)
+            return self._int_index(sum(c * x[i] * y[j] for i, j, c in terms)
+                                   for terms in self._terms)
+        X, Y = self._digits(I), self._digits(J)
+        out, acc, part = _buffers(I.shape, J.shape)
+        for terms in self._terms:
+            acc[...] = 0
+            for i, j, c in terms:
+                np.multiply(X[i], Y[j], out=part)
+                if c != 1:
+                    part *= c
+                acc += part
+            self._fold(out, acc, part)
+        return out
+
+    def _raw_add(self, I, J):
+        I, J = np.asarray(I, dtype=np.int64), np.asarray(J, dtype=np.int64)
+        if I.ndim == J.ndim == 0:
+            return self._int_index(x + y for x, y in
+                                   zip(self._int_digits(I), self._int_digits(J)))
+        out, acc, part = _buffers(I.shape, J.shape)
+        for x, y in zip(self._digits(I), self._digits(J)):
+            np.add(x, y, out=acc)
+            self._fold(out, acc, part)
+        return out
+
+    def _raw_neg(self, I):
+        I = np.asarray(I, dtype=np.int64)
+        if I.ndim == 0:
+            return self._int_index(-x for x in self._int_digits(I))
+        out, acc, part = _buffers(I.shape)
+        for x in self._digits(I):
+            np.negative(x, out=acc)
+            self._fold(out, acc, part)
+        return out
+
+    def additive_generator_indices(self):
+        return self._powers.copy()  # one digit set to 1: matrix units, basis
+
+    def scale_index(self, c, i):
+        return int(self._encode((c * self._decode(np.int64(i))) % self.char))
+
+
+# ---------------------------------------------------------------------------
 # matrix backend
 
 
-class MatrixRing(Ring):
+class MatrixRing(_DigitRing):
+    """k-by-k matrices over GF(q), q prime, on the digit kernel.
+
+    Digit r·k + c is entry (r, c), row-major.  A product has the k^3
+    terms E_rj·E_jc = E_rc, so it is exact while q^(k^2) <= 2^63 and
+    k·(q-1)^2 < 2^63; M_8(GF(2)) and M_1 over a 62-bit prime build but
+    refuse element use.
+    """
+
     kind = "matrix"
 
     def __init__(self, k: int, q: int, enumeration_budget: int = DEFAULT_BUDGET):
-        super().__init__(q ** (k * k), q, enumeration_budget)
+        terms = [[(r * k + j, j * k + c, 1) for j in range(k)]
+                 for r in range(k) for c in range(k)]
+        eye = [int(r == c) for r in range(k) for c in range(k)]
+        super().__init__(q, k * k, terms, eye, enumeration_budget)
         self.k = k
         self.q = q
-        self._powers = q ** np.arange(k * k - 1, -1, -1, dtype=np.int64)
-        eye = np.eye(k, dtype=np.int64)
-        self._one_index = int(eye.reshape(-1) @ self._powers)
 
     def descriptor(self):
         return ("matrix", self.k, self.q)
@@ -485,18 +644,15 @@ class MatrixRing(Ring):
         return {"kind": self.kind, "size": self.size, "k": self.k, "q": self.q}
 
     def _decode(self, I) -> np.ndarray:
-        I = np.asarray(I, dtype=np.int64)
-        flat = (I[..., None] // self._powers) % self.q
-        return flat.reshape(I.shape + (self.k, self.k))
+        flat = super()._decode(I)
+        return flat.reshape(flat.shape[:-1] + (self.k, self.k))
 
     def _encode(self, grids) -> np.ndarray:
-        k = self.k
-        flat = grids.reshape(grids.shape[:-2] + (k * k,))
-        return flat @ self._powers
+        return super()._encode(grids.reshape(grids.shape[:-2] + (self.k ** 2,)))
 
     def payload_of_index(self, i):
-        grid = self._decode(np.int64(i))
-        return tuple(tuple(int(v) for v in row) for row in grid)
+        d, k = self._int_digits(i), self.k
+        return tuple(tuple(d[r * k:r * k + k]) for r in range(k))
 
     def index_of_payload(self, payload):
         arr = np.asarray(payload, dtype=np.int64) % self.q
@@ -506,25 +662,6 @@ class MatrixRing(Ring):
 
     def matrix_of(self, e: Elem) -> np.ndarray:
         return self._decode(np.int64(e.index))
-
-    def _raw_mul(self, I, J):
-        I, J = np.broadcast_arrays(np.asarray(I), np.asarray(J))
-        shape = I.shape
-        A = self._decode(I.reshape(-1))
-        B = self._decode(J.reshape(-1))
-        C = np.einsum("mij,mjk->mik", A, B) % self.q
-        return self._encode(C).reshape(shape)
-
-    def _raw_add(self, I, J):
-        I, J = np.broadcast_arrays(np.asarray(I), np.asarray(J))
-        shape = I.shape
-        C = (self._decode(I.reshape(-1)) + self._decode(J.reshape(-1))) % self.q
-        return self._encode(C).reshape(shape)
-
-    def _raw_neg(self, I):
-        I = np.asarray(I)
-        C = (-self._decode(I.reshape(-1))) % self.q
-        return self._encode(C).reshape(I.shape)
 
     def generator_labels(self):
         if self.k > 9:
@@ -537,14 +674,6 @@ class MatrixRing(Ring):
                 labels[f"e{r + 1}{c + 1}"] = int(self._encode(grid))
         return labels
 
-    def additive_generator_indices(self):
-        # the k*k matrix units, i.e. one power of q at a time
-        return self._powers.copy()
-
-    def scale_index(self, c, i):
-        grid = (c * self._decode(np.int64(i))) % self.q
-        return int(self._encode(grid))
-
     def try_inverse(self, i):
         inv = gfmatrix.invert(self._decode(np.int64(i)), self.q)
         return None if inv is None else int(self._encode(inv))
@@ -554,12 +683,15 @@ class MatrixRing(Ring):
 # structure-constant backend
 
 
-class TableRing(Ring):
+class TableRing(_DigitRing):
     """A GF(p)-algebra given by structure constants c[i][j][k].
 
-    Over GF(2) products go through chunk-pair product tables, built once
-    per ring on the first product; odd p contracts the structure constants
-    with einsum.
+    Digit m is the coefficient of basis element m.  Over GF(2) products
+    go through chunk-pair product tables, built once per ring on the first
+    product, and addition is XOR.  Odd p uses the digit kernel with the
+    nonzero c[i][j][k] as terms, exact while p^dim <= 2^63 (checked when
+    the algebra is built) and max_k sum_ij c[i][j][k]·(p-1)^2 < 2^63
+    (checked on the first use of an element).
     """
 
     kind = "table"
@@ -567,14 +699,18 @@ class TableRing(Ring):
     def __init__(self, p: int, labels: Sequence[str], unity: Sequence[int],
                  tensor: np.ndarray, enumeration_budget: int = DEFAULT_BUDGET):
         dim = len(labels)
-        super().__init__(p ** dim, p, enumeration_budget)
+        terms = [[] for _ in range(dim)]
+        nonzero = np.nonzero(tensor)
+        for i, j, o, c in zip(*(v.tolist() for v in nonzero),
+                              tensor[nonzero].tolist()):
+            terms[o].append((i, j, c))
+        unity = tuple(int(u) % p for u in unity)
+        super().__init__(p, dim, terms, unity, enumeration_budget)
         self.p = p
         self.dim = dim
         self.labels = tuple(labels)
-        self.unity = tuple(int(u) % p for u in unity)
+        self.unity = unity
         self.tensor = tensor  # dim x dim x dim, entries in [0, p)
-        self._powers = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-        self._one_index = int(np.asarray(self.unity, dtype=np.int64) @ self._powers)
         self._chunk_products = None
 
     def descriptor(self):
@@ -584,15 +720,8 @@ class TableRing(Ring):
         return {"kind": self.kind, "size": self.size, "p": self.p,
                 "dim": self.dim, "basis": list(self.labels)}
 
-    def _decode(self, I) -> np.ndarray:
-        I = np.asarray(I, dtype=np.int64)
-        return (I[..., None] // self._powers) % self.p
-
-    def _encode(self, coeffs) -> np.ndarray:
-        return np.asarray(coeffs, dtype=np.int64) @ self._powers
-
     def payload_of_index(self, i):
-        return tuple(int(c) for c in self._decode(np.int64(i)))
+        return tuple(self._int_digits(i))
 
     def index_of_payload(self, payload):
         vec = np.asarray(payload, dtype=np.int64) % self.p
@@ -652,26 +781,18 @@ class TableRing(Ring):
                         table.take(key, out=part, mode="clip")
                         acc ^= part
             return acc
-        I, J = np.broadcast_arrays(np.asarray(I), np.asarray(J))
-        shape = I.shape
-        X = self._decode(I.reshape(-1))
-        Y = self._decode(J.reshape(-1))
-        Z = np.einsum("mi,mj,ijk->mk", X, Y, self.tensor) % self.p
-        return self._encode(Z).reshape(shape)
+        return super()._raw_mul(I, J)
 
     def _raw_add(self, I, J):
-        I, J = np.broadcast_arrays(np.asarray(I), np.asarray(J))
         if self.p == 2:
+            I, J = np.broadcast_arrays(np.asarray(I), np.asarray(J))
             return I ^ J
-        shape = I.shape
-        Z = (self._decode(I.reshape(-1)) + self._decode(J.reshape(-1))) % self.p
-        return self._encode(Z).reshape(shape)
+        return super()._raw_add(I, J)
 
     def _raw_neg(self, I):
-        I = np.asarray(I)
         if self.p == 2:
-            return I
-        return self._encode((-self._decode(I.reshape(-1))) % self.p).reshape(I.shape)
+            return np.asarray(I)
+        return super()._raw_neg(I)
 
     def generator_labels(self):
         out = {}
@@ -682,12 +803,6 @@ class TableRing(Ring):
             vec[m] = 1
             out[label] = int(self._encode(vec))
         return out
-
-    def additive_generator_indices(self):
-        return self._powers.copy()  # basis vectors: one coefficient set to 1
-
-    def scale_index(self, c, i):
-        return int(self._encode((c * self._decode(np.int64(i))) % self.p))
 
     def try_inverse(self, i):
         # right inverse first: solve (Σ u_m b_m)·w = 1 as a linear system
@@ -800,9 +915,7 @@ def build_table_algebra(p: int, basis: Sequence[str], unity: Sequence[int],
     ring = TableRing(p, basis, unity, tensor, enumeration_budget)
     if "1" in basis:
         pos = basis.index("1")
-        vec = np.zeros(dim, dtype=np.int64)
-        vec[pos] = 1
-        if int(vec @ ring._powers) != ring._one_index:
+        if ring.unity != tuple(int(m == pos) for m in range(dim)):
             raise BadTensorShape('basis label "1" must denote the unity element')
     return ring
 

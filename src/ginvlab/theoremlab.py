@@ -502,8 +502,8 @@ def _jp_conditions(ring, b, d):
     lb = principal_left_ideal(eb).indices()
     ld = principal_left_ideal(ed).indices()
     ls = principal_left_ideal(es).indices()
-    int_r = len(np.intersect1d(br, dr)) == 1
-    int_l = len(np.intersect1d(lb, ld)) == 1
+    int_r = len(np.intersect1d(br, dr, assume_unique=True)) == 1
+    int_l = len(np.intersect1d(lb, ld, assume_unique=True)) == 1
     c1 = int_r and bool(np.isin(b, sr))
     c2 = int_l and bool(np.isin(b, ls))
     c3 = int_r and int_l
@@ -784,12 +784,12 @@ def _check_example_claims(s: _Scan):
     r_a, r_b = right_annihilator(ea).indices(), right_annihilator(eb).indices()
     l_a, l_b = left_annihilator(ea).indices(), left_annihilator(eb).indices()
     for name, ann in (("r(a)", r_a), ("r(b)", r_b)):
-        got = np.intersect1d(ann, sub9)
+        got = np.intersect1d(ann, sub9, assume_unique=True)
         if not np.array_equal(got, span_r):
             return fail([("a", a)], f"{name} inside the unity-free "
                         "subalgebra differs from the stated span")
     for name, ann in (("l(a)", l_a), ("l(b)", l_b)):
-        got = np.intersect1d(ann, sub9)
+        got = np.intersect1d(ann, sub9, assume_unique=True)
         if not np.array_equal(got, span_l):
             return fail([("a", a)], f"{name} inside the unity-free "
                         "subalgebra differs from the stated span")

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import ginvlab
+from ginvlab import cli, parsing
 
 CMD = [sys.executable, "-m", "ginvlab"]
 
@@ -92,6 +93,24 @@ def test_inv_display_cap_and_all(m2gf3_spec):
     res = run_cli("inv", m2gf3_spec, "--elem", "0", "--all", "--format", "json")
     (entry,) = json.loads(res.stdout)["checks"]
     assert len(entry["witnesses"]) == 81
+
+
+def test_inv_listing_renders_only_the_shown_members(m2gf3_spec, monkeypatch,
+                                                    capsys):
+    rendered = []
+    real = parsing.render_elem
+
+    def counting(e):
+        rendered.append(e.index)
+        return real(e)
+
+    monkeypatch.setattr(parsing, "render_elem", counting)
+    argv = ["inv", m2gf3_spec, "--elem", "0", "--format", "json"]
+    assert cli.main(argv) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["checks"]
+    assert entry["note"] == "81 members, showing first 64"
+    # the queried element once, then only the 64 listed members
+    assert len(rendered) == 1 + 64
 
 
 def test_inv_ideals(z6_spec):
@@ -189,6 +208,18 @@ def test_matrix_membership():
                   "2,0;0,0", "1,0;0,0", "--format", "json")
     (entry,) = json.loads(res.stdout)["checks"]
     assert entry["note"] == "b in aR: true; b in Ra: true"
+
+
+def test_matrix_oracles_run_past_int64_indices():
+    # M_8(GF(2)) has 2^64 elements: its indices refuse to exist, but the
+    # oracles never use them
+    eye = ";".join(",".join(str(int(r == c)) for c in range(8))
+                   for r in range(8))
+    res = run_cli("matrix", "--k", "8", "--q", "2", "ginverse", eye)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        f"ring: kind=matrix size={2 ** 64} semiprime=unknown",
+        f"ginverse: {eye}"]
 
 
 def test_matrix_wrong_arity():

@@ -1,6 +1,7 @@
 """Ring constructors, element arithmetic, and structural scans."""
 
 import math
+import operator
 import random
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from ginvlab import (BadTensorShape, BudgetExceeded, Elem, ElemSet,
                      InvalidModulus, NoUnity, NotAssociative, RingMismatch,
                      build_matrix_ring, build_table_algebra, build_zmod,
-                     is_regular, is_semiprime, regular_elements, squarefree)
+                     is_regular, is_semiprime, parse_element, regular_elements,
+                     squarefree)
 from ginvlab import gfmatrix, rings
 from ginvlab.rings import TABLE_CAP
 
@@ -420,3 +422,156 @@ def test_gf2_products_broadcast_to_int64(I, J, shape):
     assert isinstance(got, np.ndarray)
     assert got.dtype == np.int64 and got.shape == shape
     assert np.array_equal(got, _einsum_mul(ring, I, J))
+
+
+# --- the digit kernel of matrix rings and odd-p table algebras --------------
+
+
+def _ref_arrays(ring, I, J):
+    """Products, sums and negatives of broadcast index arrays, as int64 arrays.
+
+    Entries are decoded and encoded with numpy; the arithmetic is Python-int
+    loops over the decoded entries, one pair at a time.
+    """
+    I, J = np.broadcast_arrays(np.asarray(I, dtype=np.int64),
+                               np.asarray(J, dtype=np.int64))
+    k, q = ring.k, ring.q
+    powers = q ** np.arange(k * k - 1, -1, -1, dtype=np.int64)
+    used = np.unique(np.concatenate([I.reshape(-1), J.reshape(-1)]))
+    entries = dict(zip(used.tolist(), ((used[:, None] // powers) % q).tolist()))
+    rows = {u: [e[r * k:r * k + k] for r in range(k)] for u, e in entries.items()}
+    cols = {u: [e[c::k] for c in range(k)] for u, e in entries.items()}
+    mul, add, neg = [], [], []
+    for i, j in zip(I.reshape(-1).tolist(), J.reshape(-1).tolist()):
+        # entry (r, c) = sum over m of a[r][m]·b[m][c]
+        mul.append([sum(map(operator.mul, row, col)) % q
+                    for row in rows[i] for col in cols[j]])
+        add.append([(x + y) % q for x, y in zip(entries[i], entries[j])])
+        neg.append([-x % q for x in entries[i]])
+    return tuple((np.asarray(v, dtype=np.int64) @ powers).reshape(I.shape)
+                 for v in (mul, add, neg))
+
+
+@pytest.mark.parametrize("k,q", [(2, 3), (3, 2), (2, 5)])
+def test_matrix_kernel_matches_entry_loops_on_every_pair(k, q):
+    ring = build_matrix_ring(k, q)
+    idx = ring.all_indices()
+    rows, cols = idx[:, None], idx[None, :]
+    mul_ref, add_ref, neg_ref = _ref_arrays(ring, rows, cols)
+    assert np.array_equal(ring._raw_mul(rows, cols), mul_ref)
+    assert np.array_equal(ring._raw_add(rows, cols), add_ref)
+    assert np.array_equal(ring._raw_neg(idx), neg_ref[:, 0])
+    mul, add, neg = ring._tables()
+    assert np.array_equal(mul, mul_ref) and np.array_equal(add, add_ref)
+    assert np.array_equal(neg, neg_ref[:, 0])
+
+
+@pytest.mark.parametrize("k,q", [(3, 3), (2, 7), (4, 3)])
+def test_matrix_kernel_matches_entry_loops_on_random_pairs(k, q):
+    ring = build_matrix_ring(k, q)
+    rng = np.random.default_rng(k * 100 + q)
+    I, J = rng.integers(0, ring.size, (2, 10 ** 5))
+    mul, add, neg = _ref_arrays(ring, I, J)
+    assert np.array_equal(ring.idx_mul(I, J), mul)
+    assert np.array_equal(ring.idx_add(I, J), add)
+    assert np.array_equal(ring.idx_neg(I), neg)
+
+
+def _odd_table_algebras():
+    gf3_t4 = build_table_algebra(  # GF(3)[t]/(t^4)
+        3, ["1", "t", "t2", "t3"], [1, 0, 0, 0],
+        [[i, j, i + j, 1] for i in range(4) for j in range(4 - i)])
+    gf9 = build_table_algebra(  # GF(3)[t]/(t^2 + 1): t·t = -1 = 2
+        3, ["1", "t"], [1, 0],
+        [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 2]])
+    m2 = build_table_algebra(  # M_2(GF(3)) on the matrix units
+        3, ["e11", "e12", "e21", "e22"], [1, 0, 0, 1],
+        [[2 * i + j, 2 * j + k, 2 * i + k, 1]
+         for i in range(2) for j in range(2) for k in range(2)])
+    return {"gf3[t]/(t^4)": gf3_t4, "gf9": gf9, "m2gf3-table": m2}
+
+
+@pytest.mark.parametrize("name", ["gf3[t]/(t^4)", "gf9", "m2gf3-table"])
+def test_odd_table_kernel_matches_einsum_on_every_pair(name):
+    ring = _odd_table_algebras()[name]
+    p, idx = ring.p, ring.all_indices()
+    X = (idx[:, None] // ring._powers) % p
+    want = np.einsum("mi,mj,ijk->mk", X[:, None, :].repeat(ring.size, 1)
+                     .reshape(-1, ring.dim), np.tile(X, (ring.size, 1)),
+                     ring.tensor) % p @ ring._powers
+    want = want.reshape(ring.size, ring.size)
+    add = ((X[:, None, :] + X[None, :, :]) % p) @ ring._powers
+    neg = (-X % p) @ ring._powers
+    assert np.array_equal(ring._raw_mul(idx[:, None], idx[None, :]), want)
+    assert np.array_equal(ring._raw_add(idx[:, None], idx[None, :]), add)
+    assert np.array_equal(ring._raw_neg(idx), neg)
+    mul_t, add_t, neg_t = ring._tables()
+    assert np.array_equal(mul_t, want) and np.array_equal(add_t, add)
+    assert np.array_equal(neg_t, neg)
+    for i in range(ring.size):  # 0-d operands take the Python-int path
+        for j in range(ring.size):
+            assert ring._raw_mul(i, j) == want[i, j]
+            assert ring._raw_add(i, j) == add[i, j]
+        assert ring._raw_neg(i) == neg[i]
+
+
+@pytest.mark.parametrize("I,J,shape", [
+    (1234, np.arange(0, 19683, 7), (2812,)),
+    (np.arange(0, 19683, 7), 1234, (2812,)),
+    (np.asarray(4321), np.asarray(1234), ()),
+    (4321, 1234, ()),
+    (np.arange(5)[:, None] * 1000, np.arange(7)[None, :] * 999, (5, 7)),
+    (np.arange(3, dtype=np.uint16), np.arange(3, dtype=np.uint16) + 9000, (3,)),
+], ids=["scalar-vector", "vector-scalar", "0d", "python-int", "2d", "uint16"])
+def test_matrix_kernel_broadcasts_to_int64(I, J, shape):
+    ring = build_matrix_ring(3, 3)
+    mul, add, neg = _ref_arrays(ring, I, J)
+    for got, want in ((ring._raw_mul(I, J), mul), (ring._raw_add(I, J), add),
+                      (ring._raw_neg(np.broadcast_to(I, shape)), neg)):
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == np.int64 and got.shape == shape
+        assert np.array_equal(got, want)
+
+
+def test_matrix_ring_past_int64_indices_refuses_element_use():
+    ring = build_matrix_ring(8, 2)  # 2^64 elements: builds, never indexes
+    assert ring.size == 2 ** 64
+    with pytest.raises(InvalidModulus, match="2\\^64 elements"):
+        parse_element(ring, "e11")
+    with pytest.raises(InvalidModulus):
+        ring.idx_mul(np.arange(4), 3)
+
+
+def test_matrix_ring_past_int64_digit_products_refuses_element_use():
+    q = 4611686018427387847
+    ring = build_matrix_ring(1, q)
+    a = Elem(ring, 3037000500)
+    with pytest.raises(InvalidModulus, match="past int64"):
+        a * a
+    with pytest.raises(InvalidModulus):
+        ring.idx_add(np.arange(3), 5)
+
+
+def test_odd_table_algebra_past_int64_digit_products_refuses_element_use():
+    p = 4611686018427387847
+    ring = build_table_algebra(p, ["1"], [1], [[0, 0, 0, 1]])
+    with pytest.raises(InvalidModulus, match="past int64"):
+        Elem(ring, 3037000500) * Elem(ring, 3037000500)
+
+
+def test_digit_kernel_is_exact_up_to_its_bound():
+    # largest prime p with (p - 1)^2 < 2^63: products sum right up to int64
+    p = next(n for n in range(math.isqrt(2 ** 63 - 1) + 1, 0, -1)
+             if rings._is_prime(n))
+    ring = build_matrix_ring(1, p)
+    I = np.asarray([p - 1, p - 2, 3037000400, 12345])
+    J = np.asarray([p - 1, p - 1, 3037000411, p - 7])
+    want = [i * j % p for i, j in zip(I.tolist(), J.tolist())]
+    assert ring.idx_mul(I, J).tolist() == want
+    assert [(Elem(ring, i) * Elem(ring, j)).index
+            for i, j in zip(I.tolist(), J.tolist())] == want
+    assert ring.idx_add(I, J).tolist() == [(i + j) % p for i, j in
+                                           zip(I.tolist(), J.tolist())]
+    big = build_matrix_ring(7, 2)  # 2^49 elements
+    e11 = parse_element(big, "e11")
+    assert (e11 * e11).index == e11.index == 2 ** 48
