@@ -8,14 +8,17 @@ from .errors import (BadTensorShape, BudgetExceeded, GinvError, InvalidModulus,
                      NotRegular, ParseError, RingMismatch, TableCapExceeded,
                      UnknownCheck, WrongRing)
 from .fixture import build_example_ring, is_example_ring
-from .ginv import (IdempotentFrame, InverseReport, additive_span,
-                   idempotent_frame, iann_decomposition, inner_annihilator,
-                   inner_inverses, inner_inverses_param, inner_translate,
-                   inverse_report, left_annihilator, outer_inverses, phi,
+from .ginv import (Frames, IannDecompositions, IdempotentFrame, InverseReport,
+                   additive_span, iann_decomposition, iann_decomposition_batch,
+                   idempotent_frame, idempotent_frames, inner_annihilator,
+                   inner_inverses, inner_inverses_param,
+                   inner_inverses_param_batch, inner_products,
+                   inner_translate, inner_translate_batch, inverse_report,
+                   left_annihilator, outer_inverses, phi,
                    principal_left_ideal, principal_right_ideal,
                    ref_decomposition, reflexive_inverses, reflexive_via_product,
-                   right_annihilator, scaled_set, singleton_conjugate_test,
-                   sumset)
+                   right_annihilator, scaled_set, singleton_conjugate_batch,
+                   singleton_conjugate_test, sumset)
 from .parsing import parse_element, render_elem
 from .rings import (DEFAULT_BUDGET, TABLE_CAP, Elem, ElemSet, MatrixRing, Ring,
                     TableRing, ZmodRing, build_matrix_ring, build_table_algebra,

@@ -1,8 +1,11 @@
 """Exact linear algebra over prime fields GF(q).
 
-Matrices are plain numpy int64 arrays with entries reduced mod q; every
+Matrices are plain numpy arrays with entries reduced mod q; every
 function takes q explicitly.  Elimination is integer-exact (modular
 inverses via pow(x, -1, q)), so there is no floating point anywhere.
+Entries are int64 while a k-term sum of products of residues fits in
+int64 (rings._int64_exact), and Python ints (object arrays) past that,
+so that no product or sum below wraps.
 
 The rank factorization A = E · diag(I_r, 0) · F drives the constructive
 inner inverse G0 = F^-1 · diag(I_r, 0) · E^-1, which is reflexive by
@@ -17,25 +20,33 @@ from typing import Optional
 
 import numpy as np
 
+from . import rings
 from .errors import BadTensorShape
 
 
+def _reduced(A, q: int) -> np.ndarray:
+    """A mod q, as int64 or, past the int64 bound, as Python ints."""
+    A = np.asarray(A, dtype=object) % q
+    if rings._int64_exact(q, max(A.shape, default=1)):
+        return A.astype(np.int64)
+    return A
+
+
 def as_matrix(data, q: int, k: Optional[int] = None) -> np.ndarray:
-    """Validate and reduce input to an int64 matrix mod q."""
-    A = np.asarray(data, dtype=np.int64)
+    """Validate and reduce input to a matrix mod q."""
+    A = np.asarray(data)
     if A.ndim != 2:
         raise BadTensorShape(f"expected a 2-d matrix, got shape {A.shape}")
     if k is not None and A.shape != (k, k):
         raise BadTensorShape(f"expected a {k}x{k} matrix, got shape {A.shape}")
-    return A % q
+    return _reduced(A, q)
 
 
 def row_reduce(A: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """RREF with a recorded transform: returns (R, T, pivots), T·A = R mod q."""
-    A = np.asarray(A, dtype=np.int64) % q
-    m, n = A.shape
-    R = A.copy()
-    T = np.eye(m, dtype=np.int64)
+    R = _reduced(A, q)
+    m, n = R.shape
+    T = np.eye(m, dtype=R.dtype)
     pivots: list[int] = []
     row = 0
     for col in range(n):
@@ -65,30 +76,26 @@ def row_reduce(A: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, list[int]
 
 def rank(A, q: int) -> int:
     """Row rank over GF(q)."""
-    _, _, pivots = row_reduce(np.asarray(A, dtype=np.int64) % q, q)
+    _, _, pivots = row_reduce(A, q)
     return len(pivots)
 
 
 def invert(A, q: int) -> Optional[np.ndarray]:
     """Inverse mod q, or None if singular."""
-    A = np.asarray(A, dtype=np.int64) % q
-    k = A.shape[0]
     R, T, pivots = row_reduce(A, q)
-    if len(pivots) != k:
+    if len(pivots) != R.shape[0]:
         return None
     return T % q
 
 
 def solve(A, b, q: int) -> Optional[np.ndarray]:
     """One solution x of A x = b mod q, or None if inconsistent."""
-    A = np.asarray(A, dtype=np.int64) % q
-    b = np.asarray(b, dtype=np.int64) % q
-    m, n = A.shape
     R, T, pivots = row_reduce(A, q)
-    c = (T @ b) % q
+    m, n = R.shape
+    c = (T @ _reduced(b, q)) % q
     if len(pivots) < m and c[len(pivots):].any():
         return None
-    x = np.zeros(n, dtype=np.int64)
+    x = np.zeros(n, dtype=R.dtype)
     for i, col in enumerate(pivots):
         x[col] = c[i]
     return x
@@ -107,8 +114,8 @@ class RankFactorization:
 
     def diagonal(self) -> np.ndarray:
         k = self.E.shape[0]
-        D = np.zeros((k, k), dtype=np.int64)
-        D[: self.r, : self.r] = np.eye(self.r, dtype=np.int64)
+        D = np.zeros((k, k), dtype=self.E.dtype)
+        D[: self.r, : self.r] = np.eye(self.r, dtype=self.E.dtype)
         return D
 
     def reconstruct(self) -> np.ndarray:
@@ -123,7 +130,6 @@ def rank_factorization(A, q: int) -> RankFactorization:
     transpose finishes the job: T2·(T1·A)^T = diag, so
     T1·A·T2^T = diag(I_r, 0).
     """
-    A = np.asarray(A, dtype=np.int64) % q
     R, T1, pivots = row_reduce(A, q)
     R2, T2, _ = row_reduce(R.T % q, q)
     C = T2.T % q
@@ -145,33 +151,25 @@ def col_intersection_trivial(B, D, q: int) -> bool:
     Equivalent to rank([B | D]) = rank(B) + rank(D), and to
     BR ∩ DR = {0} in the matrix ring.
     """
-    B = np.asarray(B, dtype=np.int64) % q
-    D = np.asarray(D, dtype=np.int64) % q
-    stacked = np.hstack([B, D])
-    return rank(stacked, q) == rank(B, q) + rank(D, q)
+    B, D = _reduced(B, q), _reduced(D, q)
+    return rank(np.hstack([B, D]), q) == rank(B, q) + rank(D, q)
 
 
 def row_intersection_trivial(B, D, q: int) -> bool:
     """True iff the row spaces of B and D meet only in 0 (RB ∩ RD dual)."""
-    B = np.asarray(B, dtype=np.int64) % q
-    D = np.asarray(D, dtype=np.int64) % q
-    return col_intersection_trivial(B.T, D.T, q)
+    return col_intersection_trivial(_reduced(B, q).T, _reduced(D, q).T, q)
 
 
 def membership_aR(b, a, q: int) -> bool:
     """b ∈ aR, decided by a·a⁻·b = b for the constructive inner inverse."""
-    a = np.asarray(a, dtype=np.int64) % q
-    b = np.asarray(b, dtype=np.int64) % q
-    g = inner_inverse_matrix(a, q)
-    return np.array_equal((a @ g @ b) % q, b)
+    a, b = _reduced(a, q), _reduced(b, q)
+    return np.array_equal((a @ inner_inverse_matrix(a, q) % q) @ b % q, b)
 
 
 def membership_Ra(b, a, q: int) -> bool:
     """b ∈ Ra, decided by b·a⁻·a = b."""
-    a = np.asarray(a, dtype=np.int64) % q
-    b = np.asarray(b, dtype=np.int64) % q
-    g = inner_inverse_matrix(a, q)
-    return np.array_equal((b @ g @ a) % q, b)
+    a, b = _reduced(a, q), _reduced(b, q)
+    return np.array_equal((b @ inner_inverse_matrix(a, q) % q) @ a % q, b)
 
 
 def inner_subset_matrices(A, B, q: int) -> bool:
@@ -181,9 +179,8 @@ def inner_subset_matrices(A, B, q: int) -> bool:
     matrices over a field are): with D = A − B, both BR ∩ DR = {0} and
     RB ∩ RD = {0}.
     """
-    A = np.asarray(A, dtype=np.int64) % q
-    B = np.asarray(B, dtype=np.int64) % q
-    D = (A - B) % q
+    B = _reduced(B, q)
+    D = (_reduced(A, q) - B) % q
     return col_intersection_trivial(B, D, q) and row_intersection_trivial(B, D, q)
 
 
@@ -204,9 +201,8 @@ def parse_matrix(text: str, k: int, q: int) -> np.ndarray:
     if len(rows) != k or any(len(r) != k for r in rows):
         shape = f"{len(rows)} rows of lengths {[len(r) for r in rows]}"
         raise BadTensorShape(f"expected a {k}x{k} matrix, got {shape}")
-    return np.asarray(rows, dtype=np.int64) % q
+    return _reduced([[v % q for v in row] for row in rows], q)
 
 
 def render_matrix(A) -> str:
-    A = np.asarray(A, dtype=np.int64)
     return ";".join(",".join(str(int(v)) for v in row) for row in A)

@@ -6,12 +6,18 @@ x -> x*a*x, and the parametrizations and decompositions that rewrite
 those sets through the idempotent pair e = a*a0, f = a0*a.  Operations
 that walk the whole ring honor the ring's enumeration budget and raise
 BudgetExceeded instead of starting a scan that cannot finish.
+
+The identities that depend on an inner inverse a0 (the witness) have a
+batched form, named *_batch, that takes every witness of one a at once
+and returns one set or verdict per witness; the single-witness function
+is its one-row case.  Witnesses with the same frame (a0*a, a*a0) share
+the frame's work; see idempotent_frames.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from dataclasses import dataclass, fields
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -38,22 +44,24 @@ def _same_ring(*elems: Elem) -> Ring:
     return ring
 
 
-def _require_inner(a: Elem, a0: Elem):
-    _same_ring(a, a0)
-    if a * a0 * a != a:
-        raise NotInnerInverse(f"{a0} is not an inner inverse of {a}")
-
-
 def _distinct(ring: Ring, blocks) -> np.ndarray:
     """Sorted distinct int64 values over an iterable of index blocks.
 
     With op tables one index mask collects them; above TABLE_CAP each
-    block is np.unique'd and the pieces are merged.
+    block is deduplicated on its own, which bounds peak memory by the
+    block size, and the pieces are merged.
     """
     if ring.has_tables():
         return _mask_members(ring, blocks)
-    pieces = [np.unique(b) for b in blocks]
-    return pieces[0] if len(pieces) == 1 else np.unique(np.concatenate(pieces))
+    pieces = [_sorted_distinct(b) for b in blocks]
+    return (pieces[0] if len(pieces) == 1
+            else _sorted_distinct(np.concatenate(pieces)))
+
+
+def _first_difference(got: np.ndarray, want: np.ndarray) -> int:
+    """The first element of got outside want, or else of want outside got."""
+    diff = np.setdiff1d(got, want)
+    return int((diff if len(diff) else np.setdiff1d(want, got))[0])
 
 
 def _pairwise(ring: Ring, op, left: np.ndarray,
@@ -101,15 +109,36 @@ def reflexive_inverses(a: Elem, budget: Optional[int] = None) -> ElemSet:
 def inner_inverses_param(a: Elem, a0: Elem,
                          budget: Optional[int] = None) -> ElemSet:
     """{a0 + t - a0*a*t*a*a0 : t in R}, the translate form of I(a)."""
-    _require_inner(a, a0)
+    _, members = next(inner_inverses_param_batch(a, a0, budget))
+    return ElemSet.from_indices(a.ring, members[0])
+
+
+def _translate_rows(ring: Ring, a0s: np.ndarray, positions: np.ndarray,
+                    base: np.ndarray) -> Iterator[tuple]:
+    """(positions, a0s[positions] + base) in blocks of about 2^20 entries."""
+    step = max(1, (1 << 20) // max(1, len(base)))
+    for lo in range(0, len(positions), step):
+        pos = positions[lo:lo + step]
+        yield pos, ring.idx_add(a0s[pos, None], base[None, :])
+
+
+def inner_inverses_param_batch(a: Elem, a0s, budget: Optional[int] = None
+                               ) -> Iterator[tuple]:
+    """inner_inverses_param for each witness in a0s, in blocks of rows.
+
+    Yields (positions, members): positions in a0s, and per position a row
+    of the distinct members of its set, unsorted.  a0*a*t*a*a0 = f*t*e, so
+    the base {t - f*t*e : t in R} is built once per frame (f, e), and the
+    blocks come frame by frame.
+    """
     ring = a.ring
     idx = _scan_indices(ring, budget)
-    f = int(ring.idx_mul(a0.index, a.index))
-    e = int(ring.idx_mul(a.index, a0.index))
-    # a0*a*t*a*a0 = f*t*e by associativity
-    term = ring.idx_mul(ring.idx_mul(f, idx), e)
-    vals = ring.idx_add(a0.index, ring.idx_sub(idx, term))
-    return ElemSet.from_indices(ring, vals)
+    frames = idempotent_frames(a, a0s)
+    for k, (f, e) in enumerate(zip(frames.f.tolist(), frames.e.tolist())):
+        positions = np.flatnonzero(frames.of == k)
+        term = ring.idx_mul(ring.idx_mul(f, idx), e)
+        base = _distinct(ring, [ring.idx_sub(idx, term)])
+        yield from _translate_rows(ring, frames.witnesses, positions, base)
 
 
 def phi(a: Elem, x: Elem) -> Elem:
@@ -120,13 +149,21 @@ def phi(a: Elem, x: Elem) -> Elem:
 
 def reflexive_via_product(a: Elem, budget: Optional[int] = None) -> ElemSet:
     """Ref(a) computed as the product set I(a)*a*I(a)."""
-    ring = a.ring
-    if is_regular(a) is None:
+    inner = inner_inverses(a, budget).indices()
+    if not len(inner):
         raise NotRegular(f"{a} has no inner inverse")
-    inner = inner_inverses(a, budget)
-    left = ring.idx_mul(inner.indices(), a.index)
-    prod = _pairwise(ring, ring.idx_mul, left, inner.indices())
-    return ElemSet.from_indices(ring, prod)
+    return inner_products(a, inner, inner)
+
+
+def inner_products(a: Elem, xs, ys) -> ElemSet:
+    """{x*a*y : x in xs, y in ys}, over every factor pair at once.
+
+    With xs = ys = I(a) this is I(a)*a*I(a) = Ref(a); a subset of I(a) as
+    ys gives the products of those factor pairs only.
+    """
+    ring = a.ring
+    left = ring.idx_mul(np.asarray(xs, dtype=np.int64), a.index)
+    return ElemSet(ring, _pairwise(ring, ring.idx_mul, left, ys))
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +220,43 @@ class IdempotentFrame:
     f_c: Elem
 
 
+class Frames(NamedTuple):
+    """Inner inverses of a grouped by frame, the frames sorted by (f, e)."""
+
+    witnesses: np.ndarray  # the inner inverses a0, as int64 indices
+    f: np.ndarray   # a0*a for each frame
+    e: np.ndarray   # a*a0 for each frame
+    of: np.ndarray  # the frame of each witness, as a position in f and e
+
+
+def idempotent_frames(a: Elem, a0s) -> Frames:
+    """Group inner inverses of a (an index array, or one Elem) by frame.
+
+    Raises NotInnerInverse naming the first a0 with a*a0*a != a.  Over
+    all of I(a) the frames match Ref(a) one to one: a0*a*a0 is the one
+    reflexive inverse with the frame of a0.
+    """
+    ring = a.ring
+    if isinstance(a0s, Elem):
+        _same_ring(a, a0s)
+        a0s = [a0s.index]
+    a0s = np.asarray(a0s, dtype=np.int64).reshape(-1)
+    f = np.asarray(ring.idx_mul(a0s, a.index), dtype=np.int64)
+    e = np.asarray(ring.idx_mul(a.index, a0s), dtype=np.int64)
+    bad = np.nonzero(np.asarray(ring.idx_mul(e, a.index)) != a.index)[0]
+    if len(bad):
+        raise NotInnerInverse(
+            f"{Elem(ring, int(a0s[bad[0]]))} is not an inner inverse of {a}")
+    # one sort key per (f, e); past 2^31 elements f*|R| needs Python ints
+    keys = (f if ring.size < 1 << 31 else f.astype(object)) * ring.size + e
+    _, first, of = np.unique(keys, return_index=True, return_inverse=True)
+    return Frames(a0s, f[first], e[first], of.reshape(-1))
+
+
 def idempotent_frame(a: Elem, a0: Elem) -> IdempotentFrame:
     """Build the frame for an inner inverse a0 and verify its invariants."""
-    _require_inner(a, a0)
+    if a * a0 * a != a:
+        raise NotInnerInverse(f"{a0} is not an inner inverse of {a}")
     one = a.ring.one()
     e = a * a0
     f = a0 * a
@@ -204,28 +275,88 @@ class IannDecomposition(NamedTuple):
     verdict: bool
 
 
+class IannDecompositions(NamedTuple):
+    """The two sum identities of Iann(a), for one a and its witnesses."""
+
+    # None when Iann(a) = l(a) + r(a); otherwise the first element of
+    # l(a) + r(a) outside Iann(a), or failing that of Iann(a) outside it
+    ann_mismatch: Optional[int]
+    frame_ok: np.ndarray  # per witness a0: whether Iann(a) = R*e_c + f_c*R
+
+
+def _row_masks(n: int, rows: np.ndarray) -> np.ndarray:
+    """One membership mask over range(n) per row of indices."""
+    masks = np.zeros((len(rows), n), dtype=bool)
+    masks[np.arange(len(rows))[:, None], rows] = True
+    return masks
+
+
+def _sums_to(u: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Whether U + W = T, for additive subgroups given as masks (per row).
+
+    U + W = T iff U and W lie in T and |U|*|W| = |T|*|U & W|, because
+    |U + W| = |U|*|W| / |U & W| for subgroups of an abelian group.  This
+    costs O(|R|) mask work instead of the |U| x |W| sumset.
+    """
+    inside = ~((u | w) & ~t).any(axis=-1)
+    return inside & (u.sum(axis=-1) * w.sum(axis=-1)
+                     == t.sum() * (u & w).sum(axis=-1))
+
+
 def iann_decomposition(a: Elem, a0: Elem,
                        budget: Optional[int] = None) -> IannDecomposition:
     """R*e_c and f_c*R, with Iann(a) = l(a)+r(a) = R*e_c + f_c*R verified."""
     frame = idempotent_frame(a, a0)
+    sums = iann_decomposition_batch(a, a0, budget)
+    verdict = sums.ann_mismatch is None and bool(sums.frame_ok[0])
+    return IannDecomposition(principal_left_ideal(frame.e_c, budget),
+                             principal_right_ideal(frame.f_c, budget), verdict)
+
+
+def iann_decomposition_batch(a: Elem, a0s, budget: Optional[int] = None
+                             ) -> IannDecompositions:
+    """Iann(a) = l(a) + r(a) once, and Iann(a) = R*e_c + f_c*R per witness.
+
+    Each identity is decided by the subgroup count of _sums_to, once per
+    frame; the sumset is built only to name the element of a failure.
+    """
     ring = a.ring
+    n = ring.size
     idx = _scan_indices(ring, budget)
-    r_ec = ElemSet.from_indices(ring, ring.idx_mul(idx, frame.e_c.index))
-    fc_r = ElemSet.from_indices(ring, ring.idx_mul(frame.f_c.index, idx))
-    iann = inner_annihilator(a, budget)
-    via_ann = sumset(left_annihilator(a, budget), right_annihilator(a, budget))
-    via_frame = sumset(r_ec, fc_r)
-    verdict = iann == via_ann and iann == via_frame
-    return IannDecomposition(r_ec, fc_r, verdict)
+    frames = idempotent_frames(a, a0s)
+    ax = ring.idx_mul(a.index, idx)
+    iann = np.asarray(ring.idx_mul(ax, a.index)) == 0
+    left = np.asarray(ring.idx_mul(idx, a.index)) == 0
+    right = np.asarray(ax) == 0
+    mismatch = None
+    if not _sums_to(left, right, iann):
+        mismatch = _first_difference(
+            _pairwise(ring, ring.idx_add, idx[left], idx[right]), idx[iann])
+    e_c = np.asarray(ring.idx_sub(ring._one_index, frames.e), dtype=np.int64)
+    f_c = np.asarray(ring.idx_sub(ring._one_index, frames.f), dtype=np.int64)
+    ok = np.empty(len(e_c), dtype=bool)
+    step = max(1, _CHUNK // n)
+    for lo in range(0, len(ok), step):
+        rows = slice(lo, lo + step)
+        r_ec = _row_masks(n, ring.idx_mul(idx[None, :], e_c[rows, None]))
+        fc_r = _row_masks(n, ring.idx_mul(f_c[rows, None], idx[None, :]))
+        ok[rows] = _sums_to(r_ec, fc_r, iann)
+    return IannDecompositions(mismatch, ok[frames.of])
 
 
 def inner_translate(a: Elem, a0: Elem,
                     budget: Optional[int] = None) -> ElemSet:
     """I(a) as the translate a0 + Iann(a)."""
-    _require_inner(a, a0)
-    ring = a.ring
-    iann = inner_annihilator(a, budget)
-    return ElemSet.from_indices(ring, ring.idx_add(a0.index, iann.indices()))
+    _, members = next(inner_translate_batch(a, a0, budget))
+    return ElemSet.from_indices(a.ring, members[0])
+
+
+def inner_translate_batch(a: Elem, a0s,
+                          budget: Optional[int] = None) -> Iterator[tuple]:
+    """a0 + Iann(a) per witness, as inner_inverses_param_batch's blocks."""
+    a0s = idempotent_frames(a, a0s).witnesses
+    iann = inner_annihilator(a, budget).indices()
+    return _translate_rows(a.ring, a0s, np.arange(len(a0s)), iann)
 
 
 def ref_decomposition(a: Elem, a0: Elem,
@@ -272,24 +403,28 @@ def ref_decomposition(a: Elem, a0: Elem,
 
 def singleton_conjugate_test(b: Elem, a: Elem,
                              a0: Elem) -> tuple[bool, Optional[Elem]]:
-    """Whether {b*x*b : x in I(a)} is a singleton, and the value if so.
+    """Whether {b*x*b : x in I(a)} is a singleton, and the value if so."""
+    _same_ring(b, a)
+    if not singleton_conjugate_batch([b.index], a, a0)[0]:
+        return False, None
+    return True, b * a0 * b
+
+
+def singleton_conjugate_batch(bs, a: Elem, a0: Elem) -> np.ndarray:
+    """Per b in bs, whether {b*x*b : x in I(a)} is a singleton.
 
     Over the parametrization x = a0 + t - a0*a*t*a*a0 the conjugate is
     b*a0*b plus a term additive in t, so vanishing is tested on additive
-    generators only.
+    generators only: one (|bs| x generators) gather.
     """
-    _same_ring(b, a)
-    _require_inner(a, a0)
+    frames = idempotent_frames(a, a0)
+    f, e = int(frames.f[0]), int(frames.e[0])
     ring = a.ring
-    f = int(ring.idx_mul(a0.index, a.index))
-    e = int(ring.idx_mul(a.index, a0.index))
+    bs = np.asarray(bs, dtype=np.int64).reshape(-1, 1)
     gens = ring.additive_generator_indices()
-    term = ring.idx_mul(ring.idx_mul(f, gens), e)
-    diff = ring.idx_sub(gens, term)
-    vals = ring.idx_mul(ring.idx_mul(b.index, diff), b.index)
-    if np.any(vals != 0):
-        return False, None
-    return True, b * a0 * b
+    diff = ring.idx_sub(gens, ring.idx_mul(ring.idx_mul(f, gens), e))
+    vals = ring.idx_mul(ring.idx_mul(bs, diff[None, :]), bs)
+    return (np.asarray(vals) == 0).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +481,9 @@ class InverseReport:
     left_ideal: ElemSet
 
     def cardinalities(self) -> dict[str, int]:
-        return {
-            "inner": len(self.inner),
-            "reflexive": len(self.reflexive),
-            "outer": len(self.outer),
-            "iann": len(self.iann),
-            "left_ann": len(self.left_ann),
-            "right_ann": len(self.right_ann),
-            "right_ideal": len(self.right_ideal),
-            "left_ideal": len(self.left_ideal),
-        }
+        """The size of every set, keyed by field name in field order."""
+        return {f.name: len(getattr(self, f.name)) for f in fields(self)
+                if f.name not in ("element", "witness")}
 
 
 def inverse_report(a: Elem, budget: Optional[int] = None) -> InverseReport:

@@ -57,6 +57,12 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_LIMIT = 3317044064679887385961981
 
 
+def _int64_exact(q: int, terms: int) -> bool:
+    """Whether any sum of `terms` products of two residues mod q stays
+    below 2^63, so that int64 arithmetic computes it exactly."""
+    return terms * (q - 1) ** 2 < 1 << 63
+
+
 def _is_prime(n: int) -> bool:
     """Deterministic Miller–Rabin; n at or above _PRIME_LIMIT raises InvalidModulus."""
     if n < 2:
@@ -507,10 +513,10 @@ class _DigitRing(Ring):
         if q ** n > 1 << 63:
             return (f"{self.kind} ring has {q}^{n} elements; "
                     f"indices must fit in int64 (at most 2^63)")
-        worst = max(sum(c for _, _, c in t) for t in self._terms) * (q - 1) ** 2
-        if worst >= 1 << 63:
+        terms = max(sum(c for _, _, c in t) for t in self._terms)
+        if not _int64_exact(q, terms):
             return (f"{self.kind} ring over GF({q}) sums digit products up to "
-                    f"{worst}, past int64 (2^63)")
+                    f"{terms * (q - 1) ** 2}, past int64 (2^63)")
         return None
 
     @property
@@ -896,18 +902,20 @@ def build_table_algebra(p: int, basis: Sequence[str], unity: Sequence[int],
                 raise BadTensorShape(f"index out of range in entry {entry!r}")
             tensor[i, j, k] = c % p
 
+    # the checks sum dim products of constants: past int64, use Python ints
+    exact = tensor if _int64_exact(p, dim) else tensor.astype(object)
     # associativity: sum_m c[i,j,m] c[m,l,k] == sum_m c[j,l,m] c[i,m,k]
-    left = np.einsum("ijm,mlk->ijlk", tensor, tensor) % p
-    right = np.einsum("jlm,imk->ijlk", tensor, tensor) % p
+    left = np.einsum("ijm,mlk->ijlk", exact, exact) % p
+    right = np.einsum("jlm,imk->ijlk", exact, exact) % p
     bad = np.argwhere((left != right).any(axis=3))
     if len(bad):
         i, j, l = (int(v) for v in bad[0])
         raise NotAssociative(
             f"(b{i}·b{j})·b{l} != b{i}·(b{j}·b{l})", triple=(i, j, l))
 
-    u = np.asarray(unity, dtype=np.int64) % p
-    left_mul = np.einsum("i,ijk->jk", u, tensor) % p
-    right_mul = np.einsum("j,ijk->ik", u, tensor) % p
+    u = np.asarray(unity, dtype=exact.dtype) % p
+    left_mul = np.einsum("i,ijk->jk", u, exact) % p
+    right_mul = np.einsum("j,ijk->ik", u, exact) % p
     if not (np.array_equal(left_mul, np.eye(dim, dtype=np.int64))
             and np.array_equal(right_mul, np.eye(dim, dtype=np.int64))):
         raise NoUnity("declared unity is not a two-sided identity")

@@ -3,23 +3,20 @@
 Each check scans a ring and returns pass, violation, or skipped together
 with witness elements and a note.  Every set a check reads (I(a),
 Ref(a), Iann(a), l(a), r(a), aR, Ra) comes from a ginv kernel, and
-regularity from rings.regular_elements or rings.is_regular.
+regularity from rings.regular_elements or rings.is_regular.  The
+identities that inner_param, decomposition, invariance and refl_map
+verify come from the ginv functions that state them, in their batched
+forms; no check computes its own copy.
 
 _Scan alone decides between exhaustive and sampled quantification.
-Rings of at most TABLE_CAP elements quantify over every element; larger
-(but still budget-sized) rings over a deterministic evenly-spaced sample,
-and _Scan.note marks their notes "sampled".  Five checks keep two
-algorithms, because each is the cheaper one on its side of TABLE_CAP:
+Rings of at most TABLE_CAP elements quantify over every element and
+every witness; larger (but still budget-sized) rings over a
+deterministic evenly-spaced sample, the first inner inverse of each
+element and no reflexive witness, and _Scan.note marks their notes
+"sampled".  Three checks still pick an algorithm by mode:
 
-- inner_param tests every frame (a*a0, a0*a) of every inner inverse,
-  which for a = 0 above the cap would need a |R| x |R| block, so sampled
-  rings test the first inner inverse only;
 - refl_map's product law I(a)*a*I(a) samples factor pairs once the pair
-  count passes 2^22;
-- decomposition checks the sums l(a)+r(a) and Re'+f'R in full, and the
-  reflexive decomposition for every reflexive inverse, only below the cap
-  (one ginv.ref_decomposition call per witness, each a single chunked
-  table gather deduplicated through an index mask);
+  count passes 2^22, since the product set is quadratic in |I(a)|;
 - jain_prasad and subset_criterion read the n x n ideal interning, which
   needs op tables, and otherwise build principal ideals per sampled pair.
 
@@ -39,10 +36,13 @@ import numpy as np
 
 from . import __version__, fixture, parsing, rings
 from .errors import BudgetExceeded, UnknownCheck, WrongRing
-from .ginv import (_pairwise, additive_span, inner_annihilator,
-                   inner_inverses, inner_inverses_param, left_annihilator,
+from .ginv import (_first_difference, additive_span,
+                   iann_decomposition_batch, idempotent_frames,
+                   inner_inverses, inner_inverses_param_batch, inner_products,
+                   inner_translate_batch, left_annihilator,
                    principal_left_ideal, principal_right_ideal,
-                   ref_decomposition, reflexive_inverses, right_annihilator)
+                   ref_decomposition, reflexive_inverses, right_annihilator,
+                   singleton_conjugate_batch)
 from .rings import TABLE_CAP, Elem, Ring
 
 PASS = "pass"
@@ -52,21 +52,6 @@ SKIPPED = "skipped"
 # quantifier sample for rings above TABLE_CAP: 64 outer points, 16 for pairs
 SAMPLE_COUNT = 64
 PAIR_SAMPLE = 16
-
-CHECK_NAMES = (
-    "inner_param",
-    "refl_map",
-    "decomposition",
-    "invariance",
-    "jain_prasad",
-    "subset_criterion",
-    "theorem_inner",
-    "nielsen",
-    "theorem_reflexive",
-    "hartwig",
-    "example_claims",
-)
-
 
 @dataclass
 class CheckVerdict:
@@ -106,8 +91,9 @@ class _Scan:
 
     The one place that tells exhaustive from sampled mode: `sample` is
     the domain, `regulars` its regular elements, `regular_at` answers
-    regularity anywhere, `ideal_key` groups elements by (aR, Ra), and
-    `note` marks the notes of sampled runs.
+    regularity anywhere, `ideal_key` groups elements by (aR, Ra),
+    `inner_witnesses` and `reflexive_witnesses` pick the witnesses that
+    per-witness checks test, and `note` marks the notes of sampled runs.
     """
 
     def __init__(self, ring: Ring):
@@ -178,6 +164,33 @@ class _Scan:
     def note(self, text: str) -> str:
         return "sampled: " + text if self.sampled else text
 
+    def inner_witnesses(self, ia: np.ndarray) -> np.ndarray:
+        """I(a), or its first member when sampled: the a0s checks test."""
+        return ia[:1] if self.sampled else ia
+
+    def reflexive_witnesses(self, a: int) -> np.ndarray:
+        """Ref(a), or none when sampled: each ref_decomposition is a
+        |R| x |f_c*R| gather."""
+        return np.empty(0, dtype=np.int64) if self.sampled else self.refset(a)
+
+    @property
+    def witness_scope(self) -> str:
+        """Which witnesses the decomposition items (i)-(ii) and (iii) used."""
+        if self.sampled:
+            return ("first inner witness for (i)-(ii), no reflexive witness "
+                    "for (iii)")
+        return ("all inner witnesses for (i)-(ii), all reflexive witnesses "
+                "for (iii)")
+
+    def inner_scope(self, witnesses: int) -> str:
+        """The elements and the number of inner witnesses a check covered."""
+        if self.sampled:
+            return (f"sampled: {len(self.regulars)} regular elements from a "
+                    f"deterministic {len(self.sample)}-point sample, first "
+                    "inner inverse each")
+        return (f"all {len(self.regulars)} regular elements, all {witnesses} "
+                "inner-inverse witnesses")
+
     def _ideal_interning(self, side: str):
         ring = self.ring
         idx = self.idx
@@ -205,21 +218,13 @@ class _Scan:
     def left_ideals(self):
         return self._ideal_interning("left")
 
-    @staticmethod
-    def _trivial_table(masks: np.ndarray) -> np.ndarray:
-        k = len(masks)
-        table = np.zeros((k, k), dtype=bool)
-        for i in range(k):
-            table[i] = (masks[i][None, :] & masks).sum(axis=1) == 1
-        return table
-
     @cached_property
-    def tint_right(self) -> np.ndarray:
-        return self._trivial_table(self.right_ideals[1])
-
-    @cached_property
-    def tint_left(self) -> np.ndarray:
-        return self._trivial_table(self.left_ideals[1])
+    def trivial_meets(self) -> tuple:
+        """Per side (right, left): whether two interned ideals meet only in
+        0.  float32 counts the common members exactly, as |R| <= TABLE_CAP."""
+        counts = [m.astype(np.float32) for _, m in (self.right_ideals,
+                                                     self.left_ideals)]
+        return tuple(c @ c.T == 1 for c in counts)
 
     @cached_property
     def unit_idx(self) -> np.ndarray:
@@ -230,57 +235,43 @@ class _Scan:
 # individual checks: each returns (status, [(name, index)], note)
 
 
-def _frames(ring: Ring, a: int, ia: np.ndarray):
-    """Each distinct frame (a0*a, a*a0) over a0 in I(a), with its a0s."""
-    f_arr = np.asarray(ring.idx_mul(ia, a), dtype=np.int64)
-    e_arr = np.asarray(ring.idx_mul(a, ia), dtype=np.int64)
-    uniq, inv = np.unique(f_arr * ring.size + e_arr, return_inverse=True)
-    for k_i, key in enumerate(uniq.tolist()):
-        yield key // ring.size, key % ring.size, ia[inv == k_i]
+def _first_other(n: int, blocks, want: np.ndarray) -> Optional[int]:
+    """The first position, block by block, whose row of distinct members
+    is not the set want (translates are injective: size + membership)."""
+    in_want = np.zeros(n, dtype=bool)
+    in_want[want] = True
+    for positions, members in blocks:
+        bad = ~in_want[members].all(axis=1) | (members.shape[1] != len(want))
+        if bad.any():
+            return int(positions[np.argmax(bad)])
+    return None
 
 
 def _check_inner_param(s: _Scan):
     ring = s.ring
-    idx = s.idx
-    regs = s.regulars
-    if s.sampled:
-        for a in (int(v) for v in regs):
-            ia = s.iset(a)
-            a0 = int(ia[0])
-            param = inner_inverses_param(Elem(ring, a), Elem(ring, a0))
-            if not np.array_equal(param.indices(), ia):
-                return VIOLATION, [("a", a), ("a0", a0)], \
-                    "sampled: parametrized I(a) differs from the scan"
-        return PASS, [], (
-            f"sampled: {len(regs)} regular elements from a deterministic "
-            f"{len(s.sample)}-point sample, first inner inverse each")
     total = 0
-    for a in (int(v) for v in regs):
+    for a in (int(v) for v in s.regulars):
         ia = s.iset(a)
-        total += len(ia)
-        in_ia = np.zeros(ring.size, dtype=bool)
-        in_ia[ia] = True
-        for f, e, group in _frames(ring, a, ia):
-            base = np.unique(np.asarray(
-                ring.idx_sub(idx, ring.idx_mul(ring.idx_mul(f, idx), e))))
-            if len(base) != len(ia):
-                return VIOLATION, [("a", a), ("a0", int(group[0]))], (
-                    f"parametrized set has {len(base)} members, "
-                    f"the scan has {len(ia)}")
-            # translation by a0 is injective, so size + membership suffice
-            rows = np.asarray(ring.idx_add(group[:, None], base[None, :]))
-            bad = np.nonzero(~in_ia[rows].all(axis=1))[0]
-            if len(bad):
-                return VIOLATION, [("a", a), ("a0", int(group[bad[0]]))], \
-                    "parametrized I(a) differs from the scan"
-    return PASS, [], (
-        f"all {len(regs)} regular elements, all {total} inner-inverse "
-        f"witnesses")
+        witnesses = s.inner_witnesses(ia)
+        bad = _first_other(ring.size, inner_inverses_param_batch(
+            Elem(ring, a), witnesses), ia)
+        if bad is not None:
+            return VIOLATION, [("a", a), ("a0", int(witnesses[bad]))], \
+                s.note("parametrized I(a) differs from the scan")
+        total += len(witnesses)
+    return PASS, [], s.inner_scope(total)
+
+
+def _first_clash(keys: np.ndarray, vals: np.ndarray):
+    """(i, j): the first j whose key first occurred at i, with another val."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    earlier = first[inverse.reshape(-1)]
+    bad = np.nonzero(vals[earlier] != vals)[0]
+    return (int(earlier[bad[0]]), int(bad[0])) if len(bad) else None
 
 
 def _check_refl_map(s: _Scan):
     ring = s.ring
-    n = ring.size
     pair_cap = 1 << 22
     sampled_products = False
     for a in (int(v) for v in s.regulars):
@@ -289,9 +280,7 @@ def _check_refl_map(s: _Scan):
         phi_vals = np.asarray(ring.idx_mul(ring.idx_mul(ia, a), ia),
                               dtype=np.int64)
         if not np.array_equal(np.unique(phi_vals), ref):
-            extra = np.setdiff1d(np.unique(phi_vals), ref)
-            missing = np.setdiff1d(ref, np.unique(phi_vals))
-            w = int(extra[0]) if len(extra) else int(missing[0])
+            w = _first_difference(np.unique(phi_vals), ref)
             return VIOLATION, [("a", a), ("x", w)], \
                 "image of x -> x*a*x over I(a) differs from Ref(a)"
         fixed = np.asarray(ring.idx_mul(ring.idx_mul(ref, a), ref))
@@ -299,51 +288,33 @@ def _check_refl_map(s: _Scan):
             x = int(ref[np.nonzero(fixed != ref)[0][0]])
             return VIOLATION, [("a", a), ("x", x)], \
                 "x in Ref(a) is not a fixed point of x -> x*a*x"
-        xa = np.asarray(ring.idx_mul(ia, a), dtype=np.int64)
-        ax = np.asarray(ring.idx_mul(a, ia), dtype=np.int64)
-        n_fib = len(np.unique(phi_vals))
-        if (len(np.unique(phi_vals * n + xa)) != n_fib
-                or len(np.unique(phi_vals * n + ax)) != n_fib
-                or len(np.unique(xa * n + ax)) != n_fib):
-            by_val: dict[int, int] = {}
-            by_pair: dict[int, int] = {}
-            for pos, val in enumerate(phi_vals):
-                val = int(val)
-                pair = int(xa[pos]) * n + int(ax[pos])
-                if val in by_val:
-                    other = by_val[val]
-                    if xa[pos] != xa[other] or ax[pos] != ax[other]:
-                        return VIOLATION, \
-                            [("a", a), ("x", int(ia[other])), ("y", int(ia[pos]))], \
-                            "x*a*x = y*a*y but (x*a, a*x) != (y*a, a*y)"
-                else:
-                    by_val[val] = pos
-                if pair in by_pair:
-                    other = by_pair[pair]
-                    if phi_vals[pos] != phi_vals[other]:
-                        return VIOLATION, \
-                            [("a", a), ("x", int(ia[other])), ("y", int(ia[pos]))], \
-                            "(x*a, a*x) = (y*a, a*y) but x*a*x != y*a*y"
-                else:
-                    by_pair[pair] = pos
-        left = np.unique(xa)
-        if s.sampled and len(left) * len(ia) > pair_cap:
+        # x*a*x = y*a*y iff x and y share the frame (x*a, a*x); the first y
+        # to break either direction is named, the first direction on ties
+        frames = idempotent_frames(Elem(ring, a), ia)
+        clashes = [(clash[1], k, clash[0]) for k, clash in enumerate(
+            (_first_clash(phi_vals, frames.of),
+             _first_clash(frames.of, phi_vals))) if clash is not None]
+        if clashes:
+            y, k, x = min(clashes)
+            return VIOLATION, \
+                [("a", a), ("x", int(ia[x])), ("y", int(ia[y]))], (
+                    "x*a*x = y*a*y but (x*a, a*x) != (y*a, a*y)",
+                    "(x*a, a*x) = (y*a, a*y) but x*a*x != y*a*y")[k]
+        right = ia
+        if s.sampled and len(np.unique(frames.f)) * len(ia) > pair_cap:
             sampled_products = True
-            step = max(1, len(ia) // SAMPLE_COUNT)
-            prods = _pairwise(ring, ring.idx_mul, left, ia[::step])
-            ref_mask = np.zeros(n, dtype=bool)
-            ref_mask[ref] = True
-            if not ref_mask[prods].all():
-                w = int(prods[~ref_mask[prods]][0])
-                return VIOLATION, [("a", a), ("x", w)], \
-                    "a product x*a*y with x,y in I(a) falls outside Ref(a)"
-        else:
-            prods = _pairwise(ring, ring.idx_mul, left, ia)
-            if not np.array_equal(prods, ref):
-                diff = np.setdiff1d(prods, ref)
-                w = int(diff[0]) if len(diff) else int(np.setdiff1d(ref, prods)[0])
-                return VIOLATION, [("a", a), ("x", w)], \
-                    "the product set I(a)*a*I(a) differs from Ref(a)"
+            right = ia[:: max(1, len(ia) // SAMPLE_COUNT)]
+        prods = inner_products(Elem(ring, a), ia, right).indices()
+        if np.array_equal(prods, ref):
+            continue
+        if right is ia:
+            w = _first_difference(prods, ref)
+            return VIOLATION, [("a", a), ("x", w)], \
+                "the product set I(a)*a*I(a) differs from Ref(a)"
+        outside = np.setdiff1d(prods, ref, assume_unique=True)
+        if len(outside):
+            return VIOLATION, [("a", a), ("x", int(outside[0]))], \
+                "a product x*a*y with x,y in I(a) falls outside Ref(a)"
     return PASS, [], s.note(
         f"all four properties on {len(s.regulars)} regular elements"
         + ("; product law restricted to sampled factor pairs"
@@ -352,142 +323,64 @@ def _check_refl_map(s: _Scan):
 
 def _check_decomposition(s: _Scan):
     ring = s.ring
-    one = ring._one_index
-
-    def annihilators(a):
-        """Iann(a), l(a) and r(a)."""
-        ea = Elem(ring, a)
-        return (inner_annihilator(ea).indices(), left_annihilator(ea).indices(),
-                right_annihilator(ea).indices())
-
-    def frame_ideals(e, f):
-        """R*e_c and f_c*R, with e_c = 1-e and f_c = 1-f."""
-        e_c, f_c = int(ring.idx_sub(one, e)), int(ring.idx_sub(one, f))
-        return (principal_left_ideal(Elem(ring, e_c)).indices(),
-                principal_right_ideal(Elem(ring, f_c)).indices())
-
-    if s.sampled:
-        for a in (int(v) for v in s.regulars):
-            iann, l_arr, r_arr = annihilators(a)
-            iann_mask = np.zeros(ring.size, dtype=bool)
-            iann_mask[iann] = True
-            ia = s.iset(a)
-            a0 = int(ia[0])
-            ls = l_arr[:: max(1, len(l_arr) // SAMPLE_COUNT)]
-            rs = r_arr[:: max(1, len(r_arr) // SAMPLE_COUNT)]
-            sums = _pairwise(ring, ring.idx_add, ls, rs)
-            if not iann_mask[sums].all():
-                w = int(sums[~iann_mask[sums]][0])
-                return VIOLATION, [("a", a), ("x", w)], \
-                    "sampled: an l(a)+r(a) sum falls outside Iann(a)"
-            r_ec, fc_r = frame_ideals(int(ring.idx_mul(a, a0)),
-                                      int(ring.idx_mul(a0, a)))
-            pieces = _pairwise(ring, ring.idx_add,
-                               r_ec[:: max(1, len(r_ec) // SAMPLE_COUNT)],
-                               fc_r[:: max(1, len(fc_r) // SAMPLE_COUNT)])
-            if not iann_mask[pieces].all():
-                w = int(pieces[~iann_mask[pieces]][0])
-                return VIOLATION, [("a", a), ("a0", a0), ("x", w)], \
-                    "sampled: an Re'+f'R sum falls outside Iann(a)"
-            translate = np.unique(np.asarray(ring.idx_add(a0, iann)))
-            if not np.array_equal(translate, ia):
-                return VIOLATION, [("a", a), ("a0", a0)], \
-                    "a0 + Iann(a) differs from I(a)"
-        return PASS, [], (
-            f"sampled: {len(s.regulars)} regular elements; sum inclusions "
-            "on sampled pairs, translate identity in full; the reflexive "
-            "decomposition is exercised only in exhaustive mode")
-
     for a in (int(v) for v in s.regulars):
-        iann, l_arr, r_arr = annihilators(a)
-        via_lr = _pairwise(ring, ring.idx_add, l_arr, r_arr)
-        if not np.array_equal(via_lr, iann):
-            diff = np.setdiff1d(via_lr, iann)
-            w = int(diff[0]) if len(diff) else int(np.setdiff1d(iann, via_lr)[0])
-            return VIOLATION, [("a", a), ("x", w)], "l(a)+r(a) differs from Iann(a)"
+        ea = Elem(ring, a)
         ia = s.iset(a)
-        for f, e, group in _frames(ring, a, ia):
-            r_ec, fc_r = frame_ideals(e, f)
-            if not np.array_equal(_pairwise(ring, ring.idx_add, r_ec, fc_r), iann):
-                return VIOLATION, [("a", a), ("a0", int(group[0]))], \
-                    "Re'+f'R differs from Iann(a)"
-        if len(iann) != len(ia):
-            return VIOLATION, [("a", a), ("a0", int(ia[0]))], (
-                f"|Iann(a)| = {len(iann)} cannot translate onto "
-                f"|I(a)| = {len(ia)}")
-        in_ia = np.zeros(ring.size, dtype=bool)
-        in_ia[ia] = True
-        # translation by a0 is injective, so size + membership suffice
-        step = max(1, (1 << 20) // max(1, len(iann)))
-        for lo in range(0, len(ia), step):
-            block = np.asarray(ring.idx_add(ia[lo:lo + step, None],
-                                            iann[None, :]))
-            bad = np.nonzero(~in_ia[block].all(axis=1))[0]
-            if len(bad):
-                return VIOLATION, [("a", a), ("a0", int(ia[lo + bad[0]]))], \
-                    "a0 + Iann(a) differs from I(a)"
-        ref = s.refset(a)
-        for a0 in (int(v) for v in ref):
-            got = ref_decomposition(Elem(ring, a), Elem(ring, a0)).indices()
-            if not np.array_equal(got, ref):
+        witnesses = s.inner_witnesses(ia)
+        sums = iann_decomposition_batch(ea, witnesses)
+        if sums.ann_mismatch is not None:
+            return VIOLATION, [("a", a), ("x", sums.ann_mismatch)], \
+                s.note("l(a)+r(a) differs from Iann(a)")
+        if not sums.frame_ok.all():
+            a0 = int(witnesses[np.argmin(sums.frame_ok)])
+            return VIOLATION, [("a", a), ("a0", a0)], \
+                s.note("Re'+f'R differs from Iann(a)")
+        bad = _first_other(ring.size, inner_translate_batch(ea, witnesses), ia)
+        if bad is not None:
+            return VIOLATION, [("a", a), ("a0", int(witnesses[bad]))], \
+                s.note("a0 + Iann(a) differs from I(a)")
+        for a0 in (int(v) for v in s.reflexive_witnesses(a)):
+            got = ref_decomposition(ea, Elem(ring, a0)).indices()
+            if not np.array_equal(got, s.refset(a)):
                 return VIOLATION, [("a", a), ("a0", a0)], \
-                    "the reflexive decomposition differs from Ref(a)"
-    return PASS, [], (
-        f"items (i)-(iii) on {len(s.regulars)} regular elements, "
-        "all inner witnesses for (i)-(ii), all reflexive witnesses for (iii)")
+                    s.note("the reflexive decomposition differs from Ref(a)")
+    return PASS, [], s.note(f"items (i)-(iii) on {len(s.regulars)} regular "
+                            f"elements, {s.witness_scope}")
 
 
 def _check_invariance(s: _Scan):
     ring = s.ring
-    semi = s.semi
-    gens = ring.additive_generator_indices()
     bcols = s.sample
-    only_singleton = 0
-    only_member = 0
-    first_sm: Optional[tuple] = None
-    first_mem: Optional[tuple] = None
-    pairs = 0
+    # the two directions of the biconditional, as they fail
+    sides = ("singleton without ideal membership",
+             "ideal membership without singleton")
+    found = ("b*I(a)*b a singleton with b outside Ra and aR",
+             "b in Ra and aR without the singleton")
+    counts, firsts = [0, 0], [None, None]
     for a in (int(v) for v in s.regulars):
-        a0 = int(s.iset(a)[0])
-        f = int(ring.idx_mul(a0, a))
-        e = int(ring.idx_mul(a, a0))
-        diffs = ring.idx_sub(gens, ring.idx_mul(ring.idx_mul(f, gens), e))
-        singleton = np.ones(len(bcols), dtype=bool)
-        for d in np.asarray(diffs).reshape(-1):
-            vals = ring.idx_mul(ring.idx_mul(bcols, int(d)), bcols)
-            singleton &= np.asarray(vals) == 0
         ea = Elem(ring, a)
+        singleton = singleton_conjugate_batch(
+            bcols, ea, Elem(ring, int(s.iset(a)[0])))
         member = (np.isin(bcols, principal_right_ideal(ea).indices())
                   & np.isin(bcols, principal_left_ideal(ea).indices()))
-        pairs += len(bcols)
-        d1 = singleton & ~member
-        d2 = member & ~singleton
-        if semi.semiprime and (d1.any() or d2.any()):
-            b = int(bcols[np.nonzero(d1 | d2)[0][0]])
-            side = ("singleton without ideal membership" if d1.any()
-                    else "ideal membership without singleton")
-            return VIOLATION, [("a", a), ("b", b)], side
-        if d1.any() and first_sm is None:
-            first_sm = (a, int(bcols[np.nonzero(d1)[0][0]]))
-        if d2.any() and first_mem is None:
-            first_mem = (a, int(bcols[np.nonzero(d2)[0][0]]))
-        only_singleton += int(d1.sum())
-        only_member += int(d2.sum())
-    if semi.semiprime:
-        return PASS, [], s.note(f"biconditional on {pairs} (a, b) pairs")
+        for k, only in enumerate((singleton & ~member, member & ~singleton)):
+            if only.any():
+                b = int(bcols[np.argmax(only)])
+                if s.semi.semiprime:
+                    return VIOLATION, [("a", a), ("b", b)], sides[k]
+                firsts[k] = firsts[k] or (a, b)
+                counts[k] += int(only.sum())
+    if s.semi.semiprime:
+        return PASS, [], s.note(
+            f"biconditional on {len(s.regulars) * len(bcols)} (a, b) pairs")
     clauses = [
         "ring is not semiprime, so the biconditional is not asserted"]
-    if only_singleton:
-        a, b = first_sm
-        clauses.append(
-            f"{only_singleton} pair(s) had b*I(a)*b a singleton with b outside "
-            f"Ra and aR (first: a = {_render(ring, a)}, b = {_render(ring, b)})")
-    if only_member:
-        a, b = first_mem
-        clauses.append(
-            f"{only_member} pair(s) had b in Ra and aR without the singleton "
-            f"(first: a = {_render(ring, a)}, b = {_render(ring, b)})")
-    if not (only_singleton or only_member):
+    for count, first, text in zip(counts, firsts, found):
+        if count:
+            clauses.append(f"{count} pair(s) had {text} (first: a = "
+                           f"{_render(ring, first[0])}, b = "
+                           f"{_render(ring, first[1])})")
+    if not any(counts):
         clauses.append("no direction failed on the scanned pairs")
     return SKIPPED, [], s.note("; ".join(clauses))
 
@@ -515,21 +408,17 @@ def _check_jain_prasad(s: _Scan):
     if s.sampled:
         pts = s.sample[:: max(1, len(s.sample) // PAIR_SAMPLE)]
         ok = s.regular_at(ring.idx_add(pts[:, None], pts[None, :]))
-        pairs = 0
-        for i, b in enumerate(pts.tolist()):
-            for j, d in enumerate(pts.tolist()):
-                if not ok[i, j]:
-                    continue
-                pairs += 1
-                c1, c2, c3 = _jp_conditions(ring, b, d)
-                if not (c1 == c2 == c3):
-                    return VIOLATION, [("b", b), ("d", d)], (
-                        f"sampled: conditions evaluated as ({c1}, {c2}, {c3})")
-        return PASS, [], f"sampled: {pairs} pairs with b+d regular"
+        for b, d in zip(pts[np.nonzero(ok)[0]].tolist(),
+                        pts[np.nonzero(ok)[1]].tolist()):
+            c1, c2, c3 = _jp_conditions(ring, b, d)
+            if not (c1 == c2 == c3):
+                return VIOLATION, [("b", b), ("d", d)], (
+                    f"sampled: conditions evaluated as ({c1}, {c2}, {c3})")
+        return PASS, [], f"sampled: {int(ok.sum())} pairs with b+d regular"
     idx = s.idx
     rid, rmasks = s.right_ideals
     lid, lmasks = s.left_ideals
-    tr, tl = s.tint_right, s.tint_left
+    tr, tl = s.trivial_meets
     checked = 0
     for b in range(ring.size):
         srow = np.asarray(ring.idx_add(b, idx))
@@ -560,11 +449,9 @@ def _check_subset_criterion(s: _Scan):
     if s.sampled:
         sub = s.sample[:: max(1, len(s.sample) // PAIR_SAMPLE)]
         pts = sub[s.regular_at(sub)].tolist()
-        pairs = 0
         for a in pts:
             ia = s.iset(a)
             for b in pts:
-                pairs += 1
                 d = int(ring.idx_sub(a, b))
                 ib = s.iset(b)
                 subset = bool(np.isin(ia, ib).all())
@@ -580,24 +467,19 @@ def _check_subset_criterion(s: _Scan):
                         return VIOLATION, \
                             [("a", a), ("b", b), ("d", d), ("x", w)], \
                             f"sampled: proof identity {which} fails"
-        return PASS, [], f"sampled: {pairs} ordered regular pairs"
+        return PASS, [], f"sampled: {len(pts) ** 2} ordered regular pairs"
     regs = s.regulars
     n = ring.size
     masks = np.zeros((len(regs), n), dtype=bool)
     for j, b in enumerate(int(v) for v in regs):
         masks[j, s.iset(b)] = True
-    sizes = masks.sum(axis=1)
     rid, _ = s.right_ideals
     lid, _ = s.left_ideals
-    tr, tl = s.tint_right, s.tint_left
+    tr, tl = s.trivial_meets
     verified_subsets = 0
     for a in (int(v) for v in regs):
         ia = s.iset(a)
-        probes = masks[:, ia[0]] & masks[:, ia[len(ia) // 2]] & masks[:, ia[-1]]
-        cand = np.nonzero(probes & (sizes >= len(ia)))[0]
-        subs = np.zeros(len(regs), dtype=bool)
-        for j in cand:
-            subs[j] = not np.any(~masks[j][ia])
+        subs = masks[:, ia].all(axis=1)
         drow = np.asarray(ring.idx_sub(a, regs))
         crit = tr[rid[regs], rid[drow]] & tl[lid[regs], lid[drow]]
         mism = subs != crit
@@ -622,15 +504,12 @@ def _check_subset_criterion(s: _Scan):
 
 def _proof_identities_hold(ring, ia, b, d):
     """b*x*d = 0, d*x*b = 0, d*x*d = d over x in I(a)."""
-    bxd = np.asarray(ring.idx_mul(ring.idx_mul(b, ia), d))
-    if np.any(bxd != 0):
-        return False, "b*x*d = 0", int(ia[np.nonzero(bxd != 0)[0][0]])
-    dxb = np.asarray(ring.idx_mul(ring.idx_mul(d, ia), b))
-    if np.any(dxb != 0):
-        return False, "d*x*b = 0", int(ia[np.nonzero(dxb != 0)[0][0]])
-    dxd = np.asarray(ring.idx_mul(ring.idx_mul(d, ia), d))
-    if np.any(dxd != d):
-        return False, "d*x*d = d", int(ia[np.nonzero(dxd != d)[0][0]])
+    for which, left, right, want in (("b*x*d = 0", b, d, 0),
+                                     ("d*x*b = 0", d, b, 0),
+                                     ("d*x*d = d", d, d, d)):
+        bad = np.asarray(ring.idx_mul(ring.idx_mul(left, ia), right)) != want
+        if bad.any():
+            return False, which, int(ia[np.argmax(bad)])
     return True, "", 0
 
 
@@ -701,7 +580,6 @@ def _check_nielsen(s: _Scan):
 
 
 def _check_theorem_reflexive(s: _Scan):
-    ring = s.ring
     zero_ref = s.refset(0)
     if not np.array_equal(zero_ref, np.asarray([0])):
         return VIOLATION, [("a", 0)], "Ref(0) is not {0}"
@@ -723,18 +601,13 @@ def _check_hartwig(s: _Scan):
     for members in classes.values():
         arr = np.asarray(members, dtype=np.int64)
         for a in (int(v) for v in arr):
-            au = np.unique(np.asarray(ring.idx_mul(a, units)))
-            ua = np.unique(np.asarray(ring.idx_mul(units, a)))
-            miss_u = ~np.isin(arr, au)
-            if miss_u.any():
-                b = int(arr[np.nonzero(miss_u)[0][0]])
-                return VIOLATION, [("a", a), ("b", b)], \
-                    "no unit u with b = a*u although aR = bR and Ra = Rb"
-            miss_v = ~np.isin(arr, ua)
-            if miss_v.any():
-                b = int(arr[np.nonzero(miss_v)[0][0]])
-                return VIOLATION, [("a", a), ("b", b)], \
-                    "no unit v with b = v*a although aR = bR and Ra = Rb"
+            for orbit, law in ((ring.idx_mul(a, units), "u with b = a*u"),
+                               (ring.idx_mul(units, a), "v with b = v*a")):
+                miss = ~np.isin(arr, np.asarray(orbit))
+                if miss.any():
+                    b = int(arr[np.argmax(miss)])
+                    return VIOLATION, [("a", a), ("b", b)], \
+                        f"no unit {law} although aR = bR and Ra = Rb"
             pairs += len(arr)
     return PASS, [], s.note(
         f"{pairs} ordered pairs across {len(classes)} ideal classes, "
@@ -755,6 +628,10 @@ def _check_example_claims(s: _Scan):
     def fail(witnesses, note):
         return VIOLATION, witnesses, note
 
+    def span(words: str) -> np.ndarray:
+        return additive_span(
+            ring, [Elem(ring, gens[w]) for w in words.split()]).indices()
+
     if a == b:
         return fail([("a", a), ("b", b)], "the generators a and b coincide")
     ia, ib = s.iset(a), s.iset(b)
@@ -773,24 +650,15 @@ def _check_example_claims(s: _Scan):
     if x_ax not in refa:
         return fail([("a", a), ("x", x_ax)],
                     "x + ax unexpectedly left Ref(a)")
-    sub9 = additive_span(ring, [Elem(ring, gens[w]) for w in
-                                ("a", "b", "x", "ax", "bx", "xa", "xb",
-                                 "axb", "bxa")]).indices()
-    span_r = additive_span(ring, [Elem(ring, gens[w]) for w in
-                                  ("a", "b", "ax", "bx", "axb", "bxa")]).indices()
-    span_l = additive_span(ring, [Elem(ring, gens[w]) for w in
-                                  ("a", "b", "xa", "xb", "axb", "bxa")]).indices()
+    sub9 = span("a b x ax bx xa xb axb bxa")
+    span_r, span_l = span("a b ax bx axb bxa"), span("a b xa xb axb bxa")
     ea, eb = Elem(ring, a), Elem(ring, b)
     r_a, r_b = right_annihilator(ea).indices(), right_annihilator(eb).indices()
     l_a, l_b = left_annihilator(ea).indices(), left_annihilator(eb).indices()
-    for name, ann in (("r(a)", r_a), ("r(b)", r_b)):
+    for name, ann, stated in (("r(a)", r_a, span_r), ("r(b)", r_b, span_r),
+                              ("l(a)", l_a, span_l), ("l(b)", l_b, span_l)):
         got = np.intersect1d(ann, sub9, assume_unique=True)
-        if not np.array_equal(got, span_r):
-            return fail([("a", a)], f"{name} inside the unity-free "
-                        "subalgebra differs from the stated span")
-    for name, ann in (("l(a)", l_a), ("l(b)", l_b)):
-        got = np.intersect1d(ann, sub9, assume_unique=True)
-        if not np.array_equal(got, span_l):
+        if not np.array_equal(got, stated):
             return fail([("a", a)], f"{name} inside the unity-free "
                         "subalgebra differs from the stated span")
     # the full unital ring separates the annihilators; record the witnesses
@@ -842,6 +710,7 @@ _CHECKS = {
     "hartwig": _check_hartwig,
     "example_claims": _check_example_claims,
 }
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def _run_one(scan: _Scan, name: str) -> CheckVerdict:

@@ -222,6 +222,36 @@ def test_matrix_oracles_run_past_int64_indices():
         f"ginverse: {eye}"]
 
 
+def _matmul_mod(X, Y, q):
+    k = len(X)
+    return [[sum(X[i][m] * Y[m][j] for m in range(k)) % q for j in range(k)]
+            for i in range(k)]
+
+
+@pytest.mark.parametrize("q", [4611686018427387847, 2 ** 64 + 13])
+def test_matrix_ginverse_exact_past_int64_products(q):
+    # (q-1)^2, or q itself, passes 2^63: elimination runs on Python ints,
+    # so A*G*A = A
+    A = [[3037000500, 1], [0, 3037000500]]
+    res = run_cli("matrix", "--k", "2", "--q", str(q), "ginverse",
+                  "3037000500,1;0,3037000500")
+    assert res.returncode == 0, res.stderr
+    text = res.stdout.splitlines()[1].removeprefix("ginverse: ")
+    G = [[int(v) for v in row.split(",")] for row in text.split(";")]
+    assert _matmul_mod(_matmul_mod(A, G, q), A, q) == A
+    assert _matmul_mod(_matmul_mod(G, A, q), G, q) == G
+
+
+@pytest.mark.parametrize("q", [2097143, 3037000493])
+def test_matrix_membership_exact_for_large_q(q):
+    # a*G*b sums products of size k*(q-1)^3 unless reduced in between;
+    # b = a always lies in aR and Ra
+    a = f"{q - 1},{q - 2};{q - 3},{q - 5}"
+    res = run_cli("matrix", "--k", "2", "--q", str(q), "membership", a, a)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[1:] == ["b in aR: yes", "b in Ra: yes"]
+
+
 def test_matrix_wrong_arity():
     res = run_cli("matrix", "--k", "2", "--q", "2", "seteq", "1,0;0,0")
     assert res.returncode == 2

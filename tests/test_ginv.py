@@ -8,15 +8,17 @@ import pytest
 from ginvlab import (BudgetExceeded, ElemSet, NotInnerInverse, NotRegular,
                      NotReflexiveInverse, RingMismatch, ZmodRing,
                      additive_span, build_matrix_ring, iann_decomposition,
-                     idempotent_frame, inner_annihilator, inner_inverses,
-                     inner_inverses_param, inner_translate, inverse_report,
-                     is_regular, left_annihilator, outer_inverses,
-                     parse_element, phi, principal_left_ideal,
+                     iann_decomposition_batch, idempotent_frame,
+                     idempotent_frames, inner_annihilator, inner_inverses,
+                     inner_inverses_param, inner_inverses_param_batch,
+                     inner_products, inner_translate, inner_translate_batch,
+                     inverse_report, is_regular, left_annihilator,
+                     outer_inverses, parse_element, phi, principal_left_ideal,
                      principal_right_ideal, ref_decomposition,
                      reflexive_inverses, reflexive_via_product,
-                     right_annihilator, scaled_set, singleton_conjugate_test,
-                     sumset)
-from ginvlab import rings
+                     right_annihilator, scaled_set, singleton_conjugate_batch,
+                     singleton_conjugate_test, sumset)
+from ginvlab import ginv, rings
 from ginvlab.ginv import _pairwise
 
 
@@ -346,3 +348,98 @@ def test_budget_respected():
         inner_inverses(a, budget=100)
     # generous budget allows the scan
     assert len(inner_inverses(a, budget=200000)) > 0
+
+
+def _rows_as_sets(ring, blocks, count):
+    """Per witness position, the sorted members of its row in the blocks."""
+    out = [None] * count
+    for positions, members in blocks:
+        for pos, row in zip(positions.tolist(), np.asarray(members)):
+            out[pos] = np.unique(row)
+    return out
+
+
+def _batch_cases(name, request):
+    ring = request.getfixturevalue(name)
+    regs = [a for a in ring.elements() if is_regular(a) is not None]
+    if name == "example":
+        regs = random.Random(11).sample(regs, 6)
+    return ring, regs
+
+
+@pytest.mark.parametrize("name", ["z30", "m2gf3", "example"])
+def test_batched_forms_equal_single_witness_forms(request, name):
+    ring, regs = _batch_cases(name, request)
+    bs = ring.all_indices()
+    for a in regs:
+        a0s = inner_inverses(a).indices()
+        params = _rows_as_sets(ring, inner_inverses_param_batch(a, a0s),
+                               len(a0s))
+        translates = _rows_as_sets(ring, inner_translate_batch(a, a0s),
+                                   len(a0s))
+        sums = iann_decomposition_batch(a, a0s)
+        for pos, a0 in enumerate(inner_inverses(a)):
+            assert np.array_equal(params[pos],
+                                  inner_inverses_param(a, a0).indices())
+            assert np.array_equal(translates[pos],
+                                  inner_translate(a, a0).indices())
+            assert iann_decomposition(a, a0).verdict == (
+                sums.ann_mismatch is None and sums.frame_ok[pos])
+        a0 = ring.from_index(int(a0s[0]))
+        flags = singleton_conjugate_batch(bs, a, a0)
+        assert flags.tolist() == [singleton_conjugate_test(b, a, a0)[0]
+                                  for b in ring.elements()]
+        assert inner_products(a, a0s, a0s) == reflexive_via_product(a)
+
+
+@pytest.mark.parametrize("name", ["z30", "m2gf2"])
+def test_counting_rule_agrees_with_the_sumset(request, name):
+    # U + W = T by counting, against the materialised sumset, on the
+    # subgroups of every frame, with targets that hold and that fail
+    ring = request.getfixturevalue(name)
+    n = ring.size
+    one = ring.one()
+    for a in ring.elements():
+        a0s = inner_inverses(a).indices()
+        if not len(a0s):
+            continue
+        left, right = left_annihilator(a), right_annihilator(a)
+        frames = idempotent_frames(a, a0s)
+        pairs = [(left, right)] + [
+            (principal_left_ideal(one - ring.from_index(int(e))),
+             principal_right_ideal(one - ring.from_index(int(f))))
+            for f, e in zip(frames.f, frames.e)]
+        targets = [inner_annihilator(a), left, right,
+                   ElemSet(ring, ring.all_indices())]
+        for u, w in pairs:
+            for t in targets:
+                masks = [np.isin(ring.all_indices(), s.indices())
+                         for s in (u, w, t)]
+                assert ginv._sums_to(*masks) == (sumset(u, w) == t), (a, n)
+
+
+@pytest.mark.parametrize("name", ["z30", "m2gf2", "m2gf3"])
+def test_frames_match_reflexive_inverses(request, name):
+    # the frame of a0 holds exactly one reflexive inverse, a0*a*a0
+    ring = request.getfixturevalue(name)
+    for a in ring.elements():
+        inner = inner_inverses(a).indices()
+        if not len(inner):
+            continue
+        frames = idempotent_frames(a, inner)
+        reps = [inner[frames.of == k][0] for k in range(len(frames.f))]
+        image = {int(ring.idx_mul(ring.idx_mul(g, a.index), g)) for g in reps}
+        assert sorted(image) == reflexive_inverses(a).indices().tolist()
+        assert len(frames.f) == len(reflexive_inverses(a))
+
+
+def test_batched_forms_reject_non_inverses(z6):
+    three, two = z6.from_index(3), z6.from_index(2)
+    calls = [lambda: list(inner_inverses_param_batch(three, [1, 2, 3])),
+             lambda: inner_translate_batch(three, [1, 2, 3]),
+             lambda: iann_decomposition_batch(three, [1, 2, 3]),
+             lambda: idempotent_frames(three, [1, 2, 3]),
+             lambda: singleton_conjugate_batch([0, 1], three, two)]
+    for call in calls:
+        with pytest.raises(NotInnerInverse, match="^2 is not an inner"):
+            call()

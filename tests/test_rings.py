@@ -559,6 +559,18 @@ def test_odd_table_algebra_past_int64_digit_products_refuses_element_use():
         Elem(ring, 3037000500) * Elem(ring, 3037000500)
 
 
+def test_table_algebra_past_int64_validates_with_python_ints():
+    # GF(p) with unity 11 and x*x = x/11: a valid algebra whose unity and
+    # associativity sums pass int64
+    p = 4611686018427387847
+    ring = build_table_algebra(p, ["x"], [11], [[0, 0, 0, pow(11, -1, p)]])
+    assert ring.size == p
+    with pytest.raises(InvalidModulus, match="past int64"):
+        Elem(ring, 5) * Elem(ring, 7)
+    with pytest.raises(NoUnity):
+        build_table_algebra(p, ["x"], [11], [[0, 0, 0, pow(12, -1, p)]])
+
+
 def test_digit_kernel_is_exact_up_to_its_bound():
     # largest prime p with (p - 1)^2 < 2^63: products sum right up to int64
     p = next(n for n in range(math.isqrt(2 ** 63 - 1) + 1, 0, -1)

@@ -1,14 +1,16 @@
 """Suite verdicts on every bundled ring, frozen from independent runs."""
 
+import numpy as np
 import pytest
 
 import ginvlab
 from ginvlab import (CHECK_NAMES, ElemSet, UnknownCheck, WrongRing, ZmodRing,
                      build_table_algebra, check_decomposition,
-                     check_example_claims, check_hartwig, check_nielsen,
-                     inner_inverses, is_regular, parse_element,
-                     ref_decomposition, reflexive_inverses, run_suite,
-                     theoremlab)
+                     check_example_claims, check_hartwig, check_inner_param,
+                     check_invariance, check_nielsen, check_refl_map,
+                     inner_annihilator, inner_inverses, is_regular,
+                     parse_element, principal_right_ideal, ref_decomposition,
+                     reflexive_inverses, run_suite, theoremlab)
 from ginvlab.fixture import BASIS
 
 
@@ -209,3 +211,126 @@ def test_decomposition_checks_every_reflexive_witness(m2gf2, monkeypatch):
     assert [(k, e.index) for k, e in verdict.witnesses] == \
         [("a", a.index), ("a0", int(a0))]
     assert verdict.note == "the reflexive decomposition differs from Ref(a)"
+
+
+# Each check below must read its identity from the batched ginv function:
+# corrupting that function's result for one witness (of the last element
+# that has several, so every earlier witness passes) must surface as a
+# violation naming exactly that element and witness.
+
+
+def _last_with_several(ring, setter):
+    """(a, w): the last element whose set has several members, and its last."""
+    return [(a.index, int(got[-1])) for a in ring.elements()
+            for got in [setter(a).indices()] if len(got) > 1][-1]
+
+
+def _outside(ring, members):
+    return int(np.setdiff1d(ring.all_indices(), members)[0])
+
+
+def _corrupt_rows(ring, real, target):
+    """Wrap a (positions, members)-block batch form: one wrong row."""
+    a, a0 = target
+
+    def corrupted(x, a0s, budget=None):
+        for positions, members in real(x, a0s, budget):
+            members = np.array(members, dtype=np.int64)
+            hit = np.asarray(a0s)[positions] == a0
+            if x.index == a and hit.any():
+                outside = _outside(ring, inner_inverses(x).indices())
+                members[np.argmax(hit), 0] = outside
+            yield positions, members
+    return corrupted
+
+
+def _witnesses(verdict):
+    return [(k, e.index) for k, e in verdict.witnesses]
+
+
+def test_inner_param_checks_the_batched_parametrization(m2gf2, monkeypatch):
+    target = _last_with_several(m2gf2, inner_inverses)
+    monkeypatch.setattr(
+        theoremlab, "inner_inverses_param_batch", _corrupt_rows(
+            m2gf2, ginvlab.ginv.inner_inverses_param_batch, target))
+    verdict = check_inner_param(m2gf2)
+    assert verdict.status == "violation"
+    assert _witnesses(verdict) == [("a", target[0]), ("a0", target[1])]
+    assert verdict.note == "parametrized I(a) differs from the scan"
+
+
+def test_decomposition_checks_the_batched_translate(m2gf2, monkeypatch):
+    target = _last_with_several(m2gf2, inner_inverses)
+    monkeypatch.setattr(theoremlab, "inner_translate_batch", _corrupt_rows(
+        m2gf2, ginvlab.ginv.inner_translate_batch, target))
+    verdict = check_decomposition(m2gf2)
+    assert verdict.status == "violation"
+    assert _witnesses(verdict) == [("a", target[0]), ("a0", target[1])]
+    assert verdict.note == "a0 + Iann(a) differs from I(a)"
+
+
+def _corrupt_sums(a, change):
+    """Wrap iann_decomposition_batch: change(result, a0s) for a only."""
+    real = ginvlab.ginv.iann_decomposition_batch
+
+    def corrupted(x, a0s, budget=None):
+        got = real(x, a0s, budget)
+        return change(got, np.asarray(a0s)) if x.index == a else got
+    return corrupted
+
+
+def test_decomposition_checks_the_batched_annihilator_sum(m2gf2, monkeypatch):
+    a, _ = _last_with_several(m2gf2, inner_inverses)
+    x = _outside(m2gf2, inner_annihilator(m2gf2.from_index(a)).indices())
+    monkeypatch.setattr(theoremlab, "iann_decomposition_batch", _corrupt_sums(
+        a, lambda got, a0s: got._replace(ann_mismatch=x)))
+    verdict = check_decomposition(m2gf2)
+    assert verdict.status == "violation"
+    assert _witnesses(verdict) == [("a", a), ("x", x)]
+    assert verdict.note == "l(a)+r(a) differs from Iann(a)"
+
+
+def test_decomposition_checks_the_batched_frame_sum(m2gf2, monkeypatch):
+    a, a0 = _last_with_several(m2gf2, inner_inverses)
+    monkeypatch.setattr(theoremlab, "iann_decomposition_batch", _corrupt_sums(
+        a, lambda got, a0s: got._replace(frame_ok=got.frame_ok & (a0s != a0))))
+    verdict = check_decomposition(m2gf2)
+    assert verdict.status == "violation"
+    assert _witnesses(verdict) == [("a", a), ("a0", a0)]
+    assert verdict.note == "Re'+f'R differs from Iann(a)"
+
+
+def test_invariance_checks_the_batched_singleton_test(m2gf2, monkeypatch):
+    # m2gf2 is semiprime, so one flipped (a, b) verdict is a violation; b
+    # lies in aR and Ra, so the flip drops a singleton that should be there
+    a = m2gf2.size - 1
+    b = int(principal_right_ideal(m2gf2.from_index(a)).indices()[-1])
+    real = ginvlab.ginv.singleton_conjugate_batch
+
+    def flipped(bs, x, x0):
+        got = real(bs, x, x0).copy()
+        got[np.asarray(bs) == b] ^= x.index == a
+        return got
+
+    monkeypatch.setattr(theoremlab, "singleton_conjugate_batch", flipped)
+    verdict = check_invariance(m2gf2)
+    assert verdict.status == "violation"
+    assert _witnesses(verdict) == [("a", a), ("b", b)]
+    assert verdict.note == "ideal membership without singleton"
+
+
+def test_refl_map_checks_the_batched_product_law(m2gf2, monkeypatch):
+    a, x = _last_with_several(m2gf2, reflexive_inverses)
+    real = ginvlab.ginv.inner_products
+
+    def dropping(e, xs, ys):
+        got = real(e, xs, ys)
+        if e.index == a:
+            return ElemSet(m2gf2, got.indices()[got.indices() != x])
+        return got
+
+    monkeypatch.setattr(theoremlab, "inner_products", dropping)
+    verdict = check_refl_map(m2gf2)
+    assert verdict.status == "violation"
+    assert _witnesses(verdict) == [("a", a), ("x", x)]
+    assert verdict.note == "the product set I(a)*a*I(a) differs from Ref(a)"
