@@ -11,14 +11,14 @@ forms; no check computes its own copy.
 _Scan alone decides between exhaustive and sampled quantification.
 Rings of at most TABLE_CAP elements quantify over every element and
 every witness; larger (but still budget-sized) rings over a
-deterministic evenly-spaced sample, the first inner inverse of each
-element and no reflexive witness, and _Scan.note marks their notes
-"sampled".  Three checks still pick an algorithm by mode:
-
-- refl_map's product law I(a)*a*I(a) samples factor pairs once the pair
-  count passes 2^22, since the product set is quadratic in |I(a)|;
-- jain_prasad and subset_criterion read the n x n ideal interning, which
-  needs op tables, and otherwise build principal ideals per sampled pair.
+deterministic evenly-spaced sample (pairs over a smaller subsample), the
+first inner inverse of each element and no reflexive witness, and
+_Scan.note marks their notes "sampled".  _Scan is also the only reader
+of how principal ideals are stored, so jain_prasad, subset_criterion,
+invariance and hartwig run one body in both modes.  One check still
+picks an algorithm by size: refl_map's product law I(a)*a*I(a) samples
+factor pairs once the pair count passes 2^22, since the product set is
+quadratic in |I(a)|.
 
 Checks on rings whose hypotheses fail are never asserted silently: they
 either skip with an observational note or report the counterexample and
@@ -90,10 +90,19 @@ class _Scan:
     """Shared per-run caches over one ring, and its quantified domain.
 
     The one place that tells exhaustive from sampled mode: `sample` is
-    the domain, `regulars` its regular elements, `regular_at` answers
-    regularity anywhere, `ideal_key` groups elements by (aR, Ra),
+    the domain, `pair_points` the domain of pair quantifiers, `regulars`
+    the regular sample points, `regular_at` answers regularity anywhere,
     `inner_witnesses` and `reflexive_witnesses` pick the witnesses that
-    per-witness checks test, and `note` marks the notes of sampled runs.
+    per-witness checks test, and `note`, `inner_scope` and `pair_scope`
+    word the notes of sampled runs.
+
+    Principal ideals answer three questions, each broadcast over index
+    arrays: `ideal_key(a)` (equal exactly when aR = bR and Ra = Rb),
+    `trivial_meet(side, b, d)` (bR and dR, or Rb and Rd, meet only in 0)
+    and `member(side, x, s)` (x in sR, or x in Rs).  Every ideal comes
+    from ginv.principal_right_ideal or principal_left_ideal: interned
+    once for all elements in exhaustive mode, computed on demand when
+    sampled.
     """
 
     def __init__(self, ring: Ring):
@@ -102,6 +111,8 @@ class _Scan:
         self._isets: dict[int, np.ndarray] = {}
         self._refsets: dict[int, np.ndarray] = {}
         self._isreg: dict[int, bool] = {}
+        self._kept_rows: dict[tuple[str, int], np.ndarray] = {}
+        self._interning: dict[str, tuple] = {}
 
     @cached_property
     def idx(self) -> np.ndarray:
@@ -154,13 +165,6 @@ class _Scan:
     def refset(self, a: int) -> np.ndarray:
         return self._kept(self._refsets, reflexive_inverses, a)
 
-    def ideal_key(self, a: int):
-        """Equal for a and b exactly when aR = bR and Ra = Rb."""
-        if not self.sampled:
-            return int(self.right_ideals[0][a]), int(self.left_ideals[0][a])
-        e = Elem(self.ring, a)
-        return principal_right_ideal(e), principal_left_ideal(e)
-
     def note(self, text: str) -> str:
         return "sampled: " + text if self.sampled else text
 
@@ -191,40 +195,84 @@ class _Scan:
         return (f"all {len(self.regulars)} regular elements, all {witnesses} "
                 "inner-inverse witnesses")
 
-    def _ideal_interning(self, side: str):
-        ring = self.ring
-        idx = self.idx
-        n = ring.size
-        ids = np.empty(n, dtype=np.int64)
-        masks: list[np.ndarray] = []
-        seen: dict[bytes, int] = {}
-        for i in range(n):
-            row = np.asarray(ring.idx_mul(i, idx) if side == "right"
-                             else ring.idx_mul(idx, i))
-            m = np.zeros(n, dtype=bool)
-            m[row] = True
-            key = m.tobytes()
-            if key not in seen:
-                seen[key] = len(masks)
-                masks.append(m)
-            ids[i] = seen[key]
-        return ids, np.asarray(masks)
-
     @cached_property
-    def right_ideals(self):
-        return self._ideal_interning("right")
+    def pair_points(self) -> np.ndarray:
+        """The domain of pair quantifiers: every element, or every k-th
+        sample point so that about PAIR_SAMPLE remain."""
+        if not self.sampled:
+            return self.sample
+        return self.sample[:: max(1, len(self.sample) // PAIR_SAMPLE)]
 
-    @cached_property
-    def left_ideals(self):
-        return self._ideal_interning("left")
+    def pair_scope(self, count: int, pairs: str) -> str:
+        """How many ordered pairs of pair points a check covered."""
+        if self.sampled:
+            return (f"sampled: {count} {pairs}, over a deterministic "
+                    f"{len(self.pair_points)}-point sample")
+        return f"all {count} {pairs}"
 
-    @cached_property
-    def trivial_meets(self) -> tuple:
-        """Per side (right, left): whether two interned ideals meet only in
-        0.  float32 counts the common members exactly, as |R| <= TABLE_CAP."""
-        counts = [m.astype(np.float32) for _, m in (self.right_ideals,
-                                                     self.left_ideals)]
-        return tuple(c @ c.T == 1 for c in counts)
+    def ideal_key(self, a: int):
+        """Equal for a and b exactly when aR = bR and Ra = Rb."""
+        return tuple(rows[at].tobytes() for rows, at in (
+            self._ideal_rows(side, a) for side in ("right", "left")))
+
+    def trivial_meet(self, side: str, b, d) -> np.ndarray:
+        """Whether bR and dR (or Rb and Rd) meet only in 0."""
+        rb, ib = self._ideal_rows(side, b)
+        rd, jd = self._ideal_rows(side, d)
+        if not self.sampled:
+            _, _, meets = self._interned(side)
+            return meets[ib, jd]
+        return np.count_nonzero(rb[ib] & rd[jd], axis=-1) == 1
+
+    def member(self, side: str, x, s) -> np.ndarray:
+        """Whether x lies in sR (or in Rs)."""
+        rows, at = self._ideal_rows(side, s)
+        return rows[at, x]
+
+    def _ideal_rows(self, side: str, s):
+        """(rows, at): bool membership rows, and the row of each s's ideal.
+
+        Exhaustive runs read the interning.  Sampled runs compute the ideal
+        of each distinct s once per call and keep only the pair points'.
+        """
+        if not self.sampled:
+            ids, masks, _ = self._interned(side)
+            return masks, ids[s]
+        distinct, at = np.unique(np.asarray(s, dtype=np.int64),
+                                 return_inverse=True)
+        rows = [self._ideal_row(side, v) for v in distinct.tolist()]
+        return np.asarray(rows), at.reshape(np.shape(s))
+
+    def _ideal_row(self, side: str, s: int) -> np.ndarray:
+        if (side, s) in self._kept_rows:
+            return self._kept_rows[side, s]
+        row = self._ideal_mask(side, s)
+        if s in self.pair_points:  # other s may be many; not kept
+            self._kept_rows[side, s] = row
+        return row
+
+    def _ideal_mask(self, side: str, s: int) -> np.ndarray:
+        kernel = (principal_right_ideal if side == "right"
+                  else principal_left_ideal)
+        mask = np.zeros(self.ring.size, dtype=bool)
+        mask[kernel(Elem(self.ring, s)).indices()] = True
+        return mask
+
+    def _interned(self, side: str):
+        """(ids, masks, meets): each element's ideal as the id of one bool
+        row per distinct ideal, and which pairs of rows meet only in 0.
+        float32 counts the common members exactly, as |R| <= TABLE_CAP."""
+        if side not in self._interning:
+            n = self.ring.size
+            rows = np.asarray([self._ideal_mask(side, i) for i in range(n)])
+            # one bytes item per row: np.unique(axis=0) compares field-wise
+            _, first, ids = np.unique(rows.view(np.dtype((np.void, n)))[:, 0],
+                                      return_index=True, return_inverse=True)
+            masks = rows[first]
+            counts = masks.astype(np.float32)
+            self._interning[side] = (ids.reshape(-1), masks,
+                                     counts @ counts.T == 1)
+        return self._interning[side]
 
     @cached_property
     def unit_idx(self) -> np.ndarray:
@@ -361,8 +409,7 @@ def _check_invariance(s: _Scan):
         ea = Elem(ring, a)
         singleton = singleton_conjugate_batch(
             bcols, ea, Elem(ring, int(s.iset(a)[0])))
-        member = (np.isin(bcols, principal_right_ideal(ea).indices())
-                  & np.isin(bcols, principal_left_ideal(ea).indices()))
+        member = s.member("right", bcols, a) & s.member("left", bcols, a)
         for k, only in enumerate((singleton & ~member, member & ~singleton)):
             if only.any():
                 b = int(bcols[np.argmax(only)])
@@ -385,58 +432,27 @@ def _check_invariance(s: _Scan):
     return SKIPPED, [], s.note("; ".join(clauses))
 
 
-def _jp_conditions(ring, b, d):
-    """The three equivalent direct-sum conditions for one pair (b, d)."""
-    eb, ed = Elem(ring, b), Elem(ring, d)
-    es = eb + ed
-    br = principal_right_ideal(eb).indices()
-    dr = principal_right_ideal(ed).indices()
-    sr = principal_right_ideal(es).indices()
-    lb = principal_left_ideal(eb).indices()
-    ld = principal_left_ideal(ed).indices()
-    ls = principal_left_ideal(es).indices()
-    int_r = len(np.intersect1d(br, dr, assume_unique=True)) == 1
-    int_l = len(np.intersect1d(lb, ld, assume_unique=True)) == 1
-    c1 = int_r and bool(np.isin(b, sr))
-    c2 = int_l and bool(np.isin(b, ls))
-    c3 = int_r and int_l
-    return c1, c2, c3
-
-
 def _check_jain_prasad(s: _Scan):
     ring = s.ring
-    if s.sampled:
-        pts = s.sample[:: max(1, len(s.sample) // PAIR_SAMPLE)]
-        ok = s.regular_at(ring.idx_add(pts[:, None], pts[None, :]))
-        for b, d in zip(pts[np.nonzero(ok)[0]].tolist(),
-                        pts[np.nonzero(ok)[1]].tolist()):
-            c1, c2, c3 = _jp_conditions(ring, b, d)
-            if not (c1 == c2 == c3):
-                return VIOLATION, [("b", b), ("d", d)], (
-                    f"sampled: conditions evaluated as ({c1}, {c2}, {c3})")
-        return PASS, [], f"sampled: {int(ok.sum())} pairs with b+d regular"
-    idx = s.idx
-    rid, rmasks = s.right_ideals
-    lid, lmasks = s.left_ideals
-    tr, tl = s.trivial_meets
+    pts = s.pair_points
     checked = 0
-    for b in range(ring.size):
-        srow = np.asarray(ring.idx_add(b, idx))
+    for b in (int(v) for v in pts):
+        srow = np.asarray(ring.idx_add(b, pts))
         ok = s.regular_at(srow)
-        int_r = tr[rid[b], rid]
-        int_l = tl[lid[b], lid]
-        c1 = int_r & rmasks[rid[srow], b]
-        c2 = int_l & lmasks[lid[srow], b]
+        int_r = s.trivial_meet("right", b, pts)
+        int_l = s.trivial_meet("left", b, pts)
+        c1 = int_r & s.member("right", b, srow)
+        c2 = int_l & s.member("left", b, srow)
         c3 = int_r & int_l
         eq = (c1 == c2) & (c2 == c3)
         bad = ok & ~eq
         if bad.any():
-            d = int(np.nonzero(bad)[0][0])
-            got = _jp_conditions(ring, b, d)
-            return VIOLATION, [("b", b), ("d", d)], (
-                f"conditions evaluated as {got}")
+            j = int(np.argmax(bad))
+            return VIOLATION, [("b", b), ("d", int(pts[j]))], s.note(
+                f"conditions evaluated as ({bool(c1[j])}, {bool(c2[j])}, "
+                f"{bool(c3[j])})")
         checked += int(ok.sum())
-    return PASS, [], f"all {checked} ordered pairs with b+d regular"
+    return PASS, [], s.pair_scope(checked, "ordered pairs with b+d regular")
 
 
 def _check_subset_criterion(s: _Scan):
@@ -446,42 +462,17 @@ def _check_subset_criterion(s: _Scan):
         return SKIPPED, [], (
             "stated for semiprime rings only; this ring has witness "
             f"{_render(ring, semi.witness.index)} with a*R*a = 0")
-    if s.sampled:
-        sub = s.sample[:: max(1, len(s.sample) // PAIR_SAMPLE)]
-        pts = sub[s.regular_at(sub)].tolist()
-        for a in pts:
-            ia = s.iset(a)
-            for b in pts:
-                d = int(ring.idx_sub(a, b))
-                ib = s.iset(b)
-                subset = bool(np.isin(ia, ib).all())
-                c1, c2, c3 = _jp_conditions(ring, b, d)
-                if subset != c3:
-                    return VIOLATION, [("a", a), ("b", b), ("d", d)], (
-                        "sampled: subset holds without the criterion"
-                        if subset else
-                        "sampled: criterion holds without the subset")
-                if subset:
-                    ok, which, w = _proof_identities_hold(ring, ia, b, d)
-                    if not ok:
-                        return VIOLATION, \
-                            [("a", a), ("b", b), ("d", d), ("x", w)], \
-                            f"sampled: proof identity {which} fails"
-        return PASS, [], f"sampled: {len(pts) ** 2} ordered regular pairs"
-    regs = s.regulars
-    n = ring.size
-    masks = np.zeros((len(regs), n), dtype=bool)
+    regs = s.pair_points[s.regular_at(s.pair_points)]
+    masks = np.zeros((len(regs), ring.size), dtype=bool)
     for j, b in enumerate(int(v) for v in regs):
         masks[j, s.iset(b)] = True
-    rid, _ = s.right_ideals
-    lid, _ = s.left_ideals
-    tr, tl = s.trivial_meets
     verified_subsets = 0
     for a in (int(v) for v in regs):
         ia = s.iset(a)
         subs = masks[:, ia].all(axis=1)
         drow = np.asarray(ring.idx_sub(a, regs))
-        crit = tr[rid[regs], rid[drow]] & tl[lid[regs], lid[drow]]
+        crit = (s.trivial_meet("right", regs, drow)
+                & s.trivial_meet("left", regs, drow))
         mism = subs != crit
         if mism.any():
             j = int(np.nonzero(mism)[0][0])
@@ -489,15 +480,15 @@ def _check_subset_criterion(s: _Scan):
             side = ("I(a) is contained in I(b) but the annihilation "
                     "criterion fails" if subs[j] else
                     "the annihilation criterion holds without the subset")
-            return VIOLATION, [("a", a), ("b", b), ("d", d)], side
+            return VIOLATION, [("a", a), ("b", b), ("d", d)], s.note(side)
         for j in np.nonzero(subs)[0]:
             b, d = int(regs[j]), int(drow[j])
             ok, which, w = _proof_identities_hold(ring, ia, b, d)
             if not ok:
                 return VIOLATION, [("a", a), ("b", b), ("d", d), ("x", w)], \
-                    f"proof identity {which} fails"
+                    s.note(f"proof identity {which} fails")
             verified_subsets += 1
-    return PASS, [], (
+    return PASS, [], s.note(
         f"biconditional on {len(regs)}^2 ordered regular pairs; proof "
         f"identities on the {verified_subsets} pairs with I(a) in I(b)")
 

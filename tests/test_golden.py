@@ -19,6 +19,7 @@ CASES = {
     "example10": (None, 1),
     "z30": ({"kind": "zmod", "n": 30}, 0),
     "m2gf3": ({"kind": "matrix", "k": 2, "q": 3}, 0),
+    "z5005": ({"kind": "zmod", "n": 5005}, 0),  # above TABLE_CAP: sampled
 }
 
 

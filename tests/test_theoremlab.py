@@ -1,15 +1,19 @@
 """Suite verdicts on every bundled ring, frozen from independent runs."""
 
+import math
+
 import numpy as np
 import pytest
 
 import ginvlab
-from ginvlab import (CHECK_NAMES, ElemSet, UnknownCheck, WrongRing, ZmodRing,
-                     build_table_algebra, check_decomposition,
+from ginvlab import (CHECK_NAMES, TABLE_CAP, ElemSet, UnknownCheck, WrongRing,
+                     ZmodRing, build_table_algebra, check_decomposition,
                      check_example_claims, check_hartwig, check_inner_param,
-                     check_invariance, check_nielsen, check_refl_map,
+                     check_invariance, check_jain_prasad, check_nielsen,
+                     check_refl_map, check_subset_criterion,
                      inner_annihilator, inner_inverses, is_regular,
-                     parse_element, principal_right_ideal, ref_decomposition,
+                     parse_element, principal_left_ideal,
+                     principal_right_ideal, ref_decomposition,
                      reflexive_inverses, run_suite, theoremlab)
 from ginvlab.fixture import BASIS
 
@@ -334,3 +338,129 @@ def test_refl_map_checks_the_batched_product_law(m2gf2, monkeypatch):
     assert verdict.status == "violation"
     assert _witnesses(verdict) == [("a", a), ("x", x)]
     assert verdict.note == "the product set I(a)*a*I(a) differs from Ref(a)"
+
+
+# _Scan's ideal questions (trivial_meet, member, ideal_key) must give the
+# same answers in both modes, and the definition's, computed from ElemSets.
+
+KERNELS = (("right", principal_right_ideal), ("left", principal_left_ideal))
+
+
+def _classes(keys):
+    """Each key's position of first occurrence: equal keys, equal labels."""
+    first: dict = {}
+    return [first.setdefault(k, i) for i, k in enumerate(keys)]
+
+
+@pytest.mark.parametrize("name", ["z30", "m2gf3", "example"])
+def test_ideal_oracle_agrees_across_modes_and_with_definition(
+        request, monkeypatch, name):
+    ring = request.getfixturevalue(name)
+    pts = ring.all_indices()
+    if name == "example":
+        pts = np.sort(np.random.default_rng(7).choice(ring.size, 40,
+                                                      replace=False))
+    elems = [ring.from_index(int(i)) for i in pts]
+    exhaustive = theoremlab._Scan(ring)
+    monkeypatch.setattr(theoremlab, "TABLE_CAP", 0)  # op tables stay
+    sampled = theoremlab._Scan(ring)
+    assert (exhaustive.sampled, sampled.sampled) == (False, True)
+    b, d = pts[:, None], pts[None, :]
+    for side, kernel in KERNELS:
+        ideals = [kernel(e) for e in elems]
+        meets = [[len(u.intersection(w)) == 1 for w in ideals] for u in ideals]
+        members = [[e in ideal for ideal in ideals] for e in elems]
+        for scan in (exhaustive, sampled):
+            assert scan.trivial_meet(side, b, d).tolist() == meets
+            assert scan.member(side, b, d).tolist() == members
+    want = _classes([(principal_right_ideal(e), principal_left_ideal(e))
+                     for e in elems])
+    for scan in (exhaustive, sampled):
+        assert _classes([scan.ideal_key(int(a)) for a in pts]) == want
+
+
+def test_zmod_ideal_oracle_matches_closed_forms():
+    # above TABLE_CAP: aR = Ra = gcd(a, n)*Z/n, so bR and dR meet only in 0
+    # iff n divides lcm(gcd(b, n), gcd(d, n)), and x in sR iff gcd(s, n) | x
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(TABLE_CAP + 1, 3 * TABLE_CAP), label="n")
+        divisors = [g for g in range(1, n + 1) if n % g == 0]
+        # multiples of a divisor, so that nontrivial gcds are common
+        elems = st.builds(lambda g, k: g * k % n, st.sampled_from(divisors),
+                          st.integers(0, n - 1))
+        pairs = st.lists(st.tuples(elems, elems), min_size=1, max_size=6)
+        b, d = np.asarray(data.draw(pairs, label="(b, d)")).T
+        x, s = np.asarray(data.draw(pairs, label="(x, s)")).T
+        scan = theoremlab._Scan(ZmodRing(n))
+        assert scan.sampled
+        meet = [math.lcm(math.gcd(u, n), math.gcd(w, n)) % n == 0
+                for u, w in zip(b.tolist(), d.tolist())]
+        member = [[v % math.gcd(t, n) == 0 for t in s.tolist()]
+                  for v in x.tolist()]
+        for side in ("right", "left"):
+            assert scan.trivial_meet(side, b, d).tolist() == meet
+            assert scan.member(side, x[:, None], s[None, :]).tolist() == member
+
+    check()
+
+
+# jain_prasad, subset_criterion and invariance must read aR and Ra from the
+# principal ideal kernels in both modes: one element's ideal losing one
+# member must surface as a violation naming the first pair it affects.
+
+
+@pytest.fixture(params=["exhaustive", "sampled"])
+def note_prefix(request, monkeypatch):
+    """Run in either mode; TABLE_CAP = 0 samples z30 at every element."""
+    if request.param == "sampled":
+        monkeypatch.setattr(theoremlab, "TABLE_CAP", 0)
+        return "sampled: "
+    return ""
+
+
+def _dropping(real, target, dropped):
+    """Wrap a principal ideal kernel: target's ideal loses dropped."""
+    def kernel(e, budget=None):
+        got = real(e, budget)
+        if e.index != target:
+            return got
+        return ElemSet(e.ring, got.indices()[got.indices() != dropped])
+    return kernel
+
+
+def test_jain_prasad_reads_the_ideal_kernels(z30, monkeypatch, note_prefix):
+    # 6R and 25R meet only in 0 and 6 + 25 = 1: without 6 in 1R, c1 fails
+    monkeypatch.setattr(theoremlab, "principal_right_ideal",
+                        _dropping(principal_right_ideal, 1, 6))
+    verdict = check_jain_prasad(z30)
+    assert verdict.status == "violation"
+    assert _witnesses(verdict) == [("b", 6), ("d", 25)]
+    assert verdict.note == (note_prefix +
+                            "conditions evaluated as (False, True, True)")
+
+
+def test_invariance_reads_the_ideal_kernels(z30, monkeypatch, note_prefix):
+    monkeypatch.setattr(theoremlab, "principal_right_ideal",
+                        _dropping(principal_right_ideal, 1, 6))
+    verdict = check_invariance(z30)
+    assert verdict.status == "violation"
+    assert _witnesses(verdict) == [("a", 1), ("b", 6)]
+    assert verdict.note == "singleton without ideal membership"
+
+
+def test_subset_criterion_reads_the_ideal_kernels(z30, monkeypatch,
+                                                  note_prefix):
+    # 5R and 27R = 3R share only 0 and 15: without 15 they meet trivially
+    for _, real in KERNELS:
+        monkeypatch.setattr(theoremlab, real.__name__, _dropping(real, 5, 15))
+    verdict = check_subset_criterion(z30)
+    assert verdict.status == "violation"
+    assert _witnesses(verdict) == [("a", 2), ("b", 5), ("d", 27)]
+    assert verdict.note == (
+        note_prefix + "the annihilation criterion holds without the subset")
