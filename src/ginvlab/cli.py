@@ -186,10 +186,12 @@ def cmd_inv(args) -> int:
 
 
 def cmd_check(args) -> int:
-    ring = load_ring(args.spec, args.budget)
     selection = None
-    if args.checks and args.checks != "all":
+    if args.checks != "all":
         selection = [s.strip() for s in args.checks.split(",") if s.strip()]
+        if not selection:
+            raise ValueError("--checks names no check")
+    ring = load_ring(args.spec, args.budget)
     report = theoremlab.run_suite(ring, selection)
     ring_obj, header = _ring_header(ring)
     checks = []
@@ -327,6 +329,9 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
+        if getattr(args, "budget", None) is not None and args.budget < 1:
+            raise ValueError("--budget must be a positive integer, "
+                             f"got {args.budget}")
         return args.func(args)
     except (GinvError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

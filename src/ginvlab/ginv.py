@@ -10,7 +10,11 @@ BudgetExceeded instead of starting a scan that cannot finish.
 The identities that depend on an inner inverse a0 (the witness) have a
 batched form, named *_batch, that takes every witness of one a at once
 and returns one set or verdict per witness; the single-witness function
-is its one-row case.  Witnesses with the same frame (a0*a, a*a0) share
+is its one-row case.  ref_decomposition is the exception in name only:
+it takes one reflexive witness or an array of them, and the array form
+gives one membership row per witness.  It keeps one name because the
+benchmark counts calls to it, and that count measures the batching.
+Witnesses with the same frame (a0*a, a*a0) share
 the frame's work; see idempotent_frames.
 """
 
@@ -359,42 +363,86 @@ def inner_translate_batch(a: Elem, a0s,
     return _translate_rows(a.ring, a0s, np.arange(len(a0s)), iann)
 
 
-def ref_decomposition(a: Elem, a0: Elem,
-                      budget: Optional[int] = None) -> ElemSet:
+def _distinct_per_row(n: int, vals: np.ndarray) -> tuple:
+    """(rows, values): the distinct values of each row of a 2-D index
+    array, row by row in ascending order, marked in one flat mask over
+    row*n + value so that no per-row sort runs."""
+    mask = np.zeros(vals.shape[0] * n, dtype=bool)
+    mask[np.arange(0, mask.size, n)[:, None] + vals.astype(np.int64)] = True
+    return np.divmod(np.flatnonzero(mask), n)
+
+
+def ref_decomposition(a: Elem, a0s, budget: Optional[int] = None):
     """Ref(a) as {a0 + f*r*e_c + f_c*s*e + f_c*s*a*r*e_c : r, s in R}.
 
     This is phi applied to the translate form of I(a): writing a member
     as a0 + r*e_c + f_c*s and conjugating kills the cross terms, leaving
     the two-parameter family above.  The r and s occurrences are shared
     between summands, so the family is strictly smaller than the sumset
-    of the three independent product sets.  Evaluation: r enters only
-    through the pair (u, v) = (f*r*e_c, a*r*e_c), and s only through
-    t = f_c*s, because f_c*s*e + f_c*s*a*r*e_c = t*(e + v).  So the family
-    is the table (a0 + u) + t*(e + v) over the distinct pairs (u, v) and
-    the distinct t in f_c*R, gathered in row blocks of about _CHUNK
-    entries and deduplicated once.
+    of the three independent product sets.
+
+    a0s is one reflexive inverse (an Elem), and the family comes back as
+    an ElemSet; or it is an index array of them, and the result is a
+    (len(a0s), |R|) bool array whose row k is the membership mask of
+    a0s[k]'s family.  The Elem form is row 0 of the array form.  The
+    name has no _batch suffix because perfbench counts calls to this one
+    function, and that count measures the batching: the checks make one
+    call per element instead of one per witness.
+
+    Raises NotReflexiveInverse naming the first a0 with a0*a*a0 != a0,
+    then NotInnerInverse (from idempotent_frames) for the first that is
+    not an inner inverse either.
+
+    Evaluation: r enters only through v = a*r*e_c, because f = a0*a makes
+    f*r*e_c = a0*v, and s only through t = f_c*s, because
+    f_c*s*e + f_c*s*a*r*e_c = t*(e + v).  So the family is the table
+    a0 + a0*v + t*(e + v) over the distinct v in a*R*e_c and t in f_c*R,
+    each deduplicated per row in one mask.  Since v ranges over an image
+    of aR and t over f_c*R = r(a), a row pairs at most |aR|*|r(a)| = |R|
+    (v, t), and blocks of max(1, _CHUNK // |R|) rows bound every gather
+    and temporary by max(_CHUNK, |R|) entries.
     """
-    if a0 * a * a0 != a0:
-        raise NotReflexiveInverse(f"{a0} is not an outer inverse of {a}")
-    frame = idempotent_frame(a, a0)  # raises NotInnerInverse on that half
     ring = a.ring
+    single = isinstance(a0s, Elem)
+    if single:
+        _same_ring(a, a0s)
+        a0s = [a0s.index]
+    a0s = np.asarray(a0s, dtype=np.int64).reshape(-1)
+    outer = np.asarray(ring.idx_mul(ring.idx_mul(a0s, a.index), a0s)) == a0s
+    if not outer.all():
+        a0 = Elem(ring, int(a0s[np.argmin(outer)]))
+        raise NotReflexiveInverse(f"{a0} is not an outer inverse of {a}")
+    frames = idempotent_frames(a, a0s)  # raises NotInnerInverse
     n = ring.size
     idx = _scan_indices(ring, budget)
-    f, e = frame.f.index, frame.e.index
-    f_c, e_c = frame.f_c.index, frame.e_c.index
-    u = np.asarray(ring.idx_mul(ring.idx_mul(f, idx), e_c), dtype=np.int64)
-    v = np.asarray(ring.idx_mul(ring.idx_mul(a.index, idx), e_c),
-                   dtype=np.int64)
-    pairs = _sorted_distinct(u * n + v)
-    heads = ring.idx_add(a0.index, pairs // n)  # a0 + u
-    factors = ring.idx_add(e, pairs % n)  # e + v
-    fc_r = _distinct(ring, [ring.idx_mul(f_c, idx)])
-    step = max(1, _CHUNK // len(fc_r))
-    blocks = (ring.idx_add(heads[lo:lo + step, None],
-                           ring.idx_mul(fc_r[None, :],
-                                        factors[lo:lo + step, None]))
-              for lo in range(0, len(pairs), step))
-    return ElemSet(ring, _distinct(ring, blocks))
+    e = frames.e[frames.of]
+    e_c = np.asarray(ring.idx_sub(ring._one_index, e), dtype=np.int64)
+    f_c = np.asarray(ring.idx_sub(ring._one_index, frames.f[frames.of]),
+                     dtype=np.int64)
+    ar = _distinct(ring, [ring.idx_mul(a.index, idx)])
+    out = np.zeros((len(a0s), n), dtype=bool)
+    flat = out.reshape(-1)
+    step = max(1, _CHUNK // n)
+    for lo in range(0, len(a0s), step):
+        rows = slice(lo, lo + step)
+        vrow, v = _distinct_per_row(n, ring.idx_mul(ar[None, :],
+                                                    e_c[rows, None]))
+        trow, t = _distinct_per_row(n, ring.idx_mul(f_c[rows, None],
+                                                    idx[None, :]))
+        # pair each v with every t of its row: trow is sorted
+        first = np.searchsorted(trow, vrow)
+        count = np.searchsorted(trow, vrow, side="right") - first
+        vi = np.repeat(np.arange(len(v)), count)
+        ti = np.arange(len(vi)) + np.repeat(first - np.cumsum(count) + count,
+                                            count)
+        a0 = a0s[rows][vrow]
+        heads = ring.idx_add(a0, ring.idx_mul(a0, v))  # a0 + a0*v
+        factors = ring.idx_add(e[rows][vrow], v)  # e + v
+        vals = ring.idx_add(heads[vi], ring.idx_mul(t[ti], factors[vi]))
+        flat[(lo + vrow[vi]) * n + vals] = True
+    if single:
+        return ElemSet(ring, np.flatnonzero(out[0]))
+    return out
 
 
 # ---------------------------------------------------------------------------

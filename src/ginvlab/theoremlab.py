@@ -387,9 +387,13 @@ def _check_decomposition(s: _Scan):
         if bad is not None:
             return VIOLATION, [("a", a), ("a0", int(witnesses[bad]))], \
                 s.note("a0 + Iann(a) differs from I(a)")
-        for a0 in (int(v) for v in s.reflexive_witnesses(a)):
-            got = ref_decomposition(ea, Elem(ring, a0)).indices()
-            if not np.array_equal(got, s.refset(a)):
+        refl = s.reflexive_witnesses(a)
+        if len(refl):
+            want = np.zeros(ring.size, dtype=bool)
+            want[s.refset(a)] = True
+            wrong = (ref_decomposition(ea, refl) != want).any(axis=1)
+            if wrong.any():
+                a0 = int(refl[np.argmax(wrong)])
                 return VIOLATION, [("a", a), ("a0", a0)], \
                     s.note("the reflexive decomposition differs from Ref(a)")
     return PASS, [], s.note(f"items (i)-(iii) on {len(s.regulars)} regular "
@@ -481,27 +485,38 @@ def _check_subset_criterion(s: _Scan):
                     "criterion fails" if subs[j] else
                     "the annihilation criterion holds without the subset")
             return VIOLATION, [("a", a), ("b", b), ("d", d)], s.note(side)
-        for j in np.nonzero(subs)[0]:
-            b, d = int(regs[j]), int(drow[j])
-            ok, which, w = _proof_identities_hold(ring, ia, b, d)
-            if not ok:
-                return VIOLATION, [("a", a), ("b", b), ("d", d), ("x", w)], \
-                    s.note(f"proof identity {which} fails")
-            verified_subsets += 1
+        js = np.flatnonzero(subs)
+        failure = _proof_identity_failure(ring, ia, regs[js], drow[js])
+        if failure is not None:
+            j, which, w = failure
+            b, d = int(regs[js[j]]), int(drow[js[j]])
+            return VIOLATION, [("a", a), ("b", b), ("d", d), ("x", w)], \
+                s.note(f"proof identity {which} fails")
+        verified_subsets += len(js)
     return PASS, [], s.note(
         f"biconditional on {len(regs)}^2 ordered regular pairs; proof "
         f"identities on the {verified_subsets} pairs with I(a) in I(b)")
 
 
-def _proof_identities_hold(ring, ia, b, d):
-    """b*x*d = 0, d*x*b = 0, d*x*d = d over x in I(a)."""
-    for which, left, right, want in (("b*x*d = 0", b, d, 0),
-                                     ("d*x*b = 0", d, b, 0),
-                                     ("d*x*d = d", d, d, d)):
-        bad = np.asarray(ring.idx_mul(ring.idx_mul(left, ia), right)) != want
-        if bad.any():
-            return False, which, int(ia[np.argmax(bad)])
-    return True, "", 0
+_PROOF_IDENTITIES = ("b*x*d = 0", "d*x*b = 0", "d*x*d = d")
+
+
+def _proof_identity_failure(ring, ia, bs, ds):
+    """The first failure of b*x*d = 0, d*x*b = 0, d*x*d = d over x in I(a)
+    and the pairs (b, d) = (bs[j], ds[j]), as (j, identity, x), or None.
+
+    Each identity is one (pairs x |I(a)|) gather.  Failures are ordered
+    by pair, then identity, then x in I(a) order.
+    """
+    bs = np.asarray(bs, dtype=np.int64)[:, None]
+    ds = np.asarray(ds, dtype=np.int64)[:, None]
+    bad = np.stack([ring.idx_mul(ring.idx_mul(left, ia), right) != want
+                    for left, right, want in ((bs, ds, 0), (ds, bs, 0),
+                                              (ds, ds, ds))], axis=1)
+    if not bad.any():
+        return None
+    j, which, x = np.unravel_index(np.argmax(bad), bad.shape)
+    return int(j), _PROOF_IDENTITIES[which], int(ia[x])
 
 
 def _collisions(s: _Scan, setter: Callable[[int], np.ndarray]):

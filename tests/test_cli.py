@@ -315,6 +315,10 @@ def test_table_spec_file(tmp_path):
 def test_error_exits(z6_spec, tmp_path):
     cases = [
         ("check", z6_spec, "--checks", "bogus"),
+        ("check", z6_spec, "--checks", ","),
+        ("check", z6_spec, "--budget", "-5"),
+        ("ring", "info", z6_spec, "--budget", "0"),
+        ("inv", z6_spec, "--elem", "1", "--budget", "-5"),
         ("check", str(tmp_path / "missing.json")),
         ("inv", z6_spec, "--elem", "q"),
         ("ring",),
@@ -328,6 +332,21 @@ def test_error_exits(z6_spec, tmp_path):
     res = run_cli("ring", "info", str(bad))
     assert res.returncode == 2
     assert "error:" in res.stderr
+
+
+def test_usage_errors_name_the_flag(z6_spec, tmp_path):
+    res = run_cli("check", z6_spec, "--checks", ",")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: --checks names no check\n"
+    # rejected before the ring loads: a missing spec file is not reached
+    for argv in (("check", str(tmp_path / "missing.json")),
+                 ("inv", str(tmp_path / "missing.json"), "--elem", "1"),
+                 ("ring", "info", str(tmp_path / "missing.json")),
+                 ("matrix", "--k", "2", "--q", "3", "ginverse", "1,0;0,0")):
+        res = run_cli(*argv, "--budget", "-5")
+        assert (res.returncode, res.stdout) == (2, ""), argv
+        assert res.stderr == \
+            "error: --budget must be a positive integer, got -5\n", argv
 
 
 @pytest.mark.skipif(shutil.which("ginvlab") is None,

@@ -7,8 +7,9 @@ import pytest
 
 from ginvlab import (BudgetExceeded, ElemSet, NotInnerInverse, NotRegular,
                      NotReflexiveInverse, RingMismatch, ZmodRing,
-                     additive_span, build_matrix_ring, iann_decomposition,
-                     iann_decomposition_batch, idempotent_frame,
+                     additive_span, build_matrix_ring, build_zmod,
+                     iann_decomposition, iann_decomposition_batch,
+                     idempotent_frame,
                      idempotent_frames, inner_annihilator, inner_inverses,
                      inner_inverses_param, inner_inverses_param_batch,
                      inner_products, inner_translate, inner_translate_batch,
@@ -165,21 +166,25 @@ def test_ref_decomposition_matches_scan(z6, z4, m2gf2):
 def _defining_family(a, a0):
     """{a0 + f*r*e_c + f_c*s*e + f_c*s*a*r*e_c : r, s in R}, term by term.
 
-    r runs in a Python loop and s as one index vector; every summand is
-    evaluated as written, with no regrouping of the family.
+    r and s run as the two axes of an index grid, r in blocks of rows;
+    every summand is evaluated as written, with no regrouping of the
+    family.
     """
     ring = a.ring
     one = ring.one()
     e, f = a * a0, a0 * a
     e_c, f_c = one - e, one - f
     mul, add = ring.idx_mul, ring.idx_add
-    fc_s = mul(f_c.index, ring.all_indices())
+    idx = ring.all_indices()
+    fc_s = mul(f_c.index, idx)[None, :]
     fc_s_e = mul(fc_s, e.index)
     fc_s_a = mul(fc_s, a.index)
     members = np.zeros(ring.size, dtype=bool)
-    for r in ring.elements():
-        head = (a0 + f * r * e_c).index
-        members[add(add(head, fc_s_e), mul(fc_s_a, (r * e_c).index))] = True
+    step = max(1, (1 << 16) // ring.size)
+    for lo in range(0, ring.size, step):
+        r = idx[lo:lo + step, None]
+        head = add(a0.index, mul(mul(f.index, r), e_c.index))
+        members[add(add(head, fc_s_e), mul(fc_s_a, mul(r, e_c.index)))] = True
     return np.flatnonzero(members)
 
 
@@ -187,19 +192,44 @@ def _reflexive_pairs(ring):
     return [(a, a0) for a in ring.elements() for a0 in reflexive_inverses(a)]
 
 
+def _assert_rows_match_defining_family(a):
+    """The Elem form and every row of the array form, against the family."""
+    refl = reflexive_inverses(a).indices()
+    rows = ref_decomposition(a, refl)
+    assert rows.shape == (len(refl), a.ring.size)
+    for row, a0 in zip(rows, refl.tolist()):
+        want = _defining_family(a, a.ring.from_index(a0))
+        assert np.array_equal(np.flatnonzero(row), want), (a, a0)
+        got = ref_decomposition(a, a.ring.from_index(a0)).indices()
+        assert np.array_equal(got, want), (a, a0)
+
+
 @pytest.mark.parametrize("name", ["z6", "z30", "m2gf2"])
 def test_ref_decomposition_matches_defining_family(request, name):
     ring = request.getfixturevalue(name)
-    for a, a0 in _reflexive_pairs(ring):
-        got = ref_decomposition(a, a0).indices()
-        assert np.array_equal(got, _defining_family(a, a0)), (a, a0)
+    for a in ring.elements():
+        _assert_rows_match_defining_family(a)
 
 
 def test_ref_decomposition_matches_defining_family_example(example):
     pairs = random.Random(7).sample(_reflexive_pairs(example), 6)
-    for a, a0 in pairs:
-        got = ref_decomposition(a, a0).indices()
-        assert np.array_equal(got, _defining_family(a, a0)), (a, a0)
+    for a, _ in pairs:
+        _assert_rows_match_defining_family(a)
+
+
+def test_ref_decomposition_rows_above_table_cap():
+    # Z/5005 has no op tables: the array form runs on raw arithmetic
+    ring = build_zmod(5005)
+    assert not ring.has_tables()
+    picks = random.Random(11).sample(range(ring.size), 40)
+    regular = [a for a in map(ring.from_index, picks) if is_regular(a)][:5]
+    assert len(regular) == 5
+    for a in regular:
+        refl = reflexive_inverses(a)
+        rows = ref_decomposition(a, refl.indices())
+        assert rows.shape == (len(refl), ring.size)
+        for row in rows:
+            assert np.array_equal(np.flatnonzero(row), refl.indices()), a
 
 
 def test_ref_decomposition_example(example):
@@ -216,6 +246,34 @@ def test_ref_decomposition_rejects_non_reflexive(z6):
     assert one * three * one != one
     with pytest.raises(NotReflexiveInverse):
         ref_decomposition(three, one)
+
+
+def _witness_array_case(ring):
+    """(a, its reflexive inverses, an inner inverse of a that is not outer)."""
+    for a in ring.elements():
+        refl = reflexive_inverses(a).indices()
+        inner_only = np.setdiff1d(inner_inverses(a).indices(), refl)
+        if len(refl) > 1 and len(inner_only):
+            return a, refl, int(inner_only[0])
+    raise AssertionError("no element with several reflexive inverses")
+
+
+def test_ref_decomposition_array_names_the_first_bad_witness(m2gf2):
+    a, refl, inner_only = _witness_array_case(m2gf2)
+    head, tail = refl[:1].tolist(), refl[1:].tolist()
+    x, zero = m2gf2.from_index(inner_only), m2gf2.zero()
+    assert x * a * x != x and zero * a * zero == zero and a * zero * a != a
+    with pytest.raises(NotReflexiveInverse) as exc:
+        ref_decomposition(a, head + [inner_only] + tail)
+    assert str(exc.value) == f"{x} is not an outer inverse of {a}"
+    # 0 is an outer inverse but not an inner one
+    with pytest.raises(NotInnerInverse) as exc:
+        ref_decomposition(a, head + [0] + tail)
+    assert str(exc.value) == f"{zero} is not an inner inverse of {a}"
+    # the outer test runs over the whole array first
+    with pytest.raises(NotReflexiveInverse) as exc:
+        ref_decomposition(a, [0, inner_only])
+    assert str(exc.value) == f"{x} is not an outer inverse of {a}"
 
 
 def test_reflexive_via_product(z6, m2gf2):

@@ -1,6 +1,7 @@
 """Suite verdicts on every bundled ring, frozen from independent runs."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ginvlab import (CHECK_NAMES, TABLE_CAP, ElemSet, UnknownCheck, WrongRing,
                      inner_annihilator, inner_inverses, is_regular,
                      parse_element, principal_left_ideal,
                      principal_right_ideal, ref_decomposition,
-                     reflexive_inverses, run_suite, theoremlab)
+                     reflexive_inverses, rings, run_suite, theoremlab)
 from ginvlab.fixture import BASIS
 
 
@@ -203,11 +204,12 @@ def test_decomposition_checks_every_reflexive_witness(m2gf2, monkeypatch):
     a, a0 = [(a, ref.indices()[-1]) for a in m2gf2.elements()
              for ref in [reflexive_inverses(a)] if len(ref) > 1][-1]
 
-    def dropping_one(x, x0, budget=None):
-        got = ref_decomposition(x, x0, budget)
-        if (x.index, x0.index) == (a.index, int(a0)):
-            return ElemSet(m2gf2, got.indices()[1:])
-        return got
+    def dropping_one(x, x0s, budget=None):
+        rows = ref_decomposition(x, x0s, budget)
+        if x.index == a.index:
+            k = int(np.flatnonzero(np.asarray(x0s) == a0)[0])
+            rows[k, np.argmax(rows[k])] = False  # drop the row's first member
+        return rows
 
     monkeypatch.setattr(theoremlab, "ref_decomposition", dropping_one)
     verdict = check_decomposition(m2gf2)
@@ -464,3 +466,46 @@ def test_subset_criterion_reads_the_ideal_kernels(z30, monkeypatch,
     assert _witnesses(verdict) == [("a", 2), ("b", 5), ("d", 27)]
     assert verdict.note == (
         note_prefix + "the annihilation criterion holds without the subset")
+
+
+# subset_criterion evaluates its proof identities for every b with
+# I(a) in I(b) in one gather per identity; the per-pair loop it replaced
+# is the reference, failures included.
+
+
+def _proof_identities_per_pair(ring, ia, bs, ds):
+    """The first (pair, identity, x) that fails, one pair at a time."""
+    for j, (b, d) in enumerate(zip(bs, ds)):
+        for which, left, right, want in (("b*x*d = 0", b, d, 0),
+                                         ("d*x*b = 0", d, b, 0),
+                                         ("d*x*d = d", d, d, d)):
+            bad = np.asarray(ring.idx_mul(ring.idx_mul(left, ia), right))
+            if (bad != want).any():
+                return j, which, int(ia[np.argmax(bad != want)])
+    return None
+
+
+@pytest.mark.parametrize("name", ["z30", "m2gf3", "example"])
+def test_batched_proof_identities_match_the_per_pair_loop(request, name):
+    ring = request.getfixturevalue(name)
+    rng = random.Random(3)
+    regs = rings.regular_elements(ring).indices().tolist()
+    inner = {a: inner_inverses(ring.from_index(a)).indices() for a in regs}
+    masks = np.zeros((len(regs), ring.size), dtype=bool)
+    for j, b in enumerate(regs):
+        masks[j, inner[b]] = True
+    outcomes = {"fails": 0, "holds": 0}
+    for a in regs:
+        ia = inner[a]
+        subsets = [regs[j] for j in np.flatnonzero(masks[:, ia].all(axis=1))]
+        bs = rng.sample(subsets, min(3, len(subsets))) + rng.sample(regs, 4)
+        rng.shuffle(bs)
+        ds = [int(ring.idx_sub(a, b)) for b in bs]
+        helper = theoremlab._proof_identity_failure
+        assert helper(ring, ia, bs, ds) == \
+            _proof_identities_per_pair(ring, ia, bs, ds), a
+        for b, d in zip(bs, ds):
+            want = _proof_identities_per_pair(ring, ia, [b], [d])
+            assert helper(ring, ia, [b], [d]) == want, (a, b)
+            outcomes["holds" if want is None else "fails"] += 1
+    assert outcomes["fails"] and outcomes["holds"], outcomes
