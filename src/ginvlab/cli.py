@@ -226,7 +226,9 @@ def cmd_matrix(args) -> int:
         print(f"error: {args.op} takes {need} matrix argument(s), "
               f"got {len(args.matrices)}", file=sys.stderr)
         return 2
-    ring = rings.build_matrix_ring(k, q)  # validates k and q before arithmetic
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
+    # validates k and q before arithmetic
+    ring = rings.build_matrix_ring(k, q, budget)
     mats = [gfmatrix.parse_matrix(t, k, q) for t in args.matrices]
     ring_obj, header = _ring_header(ring)
     lines = [header]

@@ -7,15 +7,15 @@ those sets through the idempotent pair e = a*a0, f = a0*a.  Operations
 that walk the whole ring honor the ring's enumeration budget and raise
 BudgetExceeded instead of starting a scan that cannot finish.
 
-The identities that depend on an inner inverse a0 (the witness) have a
-batched form, named *_batch, that takes every witness of one a at once
-and returns one set or verdict per witness; the single-witness function
-is its one-row case.  ref_decomposition is the exception in name only:
-it takes one reflexive witness or an array of them, and the array form
-gives one membership row per witness.  It keeps one name because the
-benchmark counts calls to it, and that count measures the batching.
-Witnesses with the same frame (a0*a, a*a0) share
-the frame's work; see idempotent_frames.
+Each identity that depends on an inner inverse a0 (the witness) has one
+function.  It takes an index array of witnesses of one a and returns one
+set or verdict per witness, so one witness is a one-element array;
+singleton_conjugate_batch, whose answer does not depend on a0, takes one
+witness and an array of b instead.  Most are named *_batch.
+ref_decomposition keeps its name because the benchmark counts calls to
+it, and that count measures the batching.
+Witnesses with the same frame (a0*a, a*a0) share the frame's work; see
+idempotent_frames.
 """
 
 from __future__ import annotations
@@ -110,13 +110,6 @@ def reflexive_inverses(a: Elem, budget: Optional[int] = None) -> ElemSet:
     return ElemSet.from_indices(ring, idx[inner_mask & outer_mask])
 
 
-def inner_inverses_param(a: Elem, a0: Elem,
-                         budget: Optional[int] = None) -> ElemSet:
-    """{a0 + t - a0*a*t*a*a0 : t in R}, the translate form of I(a)."""
-    _, members = next(inner_inverses_param_batch(a, a0, budget))
-    return ElemSet.from_indices(a.ring, members[0])
-
-
 def _translate_rows(ring: Ring, a0s: np.ndarray, positions: np.ndarray,
                     base: np.ndarray) -> Iterator[tuple]:
     """(positions, a0s[positions] + base) in blocks of about 2^20 entries."""
@@ -128,7 +121,8 @@ def _translate_rows(ring: Ring, a0s: np.ndarray, positions: np.ndarray,
 
 def inner_inverses_param_batch(a: Elem, a0s, budget: Optional[int] = None
                                ) -> Iterator[tuple]:
-    """inner_inverses_param for each witness in a0s, in blocks of rows.
+    """{a0 + t - a0*a*t*a*a0 : t in R}, the parametrization of I(a), per
+    witness a0 in a0s, in blocks of rows.
 
     Yields (positions, members): positions in a0s, and per position a row
     of the distinct members of its set, unsorted.  a0*a*t*a*a0 = f*t*e, so
@@ -214,16 +208,6 @@ def principal_left_ideal(a: Elem, budget: Optional[int] = None) -> ElemSet:
 # the idempotent frame and its decompositions
 
 
-@dataclass(frozen=True)
-class IdempotentFrame:
-    """e = a*a0, f = a0*a and their complements e_c = 1-e, f_c = 1-f."""
-
-    e: Elem
-    f: Elem
-    e_c: Elem
-    f_c: Elem
-
-
 class Frames(NamedTuple):
     """Inner inverses of a grouped by frame, the frames sorted by (f, e)."""
 
@@ -234,16 +218,13 @@ class Frames(NamedTuple):
 
 
 def idempotent_frames(a: Elem, a0s) -> Frames:
-    """Group inner inverses of a (an index array, or one Elem) by frame.
+    """Group inner inverses of a, given as an index array, by frame.
 
     Raises NotInnerInverse naming the first a0 with a*a0*a != a.  Over
     all of I(a) the frames match Ref(a) one to one: a0*a*a0 is the one
     reflexive inverse with the frame of a0.
     """
     ring = a.ring
-    if isinstance(a0s, Elem):
-        _same_ring(a, a0s)
-        a0s = [a0s.index]
     a0s = np.asarray(a0s, dtype=np.int64).reshape(-1)
     f = np.asarray(ring.idx_mul(a0s, a.index), dtype=np.int64)
     e = np.asarray(ring.idx_mul(a.index, a0s), dtype=np.int64)
@@ -255,28 +236,6 @@ def idempotent_frames(a: Elem, a0s) -> Frames:
     keys = (f if ring.size < 1 << 31 else f.astype(object)) * ring.size + e
     _, first, of = np.unique(keys, return_index=True, return_inverse=True)
     return Frames(a0s, f[first], e[first], of.reshape(-1))
-
-
-def idempotent_frame(a: Elem, a0: Elem) -> IdempotentFrame:
-    """Build the frame for an inner inverse a0 and verify its invariants."""
-    if a * a0 * a != a:
-        raise NotInnerInverse(f"{a0} is not an inner inverse of {a}")
-    one = a.ring.one()
-    e = a * a0
-    f = a0 * a
-    frame = IdempotentFrame(e, f, one - e, one - f)
-    ok = (e * e == e and f * f == f and e * a == a and a * f == a
-          and frame.e_c + e == one and frame.f_c + f == one)
-    if not ok:
-        # cannot happen for a genuine inner inverse; guards table corruption
-        raise NotInnerInverse("frame invariants failed for the given witness")
-    return frame
-
-
-class IannDecomposition(NamedTuple):
-    r_ec: ElemSet
-    fc_r: ElemSet
-    verdict: bool
 
 
 class IannDecompositions(NamedTuple):
@@ -305,16 +264,6 @@ def _sums_to(u: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
     inside = ~((u | w) & ~t).any(axis=-1)
     return inside & (u.sum(axis=-1) * w.sum(axis=-1)
                      == t.sum() * (u & w).sum(axis=-1))
-
-
-def iann_decomposition(a: Elem, a0: Elem,
-                       budget: Optional[int] = None) -> IannDecomposition:
-    """R*e_c and f_c*R, with Iann(a) = l(a)+r(a) = R*e_c + f_c*R verified."""
-    frame = idempotent_frame(a, a0)
-    sums = iann_decomposition_batch(a, a0, budget)
-    verdict = sums.ann_mismatch is None and bool(sums.frame_ok[0])
-    return IannDecomposition(principal_left_ideal(frame.e_c, budget),
-                             principal_right_ideal(frame.f_c, budget), verdict)
 
 
 def iann_decomposition_batch(a: Elem, a0s, budget: Optional[int] = None
@@ -348,16 +297,10 @@ def iann_decomposition_batch(a: Elem, a0s, budget: Optional[int] = None
     return IannDecompositions(mismatch, ok[frames.of])
 
 
-def inner_translate(a: Elem, a0: Elem,
-                    budget: Optional[int] = None) -> ElemSet:
-    """I(a) as the translate a0 + Iann(a)."""
-    _, members = next(inner_translate_batch(a, a0, budget))
-    return ElemSet.from_indices(a.ring, members[0])
-
-
 def inner_translate_batch(a: Elem, a0s,
                           budget: Optional[int] = None) -> Iterator[tuple]:
-    """a0 + Iann(a) per witness, as inner_inverses_param_batch's blocks."""
+    """I(a) as the translate a0 + Iann(a) per witness a0 in a0s, in
+    inner_inverses_param_batch's blocks."""
     a0s = idempotent_frames(a, a0s).witnesses
     iann = inner_annihilator(a, budget).indices()
     return _translate_rows(a.ring, a0s, np.arange(len(a0s)), iann)
@@ -372,7 +315,8 @@ def _distinct_per_row(n: int, vals: np.ndarray) -> tuple:
     return np.divmod(np.flatnonzero(mask), n)
 
 
-def ref_decomposition(a: Elem, a0s, budget: Optional[int] = None):
+def ref_decomposition(a: Elem, a0s,
+                      budget: Optional[int] = None) -> np.ndarray:
     """Ref(a) as {a0 + f*r*e_c + f_c*s*e + f_c*s*a*r*e_c : r, s in R}.
 
     This is phi applied to the translate form of I(a): writing a member
@@ -381,13 +325,11 @@ def ref_decomposition(a: Elem, a0s, budget: Optional[int] = None):
     between summands, so the family is strictly smaller than the sumset
     of the three independent product sets.
 
-    a0s is one reflexive inverse (an Elem), and the family comes back as
-    an ElemSet; or it is an index array of them, and the result is a
+    a0s is an index array of reflexive inverses, and the result is a
     (len(a0s), |R|) bool array whose row k is the membership mask of
-    a0s[k]'s family.  The Elem form is row 0 of the array form.  The
-    name has no _batch suffix because perfbench counts calls to this one
-    function, and that count measures the batching: the checks make one
-    call per element instead of one per witness.
+    a0s[k]'s family.  The name has no _batch suffix because perfbench
+    counts calls to this one function, and that count measures the
+    batching: the checks make one call per element, not one per witness.
 
     Raises NotReflexiveInverse naming the first a0 with a0*a*a0 != a0,
     then NotInnerInverse (from idempotent_frames) for the first that is
@@ -403,10 +345,6 @@ def ref_decomposition(a: Elem, a0s, budget: Optional[int] = None):
     and temporary by max(_CHUNK, |R|) entries.
     """
     ring = a.ring
-    single = isinstance(a0s, Elem)
-    if single:
-        _same_ring(a, a0s)
-        a0s = [a0s.index]
     a0s = np.asarray(a0s, dtype=np.int64).reshape(-1)
     outer = np.asarray(ring.idx_mul(ring.idx_mul(a0s, a.index), a0s)) == a0s
     if not outer.all():
@@ -440,22 +378,11 @@ def ref_decomposition(a: Elem, a0s, budget: Optional[int] = None):
         factors = ring.idx_add(e[rows][vrow], v)  # e + v
         vals = ring.idx_add(heads[vi], ring.idx_mul(t[ti], factors[vi]))
         flat[(lo + vrow[vi]) * n + vals] = True
-    if single:
-        return ElemSet(ring, np.flatnonzero(out[0]))
     return out
 
 
 # ---------------------------------------------------------------------------
 # the invariance test
-
-
-def singleton_conjugate_test(b: Elem, a: Elem,
-                             a0: Elem) -> tuple[bool, Optional[Elem]]:
-    """Whether {b*x*b : x in I(a)} is a singleton, and the value if so."""
-    _same_ring(b, a)
-    if not singleton_conjugate_batch([b.index], a, a0)[0]:
-        return False, None
-    return True, b * a0 * b
 
 
 def singleton_conjugate_batch(bs, a: Elem, a0: Elem) -> np.ndarray:
@@ -465,7 +392,8 @@ def singleton_conjugate_batch(bs, a: Elem, a0: Elem) -> np.ndarray:
     b*a0*b plus a term additive in t, so vanishing is tested on additive
     generators only: one (|bs| x generators) gather.
     """
-    frames = idempotent_frames(a, a0)
+    _same_ring(a, a0)
+    frames = idempotent_frames(a, [a0.index])
     f, e = int(frames.f[0]), int(frames.e[0])
     ring = a.ring
     bs = np.asarray(bs, dtype=np.int64).reshape(-1, 1)

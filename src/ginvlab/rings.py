@@ -530,14 +530,6 @@ class _DigitRing(Ring):
                 self._ndigits - 1, -1, -1, dtype=np.int64)
         return self._digit_powers
 
-    def _decode(self, I) -> np.ndarray:
-        """I's digits along a new last axis."""
-        I = np.asarray(I, dtype=np.int64)
-        return (I[..., None] // self._powers) % self.char
-
-    def _encode(self, coeffs) -> np.ndarray:
-        return np.asarray(coeffs, dtype=np.int64) @ self._powers
-
     def _digits(self, I: np.ndarray) -> np.ndarray:
         """(n,) + I.shape int64 array of I's digits, most significant first."""
         powers = self._powers.tolist()
@@ -617,7 +609,7 @@ class _DigitRing(Ring):
         return self._powers.copy()  # one digit set to 1: matrix units, basis
 
     def scale_index(self, c, i):
-        return int(self._encode((c * self._decode(np.int64(i))) % self.char))
+        return int(self._int_index(c * d for d in self._int_digits(i)))
 
 
 # ---------------------------------------------------------------------------
@@ -649,13 +641,6 @@ class MatrixRing(_DigitRing):
     def describe(self):
         return {"kind": self.kind, "size": self.size, "k": self.k, "q": self.q}
 
-    def _decode(self, I) -> np.ndarray:
-        flat = super()._decode(I)
-        return flat.reshape(flat.shape[:-1] + (self.k, self.k))
-
-    def _encode(self, grids) -> np.ndarray:
-        return super()._encode(grids.reshape(grids.shape[:-2] + (self.k ** 2,)))
-
     def payload_of_index(self, i):
         d, k = self._int_digits(i), self.k
         return tuple(tuple(d[r * k:r * k + k]) for r in range(k))
@@ -664,25 +649,24 @@ class MatrixRing(_DigitRing):
         arr = np.asarray(payload, dtype=np.int64) % self.q
         if arr.shape != (self.k, self.k):
             raise BadTensorShape(f"expected a {self.k}x{self.k} grid")
-        return int(self._encode(arr))
+        return int(self._int_index(arr.ravel().tolist()))
 
     def matrix_of(self, e: Elem) -> np.ndarray:
-        return self._decode(np.int64(e.index))
+        return np.reshape(self._int_digits(e.index), (self.k, self.k))
 
     def generator_labels(self):
         if self.k > 9:
             return {}
-        labels = {}
-        for r in range(self.k):
-            for c in range(self.k):
-                grid = np.zeros((self.k, self.k), dtype=np.int64)
-                grid[r, c] = 1
-                labels[f"e{r + 1}{c + 1}"] = int(self._encode(grid))
-        return labels
+        k, powers = self.k, self._powers.tolist()
+        return {f"e{r + 1}{c + 1}": powers[r * k + c]
+                for r in range(k) for c in range(k)}
 
     def try_inverse(self, i):
-        inv = gfmatrix.invert(self._decode(np.int64(i)), self.q)
-        return None if inv is None else int(self._encode(inv))
+        grid = np.reshape(self._int_digits(i), (self.k, self.k))
+        inv = gfmatrix.invert(grid, self.q)
+        if inv is None:
+            return None
+        return int(self._int_index(inv.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +717,7 @@ class TableRing(_DigitRing):
         vec = np.asarray(payload, dtype=np.int64) % self.p
         if vec.shape != (self.dim,):
             raise BadTensorShape(f"expected a coefficient vector of length {self.dim}")
-        return int(self._encode(vec))
+        return int(self._int_index(vec.tolist()))
 
     def _chunk_tables(self):
         """GF(2) chunk-pair product tables; built on the first product.
@@ -801,24 +785,18 @@ class TableRing(_DigitRing):
         return super()._raw_neg(I)
 
     def generator_labels(self):
-        out = {}
-        for m, label in enumerate(self.labels):
-            if label == "1":
-                continue
-            vec = np.zeros(self.dim, dtype=np.int64)
-            vec[m] = 1
-            out[label] = int(self._encode(vec))
-        return out
+        return {label: power for label, power
+                in zip(self.labels, self._powers.tolist()) if label != "1"}
 
     def try_inverse(self, i):
         # right inverse first: solve (Σ u_m b_m)·w = 1 as a linear system
-        u = self._decode(np.int64(i))
+        u = np.asarray(self._int_digits(i), dtype=np.int64)
         lhs = np.einsum("i,ijk->jk", u, self.tensor) % self.p  # maps w-coeffs
         one = np.asarray(self.unity, dtype=np.int64)
         w = gfmatrix.solve(lhs.T, one, self.p)
         if w is None:
             return None
-        j = int(self._encode(w % self.p))
+        j = int(self._int_index(w.tolist()))
         if int(self.idx_mul(j, i)) != self._one_index:
             return None
         return j

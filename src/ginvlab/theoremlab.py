@@ -730,22 +730,16 @@ def _run_one(scan: _Scan, name: str) -> CheckVerdict:
     return CheckVerdict(name, status, witnesses, note, elapsed)
 
 
-def run_suite(ring: Ring, selection: Optional[Sequence[str]] = None,
-              budget: Optional[int] = None) -> SuiteReport:
-    """Run the selected checks (all by default) in name order."""
+def run_suite(ring: Ring,
+              selection: Optional[Sequence[str]] = None) -> SuiteReport:
+    """Run the selected checks (all by default) in name order, within the
+    ring's enumeration budget."""
     names: Iterable[str] = CHECK_NAMES if selection is None else selection
     unknown = sorted(set(names) - set(CHECK_NAMES))
     if unknown:
         raise UnknownCheck(f"unknown check name(s): {', '.join(unknown)}")
-    ordered = sorted(dict.fromkeys(names))
     scan = _Scan(ring)
-    saved = ring.enumeration_budget
-    if budget is not None:
-        ring.enumeration_budget = budget
-    try:
-        verdicts = [_run_one(scan, name) for name in ordered]
-    finally:
-        ring.enumeration_budget = saved
+    verdicts = [_run_one(scan, name) for name in sorted(dict.fromkeys(names))]
     return SuiteReport(ring=ring, verdicts=verdicts, version=__version__)
 
 

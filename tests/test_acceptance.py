@@ -17,7 +17,7 @@ import pytest
 from ginvlab import (ZmodRing, additive_span, build_example_ring,
                      check_example_claims, check_nielsen, check_theorem_inner,
                      check_theorem_reflexive, inner_annihilator,
-                     inner_inverses, inner_inverses_param, is_semiprime,
+                     inner_inverses, inner_inverses_param_batch, is_semiprime,
                      left_annihilator, parse_element, principal_left_ideal,
                      principal_right_ideal, reflexive_inverses,
                      regular_elements, right_annihilator, squarefree)
@@ -82,9 +82,13 @@ def test_c03_parametrization_matches_scan_for_every_witness(
         z6, z30, m2gf2, m2gf3, example):
     for ring in (z6, z30, m2gf2, m2gf3, example):
         for a in regular_elements(ring):
-            inner = inner_inverses(a)
-            for a0 in inner:
-                assert inner_inverses_param(a, a0) == inner
+            inner = inner_inverses(a).indices()
+            seen = np.zeros(len(inner), dtype=bool)
+            for positions, members in inner_inverses_param_batch(a, inner):
+                seen[positions] = True
+                for a0, row in zip(inner[positions].tolist(), members):
+                    assert np.array_equal(np.unique(row), inner), (a, a0)
+            assert seen.all(), a
 
 
 def test_c04_comparison_biconditional_with_proof_identities(

@@ -188,6 +188,21 @@ def test_matrix_ginverse():
     assert "ginverse: 1,0;0,0" in res.stdout
 
 
+def test_matrix_honours_budget():
+    # M_2(GF(3)) has 81 elements: a budget of 5 leaves semiprimeness
+    # unknown, and the oracle's answer does not depend on it
+    argv = ("matrix", "--k", "2", "--q", "3", "--format", "json")
+    capped = run_cli(*argv, "--budget", "5", "ginverse", "1,0;0,0")
+    full = run_cli(*argv, "ginverse", "1,0;0,0")
+    assert capped.returncode == full.returncode == 0, capped.stderr
+    capped_doc, full_doc = json.loads(capped.stdout), json.loads(full.stdout)
+    assert capped_doc["ring"]["semiprime"] is None
+    assert full_doc["ring"]["semiprime"] is True
+    assert capped_doc["checks"] == full_doc["checks"]
+    assert capped_doc["checks"][0]["witnesses"] == [
+        {"name": "g", "value": "1,0;0,0"}]
+
+
 def test_matrix_seteq():
     same = run_cli("matrix", "--k", "2", "--q", "2", "seteq",
                    "1,0;0,0", "1,0;0,0")

@@ -8,17 +8,15 @@ import pytest
 from ginvlab import (BudgetExceeded, ElemSet, NotInnerInverse, NotRegular,
                      NotReflexiveInverse, RingMismatch, ZmodRing,
                      additive_span, build_matrix_ring, build_zmod,
-                     iann_decomposition, iann_decomposition_batch,
-                     idempotent_frame,
-                     idempotent_frames, inner_annihilator, inner_inverses,
-                     inner_inverses_param, inner_inverses_param_batch,
-                     inner_products, inner_translate, inner_translate_batch,
-                     inverse_report, is_regular, left_annihilator,
-                     outer_inverses, parse_element, phi, principal_left_ideal,
-                     principal_right_ideal, ref_decomposition,
-                     reflexive_inverses, reflexive_via_product,
-                     right_annihilator, scaled_set, singleton_conjugate_batch,
-                     singleton_conjugate_test, sumset)
+                     iann_decomposition_batch, idempotent_frames,
+                     inner_annihilator, inner_inverses,
+                     inner_inverses_param_batch, inner_products,
+                     inner_translate_batch, inverse_report, is_regular,
+                     left_annihilator, outer_inverses, parse_element, phi,
+                     principal_left_ideal, principal_right_ideal,
+                     ref_decomposition, reflexive_inverses,
+                     reflexive_via_product, right_annihilator, scaled_set,
+                     singleton_conjugate_batch, sumset)
 from ginvlab import ginv, rings
 from ginvlab.ginv import _pairwise
 
@@ -96,25 +94,31 @@ def test_inner_nonempty_iff_regular(z6, z30, m2gf2):
                 assert len(inner) == len(inner_annihilator(a))
 
 
+def _assert_rows_equal_inner_set(a):
+    """Every row of both translate forms of I(a), one per witness, is I(a)."""
+    inner = inner_inverses(a).indices()
+    for blocks in (inner_inverses_param_batch(a, inner),
+                   inner_translate_batch(a, inner)):
+        rows = _rows_as_sets(a.ring, blocks, len(inner))
+        for a0, row in zip(inner.tolist(), rows):
+            assert np.array_equal(row, inner), (a, a0)
+
+
 def test_param_matches_scan(z6, z4, m2gf2):
     for ring in (z6, z4, m2gf2):
-        for idx in range(ring.size):
-            a = ring.from_index(idx)
-            inner = inner_inverses(a)
-            for a0 in inner:
-                assert inner_inverses_param(a, a0) == inner
-                assert inner_translate(a, a0) == inner
+        for a in ring.elements():
+            _assert_rows_equal_inner_set(a)
 
 
 def test_param_rejects_non_inverse(z6):
     three = z6.from_index(3)
     two = z6.from_index(2)
     with pytest.raises(NotInnerInverse):
-        inner_inverses_param(three, two)
+        list(inner_inverses_param_batch(three, [two.index]))
     with pytest.raises(NotInnerInverse):
-        inner_translate(three, two)
+        inner_translate_batch(three, [two.index])
     with pytest.raises(NotInnerInverse):
-        idempotent_frame(three, two)
+        idempotent_frames(three, [two.index])
 
 
 def test_idempotent_frame_invariants(z6, m2gf2, example):
@@ -122,45 +126,70 @@ def test_idempotent_frame_invariants(z6, m2gf2, example):
     for ring, idx in cases:
         a = (ring.from_index(idx) if idx is not None
              else parse_element(ring, "e11" if ring is m2gf2 else "a"))
-        for a0 in inner_inverses(a):
-            frame = idempotent_frame(a, a0)
-            assert frame.e == a * a0 and frame.f == a0 * a
-            assert frame.e * frame.e == frame.e
-            assert frame.f * frame.f == frame.f
-            assert frame.e_c + frame.e == ring.one()
-            assert frame.f_c + frame.f == ring.one()
-            break
+        one = ring.one()
+        inner = inner_inverses(a)
+        frames = idempotent_frames(a, inner.indices())
+        assert np.array_equal(frames.witnesses, inner.indices())
+        for pos, a0 in enumerate(inner):
+            k = frames.of[pos]
+            e = ring.from_index(int(frames.e[k]))
+            f = ring.from_index(int(frames.f[k]))
+            assert e == a * a0 and f == a0 * a
+            assert e * e == e and f * f == f
+            assert e * a == a and a * f == a
+            assert (one - e) + e == one and (one - f) + f == one
+
+
+def _frame_ideals(a, frames):
+    """Per frame, R*e_c and f_c*R with e_c = 1 - e and f_c = 1 - f."""
+    ring = a.ring
+    one = ring.one()
+    return [(principal_left_ideal(one - ring.from_index(int(e))),
+             principal_right_ideal(one - ring.from_index(int(f))))
+            for f, e in zip(frames.f, frames.e)]
+
+
+def _assert_iann_sums(a):
+    """Iann(a) = l(a) + r(a), and = R*e_c + f_c*R for every witness."""
+    iann = inner_annihilator(a)
+    a0s = inner_inverses(a).indices()
+    sums = iann_decomposition_batch(a, a0s)
+    assert sums.ann_mismatch is None and sums.frame_ok.all(), a
+    assert sums.frame_ok.shape == a0s.shape
+    assert sumset(left_annihilator(a), right_annihilator(a)) == iann
+    # R*e_c and f_c*R depend on a0 only through its frame
+    for r_ec, fc_r in _frame_ideals(a, idempotent_frames(a, a0s)):
+        assert sumset(r_ec, fc_r) == iann, a
 
 
 def test_iann_decomposition_verdicts(z6, m2gf2):
     for ring in (z6, m2gf2):
-        for idx in range(ring.size):
-            a = ring.from_index(idx)
-            inner = inner_inverses(a)
-            if not len(inner):
-                continue
-            a0 = next(iter(inner))
-            dec = iann_decomposition(a, a0)
-            assert dec.verdict
-            assert sumset(dec.r_ec, dec.fc_r) == inner_annihilator(a)
+        for a in ring.elements():
+            if is_regular(a) is not None:
+                _assert_iann_sums(a)
 
 
 def test_iann_decomposition_example(example):
     a = parse_element(example, "a")
     x = parse_element(example, "x")
-    dec = iann_decomposition(a, x)
-    assert dec.verdict
-    assert len(dec.r_ec) == 128 and len(dec.fc_r) == 128
-    assert len(sumset(dec.r_ec, dec.fc_r)) == 512
+    sums = iann_decomposition_batch(a, [x.index])
+    assert sums.ann_mismatch is None and sums.frame_ok.tolist() == [True]
+    one = example.one()
+    r_ec = principal_left_ideal(one - a * x)
+    fc_r = principal_right_ideal(one - x * a)
+    assert len(r_ec) == 128 and len(fc_r) == 128
+    assert sumset(r_ec, fc_r) == inner_annihilator(a)
+    assert len(sumset(r_ec, fc_r)) == 512
 
 
 def test_ref_decomposition_matches_scan(z6, z4, m2gf2):
     for ring in (z6, z4, m2gf2):
-        for idx in range(ring.size):
-            a = ring.from_index(idx)
-            refl = reflexive_inverses(a)
-            for a0 in refl:
-                assert ref_decomposition(a, a0) == refl
+        for a in ring.elements():
+            refl = reflexive_inverses(a).indices()
+            rows = ref_decomposition(a, refl)
+            assert rows.shape == (len(refl), ring.size)
+            for row in rows:
+                assert np.array_equal(np.flatnonzero(row), refl), a
 
 
 def _defining_family(a, a0):
@@ -193,15 +222,13 @@ def _reflexive_pairs(ring):
 
 
 def _assert_rows_match_defining_family(a):
-    """The Elem form and every row of the array form, against the family."""
+    """Every row of ref_decomposition, against the family."""
     refl = reflexive_inverses(a).indices()
     rows = ref_decomposition(a, refl)
     assert rows.shape == (len(refl), a.ring.size)
     for row, a0 in zip(rows, refl.tolist()):
         want = _defining_family(a, a.ring.from_index(a0))
         assert np.array_equal(np.flatnonzero(row), want), (a, a0)
-        got = ref_decomposition(a, a.ring.from_index(a0)).indices()
-        assert np.array_equal(got, want), (a, a0)
 
 
 @pytest.mark.parametrize("name", ["z6", "z30", "m2gf2"])
@@ -235,7 +262,8 @@ def test_ref_decomposition_rows_above_table_cap():
 def test_ref_decomposition_example(example):
     a = parse_element(example, "a")
     x = parse_element(example, "x")
-    assert ref_decomposition(a, x) == reflexive_inverses(a)
+    (row,) = ref_decomposition(a, [x.index])
+    assert np.array_equal(np.flatnonzero(row), reflexive_inverses(a).indices())
 
 
 def test_ref_decomposition_rejects_non_reflexive(z6):
@@ -245,7 +273,7 @@ def test_ref_decomposition_rejects_non_reflexive(z6):
     assert three * one * three == three
     assert one * three * one != one
     with pytest.raises(NotReflexiveInverse):
-        ref_decomposition(three, one)
+        ref_decomposition(three, [one.index])
 
 
 def _witness_array_case(ring):
@@ -308,26 +336,32 @@ def test_singleton_conjugate_matches_bruteforce(z6):
     for ai in range(6):
         a = z6.from_index(ai)
         inner = inner_inverses(a)
-        if not len(inner):
-            continue
         for a0 in inner:
-            for bi in range(6):
-                b = z6.from_index(bi)
+            flags = singleton_conjugate_batch(z6.all_indices(), a, a0)
+            for b, flag in zip(z6.elements(), flags.tolist()):
                 conj = {(b * x * b).index for x in inner}
-                flag, value = singleton_conjugate_test(b, a, a0)
                 assert flag == (len(conj) == 1)
                 if flag:
-                    assert value.index in conj
-                else:
-                    assert value is None
+                    assert conj == {(b * a0 * b).index}
+
+
+def _singleton_by_gather(ring, a):
+    """Per b in R, whether b*x*b takes one value over x in I(a)."""
+    bs = ring.all_indices()[:, None]
+    inner = inner_inverses(a).indices()[None, :]
+    vals = ring.idx_mul(ring.idx_mul(bs, inner), bs)
+    return (vals == vals[:, :1]).all(axis=1)
 
 
 def test_singleton_conjugate_example_witness(example):
     # this element multiplies everything to zero, so the set collapses
     w = parse_element(example, "xa + xb")
     zero = example.zero()
-    flag, value = singleton_conjugate_test(w, zero, zero)
-    assert flag and value == zero
+    assert singleton_conjugate_batch([w.index], zero, zero).tolist() == [True]
+    # I(0) is all of R, and the one value of w*x*w is 0
+    everything = example.all_indices()
+    assert not example.idx_mul(example.idx_mul(w.index, everything),
+                               w.index).any()
     assert w != zero
 
 
@@ -397,6 +431,8 @@ def test_cross_ring_rejected(z6, z4):
         sumset(inner_inverses(a), inner_inverses(x))
     with pytest.raises(RingMismatch):
         scaled_set(a, inner_inverses(x), a)
+    with pytest.raises(RingMismatch):
+        singleton_conjugate_batch([0], a, x)
 
 
 def test_budget_respected():
@@ -426,28 +462,18 @@ def _batch_cases(name, request):
 
 
 @pytest.mark.parametrize("name", ["z30", "m2gf3", "example"])
-def test_batched_forms_equal_single_witness_forms(request, name):
+def test_batched_forms_match_the_scan(request, name):
     ring, regs = _batch_cases(name, request)
     bs = ring.all_indices()
     for a in regs:
         a0s = inner_inverses(a).indices()
-        params = _rows_as_sets(ring, inner_inverses_param_batch(a, a0s),
-                               len(a0s))
-        translates = _rows_as_sets(ring, inner_translate_batch(a, a0s),
-                                   len(a0s))
-        sums = iann_decomposition_batch(a, a0s)
-        for pos, a0 in enumerate(inner_inverses(a)):
-            assert np.array_equal(params[pos],
-                                  inner_inverses_param(a, a0).indices())
-            assert np.array_equal(translates[pos],
-                                  inner_translate(a, a0).indices())
-            assert iann_decomposition(a, a0).verdict == (
-                sums.ann_mismatch is None and sums.frame_ok[pos])
-        a0 = ring.from_index(int(a0s[0]))
-        flags = singleton_conjugate_batch(bs, a, a0)
-        assert flags.tolist() == [singleton_conjugate_test(b, a, a0)[0]
-                                  for b in ring.elements()]
-        assert inner_products(a, a0s, a0s) == reflexive_via_product(a)
+        _assert_rows_equal_inner_set(a)
+        _assert_iann_sums(a)
+        want = _singleton_by_gather(ring, a)
+        for a0 in (a0s[0], a0s[-1]):
+            flags = singleton_conjugate_batch(bs, a, ring.from_index(int(a0)))
+            assert np.array_equal(flags, want), (a, int(a0))
+        assert inner_products(a, a0s, a0s) == reflexive_inverses(a)
 
 
 @pytest.mark.parametrize("name", ["z30", "m2gf2"])
@@ -456,17 +482,12 @@ def test_counting_rule_agrees_with_the_sumset(request, name):
     # subgroups of every frame, with targets that hold and that fail
     ring = request.getfixturevalue(name)
     n = ring.size
-    one = ring.one()
     for a in ring.elements():
         a0s = inner_inverses(a).indices()
         if not len(a0s):
             continue
         left, right = left_annihilator(a), right_annihilator(a)
-        frames = idempotent_frames(a, a0s)
-        pairs = [(left, right)] + [
-            (principal_left_ideal(one - ring.from_index(int(e))),
-             principal_right_ideal(one - ring.from_index(int(f))))
-            for f, e in zip(frames.f, frames.e)]
+        pairs = [(left, right)] + _frame_ideals(a, idempotent_frames(a, a0s))
         targets = [inner_annihilator(a), left, right,
                    ElemSet(ring, ring.all_indices())]
         for u, w in pairs:
@@ -501,3 +522,23 @@ def test_batched_forms_reject_non_inverses(z6):
     for call in calls:
         with pytest.raises(NotInnerInverse, match="^2 is not an inner"):
             call()
+
+
+def test_batched_forms_name_the_first_non_witness(m2gf2):
+    # two non-witnesses, the larger index first: the first in array order
+    # is named, whichever form runs
+    a = parse_element(m2gf2, "e11")
+    inner = inner_inverses(a).indices().tolist()
+    outside = sorted(set(range(m2gf2.size)) - set(inner))
+    low, high = outside[0], outside[-1]
+    assert low < high and len(inner) > 2
+    a0s = inner[:1] + [high] + inner[1:] + [low]
+    calls = [lambda: list(inner_inverses_param_batch(a, a0s)),
+             lambda: inner_translate_batch(a, a0s),
+             lambda: iann_decomposition_batch(a, a0s),
+             lambda: idempotent_frames(a, a0s)]
+    for call in calls:
+        with pytest.raises(NotInnerInverse) as exc:
+            call()
+        assert str(exc.value) == (f"{m2gf2.from_index(high)} is not an "
+                                  f"inner inverse of {a}")

@@ -127,7 +127,7 @@ def test_sampled_large_ring():
 
 
 def test_budget_override_skips_everything():
-    report = run_suite(ZmodRing(16384), budget=100)
+    report = run_suite(ZmodRing(16384, enumeration_budget=100))
     assert report.summary() == {"pass": 0, "violation": 0, "skipped": 11}
 
 
