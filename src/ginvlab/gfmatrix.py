@@ -32,16 +32,6 @@ def _reduced(A, q: int) -> np.ndarray:
     return A
 
 
-def as_matrix(data, q: int, k: Optional[int] = None) -> np.ndarray:
-    """Validate and reduce input to a matrix mod q."""
-    A = np.asarray(data)
-    if A.ndim != 2:
-        raise BadTensorShape(f"expected a 2-d matrix, got shape {A.shape}")
-    if k is not None and A.shape != (k, k):
-        raise BadTensorShape(f"expected a {k}x{k} matrix, got shape {A.shape}")
-    return _reduced(A, q)
-
-
 def row_reduce(A: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """RREF with a recorded transform: returns (R, T, pivots), T·A = R mod q."""
     R = _reduced(A, q)
@@ -86,19 +76,6 @@ def invert(A, q: int) -> Optional[np.ndarray]:
     if len(pivots) != R.shape[0]:
         return None
     return T % q
-
-
-def solve(A, b, q: int) -> Optional[np.ndarray]:
-    """One solution x of A x = b mod q, or None if inconsistent."""
-    R, T, pivots = row_reduce(A, q)
-    m, n = R.shape
-    c = (T @ _reduced(b, q)) % q
-    if len(pivots) < m and c[len(pivots):].any():
-        return None
-    x = np.zeros(n, dtype=R.dtype)
-    for i, col in enumerate(pivots):
-        x[col] = c[i]
-    return x
 
 
 @dataclass

@@ -35,8 +35,8 @@ from .rings import (_CHUNK, Elem, ElemSet, Ring, _mask_members,
                     _sorted_distinct, is_regular)
 
 
-def _scan_indices(ring: Ring, budget: Optional[int]) -> np.ndarray:
-    ring.ensure_enumerable(budget)
+def _scan_indices(ring: Ring) -> np.ndarray:
+    ring.ensure_enumerable()
     return ring.all_indices()
 
 
@@ -84,26 +84,26 @@ def _pairwise(ring: Ring, op, left: np.ndarray,
 # the basic sets
 
 
-def inner_inverses(a: Elem, budget: Optional[int] = None) -> ElemSet:
+def inner_inverses(a: Elem) -> ElemSet:
     """I(a) = {x : a*x*a = a}."""
     ring = a.ring
-    idx = _scan_indices(ring, budget)
+    idx = _scan_indices(ring)
     axa = ring.idx_mul(ring.idx_mul(a.index, idx), a.index)
     return ElemSet.from_indices(ring, idx[axa == a.index])
 
 
-def outer_inverses(a: Elem, budget: Optional[int] = None) -> ElemSet:
+def outer_inverses(a: Elem) -> ElemSet:
     """{x : x*a*x = x}; always contains 0."""
     ring = a.ring
-    idx = _scan_indices(ring, budget)
+    idx = _scan_indices(ring)
     xax = ring.idx_mul(ring.idx_mul(idx, a.index), idx)
     return ElemSet.from_indices(ring, idx[xax == idx])
 
 
-def reflexive_inverses(a: Elem, budget: Optional[int] = None) -> ElemSet:
+def reflexive_inverses(a: Elem) -> ElemSet:
     """Ref(a): the x that are both inner and outer inverses of a."""
     ring = a.ring
-    idx = _scan_indices(ring, budget)
+    idx = _scan_indices(ring)
     ax = ring.idx_mul(a.index, idx)
     inner_mask = ring.idx_mul(ax, a.index) == a.index
     outer_mask = ring.idx_mul(ring.idx_mul(idx, a.index), idx) == idx
@@ -119,8 +119,7 @@ def _translate_rows(ring: Ring, a0s: np.ndarray, positions: np.ndarray,
         yield pos, ring.idx_add(a0s[pos, None], base[None, :])
 
 
-def inner_inverses_param_batch(a: Elem, a0s, budget: Optional[int] = None
-                               ) -> Iterator[tuple]:
+def inner_inverses_param_batch(a: Elem, a0s) -> Iterator[tuple]:
     """{a0 + t - a0*a*t*a*a0 : t in R}, the parametrization of I(a), per
     witness a0 in a0s, in blocks of rows.
 
@@ -130,7 +129,7 @@ def inner_inverses_param_batch(a: Elem, a0s, budget: Optional[int] = None
     blocks come frame by frame.
     """
     ring = a.ring
-    idx = _scan_indices(ring, budget)
+    idx = _scan_indices(ring)
     frames = idempotent_frames(a, a0s)
     for k, (f, e) in enumerate(zip(frames.f.tolist(), frames.e.tolist())):
         positions = np.flatnonzero(frames.of == k)
@@ -145,9 +144,9 @@ def phi(a: Elem, x: Elem) -> Elem:
     return x * a * x
 
 
-def reflexive_via_product(a: Elem, budget: Optional[int] = None) -> ElemSet:
+def reflexive_via_product(a: Elem) -> ElemSet:
     """Ref(a) computed as the product set I(a)*a*I(a)."""
-    inner = inner_inverses(a, budget).indices()
+    inner = inner_inverses(a).indices()
     if not len(inner):
         raise NotRegular(f"{a} has no inner inverse")
     return inner_products(a, inner, inner)
@@ -168,39 +167,39 @@ def inner_products(a: Elem, xs, ys) -> ElemSet:
 # annihilators and ideals
 
 
-def left_annihilator(a: Elem, budget: Optional[int] = None) -> ElemSet:
+def left_annihilator(a: Elem) -> ElemSet:
     """l(a) = {x : x*a = 0}."""
     ring = a.ring
-    idx = _scan_indices(ring, budget)
+    idx = _scan_indices(ring)
     return ElemSet.from_indices(ring, idx[ring.idx_mul(idx, a.index) == 0])
 
 
-def right_annihilator(a: Elem, budget: Optional[int] = None) -> ElemSet:
+def right_annihilator(a: Elem) -> ElemSet:
     """r(a) = {x : a*x = 0}."""
     ring = a.ring
-    idx = _scan_indices(ring, budget)
+    idx = _scan_indices(ring)
     return ElemSet.from_indices(ring, idx[ring.idx_mul(a.index, idx) == 0])
 
 
-def inner_annihilator(a: Elem, budget: Optional[int] = None) -> ElemSet:
+def inner_annihilator(a: Elem) -> ElemSet:
     """Iann(a) = {x : a*x*a = 0}."""
     ring = a.ring
-    idx = _scan_indices(ring, budget)
+    idx = _scan_indices(ring)
     axa = ring.idx_mul(ring.idx_mul(a.index, idx), a.index)
     return ElemSet.from_indices(ring, idx[axa == 0])
 
 
-def principal_right_ideal(a: Elem, budget: Optional[int] = None) -> ElemSet:
+def principal_right_ideal(a: Elem) -> ElemSet:
     """aR = {a*r : r in R}."""
     ring = a.ring
-    idx = _scan_indices(ring, budget)
+    idx = _scan_indices(ring)
     return ElemSet.from_indices(ring, ring.idx_mul(a.index, idx))
 
 
-def principal_left_ideal(a: Elem, budget: Optional[int] = None) -> ElemSet:
+def principal_left_ideal(a: Elem) -> ElemSet:
     """Ra = {r*a : r in R}."""
     ring = a.ring
-    idx = _scan_indices(ring, budget)
+    idx = _scan_indices(ring)
     return ElemSet.from_indices(ring, ring.idx_mul(idx, a.index))
 
 
@@ -266,8 +265,7 @@ def _sums_to(u: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
                      == t.sum() * (u & w).sum(axis=-1))
 
 
-def iann_decomposition_batch(a: Elem, a0s, budget: Optional[int] = None
-                             ) -> IannDecompositions:
+def iann_decomposition_batch(a: Elem, a0s) -> IannDecompositions:
     """Iann(a) = l(a) + r(a) once, and Iann(a) = R*e_c + f_c*R per witness.
 
     Each identity is decided by the subgroup count of _sums_to, once per
@@ -275,7 +273,7 @@ def iann_decomposition_batch(a: Elem, a0s, budget: Optional[int] = None
     """
     ring = a.ring
     n = ring.size
-    idx = _scan_indices(ring, budget)
+    idx = _scan_indices(ring)
     frames = idempotent_frames(a, a0s)
     ax = ring.idx_mul(a.index, idx)
     iann = np.asarray(ring.idx_mul(ax, a.index)) == 0
@@ -297,12 +295,11 @@ def iann_decomposition_batch(a: Elem, a0s, budget: Optional[int] = None
     return IannDecompositions(mismatch, ok[frames.of])
 
 
-def inner_translate_batch(a: Elem, a0s,
-                          budget: Optional[int] = None) -> Iterator[tuple]:
+def inner_translate_batch(a: Elem, a0s) -> Iterator[tuple]:
     """I(a) as the translate a0 + Iann(a) per witness a0 in a0s, in
     inner_inverses_param_batch's blocks."""
     a0s = idempotent_frames(a, a0s).witnesses
-    iann = inner_annihilator(a, budget).indices()
+    iann = inner_annihilator(a).indices()
     return _translate_rows(a.ring, a0s, np.arange(len(a0s)), iann)
 
 
@@ -315,8 +312,7 @@ def _distinct_per_row(n: int, vals: np.ndarray) -> tuple:
     return np.divmod(np.flatnonzero(mask), n)
 
 
-def ref_decomposition(a: Elem, a0s,
-                      budget: Optional[int] = None) -> np.ndarray:
+def ref_decomposition(a: Elem, a0s) -> np.ndarray:
     """Ref(a) as {a0 + f*r*e_c + f_c*s*e + f_c*s*a*r*e_c : r, s in R}.
 
     This is phi applied to the translate form of I(a): writing a member
@@ -352,7 +348,7 @@ def ref_decomposition(a: Elem, a0s,
         raise NotReflexiveInverse(f"{a0} is not an outer inverse of {a}")
     frames = idempotent_frames(a, a0s)  # raises NotInnerInverse
     n = ring.size
-    idx = _scan_indices(ring, budget)
+    idx = _scan_indices(ring)
     e = frames.e[frames.of]
     e_c = np.asarray(ring.idx_sub(ring._one_index, e), dtype=np.int64)
     f_c = np.asarray(ring.idx_sub(ring._one_index, frames.f[frames.of]),
@@ -462,22 +458,22 @@ class InverseReport:
                 if f.name not in ("element", "witness")}
 
 
-def inverse_report(a: Elem, budget: Optional[int] = None) -> InverseReport:
+def inverse_report(a: Elem) -> InverseReport:
     """Compute all the sets for a and sanity-check their relations."""
     ring = a.ring
-    ring.ensure_enumerable(budget)
+    ring.ensure_enumerable()
     witness = is_regular(a)
     report = InverseReport(
         element=a,
         witness=witness,
-        inner=inner_inverses(a, budget),
-        reflexive=reflexive_inverses(a, budget),
-        outer=outer_inverses(a, budget),
-        iann=inner_annihilator(a, budget),
-        left_ann=left_annihilator(a, budget),
-        right_ann=right_annihilator(a, budget),
-        right_ideal=principal_right_ideal(a, budget),
-        left_ideal=principal_left_ideal(a, budget),
+        inner=inner_inverses(a),
+        reflexive=reflexive_inverses(a),
+        outer=outer_inverses(a),
+        iann=inner_annihilator(a),
+        left_ann=left_annihilator(a),
+        right_ann=right_annihilator(a),
+        right_ideal=principal_right_ideal(a),
+        left_ideal=principal_left_ideal(a),
     )
     consistent = (report.reflexive == report.inner.intersection(report.outer)
                   and (len(report.inner) > 0) == (witness is not None)

@@ -235,26 +235,20 @@ class Ring:
 
     # --- enumeration ------------------------------------------------------
 
-    def ensure_enumerable(self, budget: Optional[int] = None):
-        limit = self.enumeration_budget if budget is None else budget
-        if self.size > limit:
-            raise BudgetExceeded(self.size, limit)
+    def ensure_enumerable(self):
+        if self.size > self.enumeration_budget:
+            raise BudgetExceeded(self.size, self.enumeration_budget)
 
-    def elements(self, budget: Optional[int] = None) -> Iterator["Elem"]:
-        self.ensure_enumerable(budget)
+    def elements(self) -> Iterator["Elem"]:
+        self.ensure_enumerable()
         return (Elem(self, i) for i in range(self.size))
 
     # --- units -------------------------------------------------------------
 
-    def try_inverse(self, i: int) -> Optional[int]:
-        """Index of the two-sided inverse of element i, if it is a unit."""
-        raise NotImplementedError
+    def unit_indices(self) -> np.ndarray:
+        """Indices of all units, from the op tables; cached.
 
-    def units(self) -> tuple[np.ndarray, np.ndarray]:
-        """(unit indices, matching inverse indices); cached.
-
-        Needs full tables; callers working on larger rings probe
-        try_inverse on their own samples instead.
+        Subclasses may avoid the table scan.
         """
         if self._units is None:
             if not self.has_tables():
@@ -266,13 +260,8 @@ class Ring:
             rinv = np.argmax(mul[cand] == one, axis=1)
             # in a finite ring a one-sided inverse is two-sided; verify anyway
             two_sided = mul[rinv, cand] == one
-            self._units = (cand[two_sided].astype(np.int64),
-                           rinv[two_sided].astype(np.int64))
+            self._units = cand[two_sided].astype(np.int64)
         return self._units
-
-    def unit_indices(self) -> np.ndarray:
-        """Indices of all units; subclasses may avoid the table scan."""
-        return self.units()[0]
 
 
 def _sorted_distinct(values) -> np.ndarray:
@@ -467,12 +456,6 @@ class ZmodRing(Ring):
     def scale_index(self, c, i):
         return (c * i) % self.n
 
-    def try_inverse(self, i):
-        try:
-            return pow(int(i), -1, self.n)
-        except ValueError:
-            return None
-
     def unit_indices(self):
         idx = self.all_indices()
         return idx[np.gcd(idx, self.n) == 1]
@@ -661,13 +644,6 @@ class MatrixRing(_DigitRing):
         return {f"e{r + 1}{c + 1}": powers[r * k + c]
                 for r in range(k) for c in range(k)}
 
-    def try_inverse(self, i):
-        grid = np.reshape(self._int_digits(i), (self.k, self.k))
-        inv = gfmatrix.invert(grid, self.q)
-        if inv is None:
-            return None
-        return int(self._int_index(inv.ravel().tolist()))
-
 
 # ---------------------------------------------------------------------------
 # structure-constant backend
@@ -788,19 +764,6 @@ class TableRing(_DigitRing):
         return {label: power for label, power
                 in zip(self.labels, self._powers.tolist()) if label != "1"}
 
-    def try_inverse(self, i):
-        # right inverse first: solve (Σ u_m b_m)·w = 1 as a linear system
-        u = np.asarray(self._int_digits(i), dtype=np.int64)
-        lhs = np.einsum("i,ijk->jk", u, self.tensor) % self.p  # maps w-coeffs
-        one = np.asarray(self.unity, dtype=np.int64)
-        w = gfmatrix.solve(lhs.T, one, self.p)
-        if w is None:
-            return None
-        j = int(self._int_index(w.tolist()))
-        if int(self.idx_mul(j, i)) != self._one_index:
-            return None
-        return j
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -852,12 +815,12 @@ def build_table_algebra(p: int, basis: Sequence[str], unity: Sequence[int],
     if p ** dim > 1 << 63:
         raise InvalidModulus(
             f"algebra has {p}^{dim} elements; indices must fit in int64 (at most 2^63)")
-    if len(set(basis)) != dim:
-        raise BadTensorShape("basis labels must be distinct")
     for label in basis:
         if label != "1" and not (isinstance(label, str)
                                  and parsing.LABEL_RE.fullmatch(label)):
             raise BadTensorShape(f"bad basis label {label!r}")
+    if len(set(basis)) != dim:
+        raise BadTensorShape("basis labels must be distinct")
     if len(unity) != dim:
         raise BadTensorShape("unity vector length must match basis size")
     unity = [_strict_int(v, "unity entry") for v in unity]

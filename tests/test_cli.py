@@ -303,8 +303,14 @@ def test_matrix_rejects_bad_q_before_arithmetic():
     ({"kind": "table", "p": 2, "basis": ["1", "t"], "unity": [1, 0],
       "constants": [[0, 0, 0, 1], 5]},
      "sparse entry must be [i,j,k,c], got 5"),
+    ({"kind": "table", "p": 2, "basis": [["x"]], "unity": [1],
+      "constants": []},
+     "bad basis label ['x']"),
+    ({"kind": "table", "p": 2, "basis": [{"a": 1}], "unity": [1],
+      "constants": []},
+     "bad basis label {'a': 1}"),
 ], ids=["float-n", "bool-n", "float-constant", "bool-unity", "scalar-unity",
-        "scalar-entry"])
+        "scalar-entry", "list-label", "object-label"])
 def test_spec_loader_rejects_non_integers(tmp_path, spec, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -312,6 +318,53 @@ def test_spec_loader_rejects_non_integers(tmp_path, spec, message):
     assert res.returncode == 2
     assert res.stderr == f"error: {message}\n"
     assert res.stdout == ""
+
+
+def test_spec_fuzzing_exits_0_or_2(tmp_path, capsys):
+    # every field, and every entry of a list field, is either a small valid
+    # value or arbitrary JSON: the loader builds the ring or exits 2 with a
+    # one-line error, never a traceback and never the violations code 1
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    junk = st.recursive(
+        st.none() | st.booleans() | st.floats() | st.text(max_size=4),
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=3), inner,
+                                         max_size=3)),
+        max_leaves=6)
+    small = st.integers(0, 5)
+    label = st.sampled_from(["1", "t", "x", "e1"])
+    fields = {
+        "zmod": {"n": st.integers(0, 64)},
+        "matrix": {"k": st.integers(0, 3), "q": small},
+        "table": {"p": small,
+                  "basis": st.lists(label | junk, max_size=3),
+                  "unity": st.lists(small | junk, max_size=3),
+                  "constants": st.lists(st.lists(small | junk, min_size=4,
+                                                 max_size=4) | junk,
+                                        max_size=6)},
+    }
+    specs = st.one_of(junk, *(
+        st.fixed_dictionaries({"kind": st.just(kind) | junk,
+                               **{name: valid | junk
+                                  for name, valid in kind_fields.items()}})
+        for kind, kind_fields in fields.items()))
+    path = tmp_path / "spec.json"
+
+    @settings(max_examples=150, deadline=None)
+    @given(specs)
+    def check(spec):
+        path.write_text(json.dumps(spec))
+        capsys.readouterr()
+        code = cli.main(["ring", "info", str(path), "--format", "json"])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    check()
 
 
 def test_table_spec_file(tmp_path):

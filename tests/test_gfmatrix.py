@@ -9,8 +9,7 @@ from ginvlab import BadTensorShape
 from ginvlab.gfmatrix import (inner_inverse_matrix, inner_set_equal_matrices,
                               inner_subset_matrices, invert, membership_Ra,
                               membership_aR, parse_matrix, rank,
-                              rank_factorization, render_matrix, row_reduce,
-                              solve)
+                              rank_factorization, render_matrix, row_reduce)
 from ginvlab.ginv import inner_inverses, principal_left_ideal, principal_right_ideal
 
 
@@ -66,24 +65,6 @@ def test_invert_round_trip(q):
         found += 1
         assert np.array_equal((a @ inv) % q, eye)
         assert np.array_equal((inv @ a) % q, eye)
-
-
-@pytest.mark.parametrize("q", [2, 3])
-def test_solve_consistency(q):
-    rng = random.Random(30 + q)
-    for _ in range(40):
-        k = rng.choice((2, 3))
-        a = _random_matrix(rng, k, q)
-        x = np.asarray([rng.randrange(q) for _ in range(k)])
-        b = (a @ x) % q
-        s = solve(a, b, q)
-        assert s is not None
-        assert np.array_equal((a @ s) % q, b)
-
-
-def test_solve_detects_inconsistency():
-    a = np.asarray([[1, 0], [1, 0]])
-    assert solve(a, np.asarray([1, 0]), 2) is None
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

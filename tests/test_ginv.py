@@ -436,12 +436,11 @@ def test_cross_ring_rejected(z6, z4):
 
 
 def test_budget_respected():
-    big = ZmodRing(100003)
-    a = big.from_index(5)
     with pytest.raises(BudgetExceeded):
-        inner_inverses(a, budget=100)
+        inner_inverses(ZmodRing(100003, enumeration_budget=100).from_index(5))
     # generous budget allows the scan
-    assert len(inner_inverses(a, budget=200000)) > 0
+    big = ZmodRing(100003, enumeration_budget=200000)
+    assert len(inner_inverses(big.from_index(5))) > 0
 
 
 def _rows_as_sets(ring, blocks, count):

@@ -200,14 +200,15 @@ def test_elemset_behavior(z6):
     assert len(s.intersection(ElemSet.from_indices(z6, [0, 1, 2]))) == 1
 
 
-def test_units(z6, m2gf2):
-    idx, inv = z6.units()
-    assert list(idx) == [1, 5]
-    assert all(int(z6.idx_mul(i, j)) == 1 for i, j in zip(idx, inv))
-    gl2, _ = m2gf2.units()
-    assert len(gl2) == 6  # |GL2(GF(2))|
-    assert z6.try_inverse(5) == 5
-    assert z6.try_inverse(2) is None
+def test_units(z6, m2gf2, example):
+    for ring in (z6, m2gf2, example):
+        # x is a unit iff some y has x*y = y*x = 1
+        idx = ring.all_indices()
+        xy = ring.idx_mul(idx[:, None], idx[None, :]) == ring.one().index
+        brute = np.flatnonzero((xy & xy.T).any(axis=1))
+        assert ring.unit_indices().tolist() == brute.tolist()
+    assert z6.unit_indices().tolist() == [1, 5]
+    assert len(m2gf2.unit_indices()) == 6  # |GL2(GF(2))|
 
 
 def test_unit_indices_without_tables():
@@ -270,9 +271,9 @@ def test_squarefree_small_values():
 
 def test_elements_iterator_budget(z6):
     assert [e.index for e in z6.elements()] == list(range(6))
-    big = build_zmod(5000)
+    big = build_zmod(5000, enumeration_budget=100)
     with pytest.raises(BudgetExceeded):
-        list(big.elements(budget=100))
+        list(big.elements())
 
 
 def test_descriptor_equality():

@@ -204,8 +204,8 @@ def test_decomposition_checks_every_reflexive_witness(m2gf2, monkeypatch):
     a, a0 = [(a, ref.indices()[-1]) for a in m2gf2.elements()
              for ref in [reflexive_inverses(a)] if len(ref) > 1][-1]
 
-    def dropping_one(x, x0s, budget=None):
-        rows = ref_decomposition(x, x0s, budget)
+    def dropping_one(x, x0s):
+        rows = ref_decomposition(x, x0s)
         if x.index == a.index:
             k = int(np.flatnonzero(np.asarray(x0s) == a0)[0])
             rows[k, np.argmax(rows[k])] = False  # drop the row's first member
@@ -239,8 +239,8 @@ def _corrupt_rows(ring, real, target):
     """Wrap a (positions, members)-block batch form: one wrong row."""
     a, a0 = target
 
-    def corrupted(x, a0s, budget=None):
-        for positions, members in real(x, a0s, budget):
+    def corrupted(x, a0s):
+        for positions, members in real(x, a0s):
             members = np.array(members, dtype=np.int64)
             hit = np.asarray(a0s)[positions] == a0
             if x.index == a and hit.any():
@@ -279,8 +279,8 @@ def _corrupt_sums(a, change):
     """Wrap iann_decomposition_batch: change(result, a0s) for a only."""
     real = ginvlab.ginv.iann_decomposition_batch
 
-    def corrupted(x, a0s, budget=None):
-        got = real(x, a0s, budget)
+    def corrupted(x, a0s):
+        got = real(x, a0s)
         return change(got, np.asarray(a0s)) if x.index == a else got
     return corrupted
 
@@ -428,8 +428,8 @@ def note_prefix(request, monkeypatch):
 
 def _dropping(real, target, dropped):
     """Wrap a principal ideal kernel: target's ideal loses dropped."""
-    def kernel(e, budget=None):
-        got = real(e, budget)
+    def kernel(e):
+        got = real(e)
         if e.index != target:
             return got
         return ElemSet(e.ring, got.indices()[got.indices() != dropped])
