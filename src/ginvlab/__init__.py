@@ -8,16 +8,14 @@ from .errors import (BadTensorShape, BudgetExceeded, GinvError, InvalidModulus,
                      NotRegular, ParseError, RingMismatch, TableCapExceeded,
                      UnknownCheck, WrongRing)
 from .fixture import build_example_ring, is_example_ring
-from .ginv import (Frames, IannDecompositions, InverseReport, additive_span,
+from .ginv import (Frames, IannDecompositions, additive_span,
                    iann_decomposition_batch, idempotent_frames,
                    inner_annihilator, inner_inverses,
                    inner_inverses_param_batch, inner_products,
-                   inner_translate_batch, inverse_report, left_annihilator,
-                   outer_inverses, phi, principal_left_ideal,
+                   left_annihilator, outer_inverses, principal_left_ideal,
                    principal_right_ideal, ref_decomposition,
-                   reflexive_inverses, reflexive_via_product,
-                   right_annihilator, scaled_set, singleton_conjugate_batch,
-                   sumset)
+                   reflexive_inverses, right_annihilator,
+                   singleton_conjugate_batch, sumset)
 from .parsing import parse_element, render_elem
 from .rings import (DEFAULT_BUDGET, TABLE_CAP, Elem, ElemSet, MatrixRing, Ring,
                     TableRing, ZmodRing, build_matrix_ring, build_table_algebra,

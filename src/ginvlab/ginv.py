@@ -1,17 +1,20 @@
 """Generalized-inverse set computations.
 
 Exact, enumeration-based constructions: inner and outer inverse sets,
-reflexive inverses, annihilators, principal ideals, the conjugation map
-x -> x*a*x, and the parametrizations and decompositions that rewrite
-those sets through the idempotent pair e = a*a0, f = a0*a.  Operations
-that walk the whole ring honor the ring's enumeration budget and raise
-BudgetExceeded instead of starting a scan that cannot finish.
+reflexive inverses, annihilators, principal ideals, products x*a*y, and
+the parametrizations and decompositions that rewrite those sets through
+the idempotent pair e = a*a0, f = a0*a.  Operations that walk the whole
+ring honor the ring's enumeration budget and raise BudgetExceeded
+instead of starting a scan that cannot finish.
 
 Each identity that depends on an inner inverse a0 (the witness) has one
 function.  It takes an index array of witnesses of one a and returns one
 set or verdict per witness, so one witness is a one-element array;
 singleton_conjugate_batch, whose answer does not depend on a0, takes one
-witness and an array of b instead.  Most are named *_batch.
+witness and an array of b instead.  Most are named *_batch.  The two
+coset forms of I(a), a0 + {t - f*t*e} and a0 + Iann(a), are decided by
+counting: a coset that lies in I(a) equals it iff it has |I(a)|
+elements, so no translate is built.
 ref_decomposition keeps its name because the benchmark counts calls to
 it, and that count measures the batching.
 Witnesses with the same frame (a0*a, a*a0) share the frame's work; see
@@ -20,19 +23,17 @@ idempotent_frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import (
     NotInnerInverse,
     NotReflexiveInverse,
-    NotRegular,
     RingMismatch,
 )
 from .rings import (_CHUNK, Elem, ElemSet, Ring, _mask_members,
-                    _sorted_distinct, is_regular)
+                    _sorted_distinct)
 
 
 def _scan_indices(ring: Ring) -> np.ndarray:
@@ -110,46 +111,34 @@ def reflexive_inverses(a: Elem) -> ElemSet:
     return ElemSet.from_indices(ring, idx[inner_mask & outer_mask])
 
 
-def _translate_rows(ring: Ring, a0s: np.ndarray, positions: np.ndarray,
-                    base: np.ndarray) -> Iterator[tuple]:
-    """(positions, a0s[positions] + base) in blocks of about 2^20 entries."""
-    step = max(1, (1 << 20) // max(1, len(base)))
-    for lo in range(0, len(positions), step):
-        pos = positions[lo:lo + step]
-        yield pos, ring.idx_add(a0s[pos, None], base[None, :])
+def inner_inverses_param_batch(a: Elem, a0s) -> np.ndarray:
+    """Per witness a0 in a0s, whether I(a) = {a0 + t - a0*a*t*a*a0 : t in R}.
 
-
-def inner_inverses_param_batch(a: Elem, a0s) -> Iterator[tuple]:
-    """{a0 + t - a0*a*t*a*a0 : t in R}, the parametrization of I(a), per
-    witness a0 in a0s, in blocks of rows.
-
-    Yields (positions, members): positions in a0s, and per position a row
-    of the distinct members of its set, unsorted.  a0*a*t*a*a0 = f*t*e, so
-    the base {t - f*t*e : t in R} is built once per frame (f, e), and the
-    blocks come frame by frame.
+    a0*a*t*a*a0 = f*t*e, so the set is the coset a0 + B of the image B of
+    the additive map t -> t - f*t*e.  a*(t - f*t*e)*a = 0, so a0 + B lies
+    in I(a), which is checked on the images of R's additive generators.
+    Then a0 + B = I(a) iff |B| = |I(a)|, that is iff
+    |R| = |I(a)| * |{t : f*t*e = t}|, the kernel of the map.  One verdict
+    per frame (f, e), frames in blocks of max(1, _CHUNK // |R|) rows.
     """
     ring = a.ring
+    n = ring.size
     idx = _scan_indices(ring)
     frames = idempotent_frames(a, a0s)
-    for k, (f, e) in enumerate(zip(frames.f.tolist(), frames.e.tolist())):
-        positions = np.flatnonzero(frames.of == k)
-        term = ring.idx_mul(ring.idx_mul(f, idx), e)
-        base = _distinct(ring, [ring.idx_sub(idx, term)])
-        yield from _translate_rows(ring, frames.witnesses, positions, base)
-
-
-def phi(a: Elem, x: Elem) -> Elem:
-    """The conjugation x -> x*a*x; fixes Ref(a) and maps I(a) onto it."""
-    _same_ring(a, x)
-    return x * a * x
-
-
-def reflexive_via_product(a: Elem) -> ElemSet:
-    """Ref(a) computed as the product set I(a)*a*I(a)."""
-    inner = inner_inverses(a).indices()
-    if not len(inner):
-        raise NotRegular(f"{a} has no inner inverse")
-    return inner_products(a, inner, inner)
+    axa = np.asarray(ring.idx_mul(ring.idx_mul(a.index, idx), a.index))
+    inner = int(np.count_nonzero(axa == a.index))
+    f, e = frames.f[:, None], frames.e[:, None]
+    gens = ring.additive_generator_indices()[None, :]
+    base = ring.idx_sub(gens, ring.idx_mul(ring.idx_mul(f, gens), e))
+    inside = (np.asarray(ring.idx_mul(ring.idx_mul(a.index, base), a.index))
+              == 0).all(axis=1)
+    fixed = np.empty(len(inside), dtype=np.int64)
+    step = max(1, _CHUNK // n)
+    for lo in range(0, len(fixed), step):
+        rows = slice(lo, lo + step)
+        fte = ring.idx_mul(ring.idx_mul(f[rows], idx[None, :]), e[rows])
+        fixed[rows] = np.count_nonzero(fte == idx, axis=1)
+    return (inside & (fixed * inner == n))[frames.of]
 
 
 def inner_products(a: Elem, xs, ys) -> ElemSet:
@@ -238,12 +227,19 @@ def idempotent_frames(a: Elem, a0s) -> Frames:
 
 
 class IannDecompositions(NamedTuple):
-    """The two sum identities of Iann(a), for one a and its witnesses."""
+    """The two sum identities of Iann(a) and the translate I(a) = a0 + Iann(a),
+    for one a and its witnesses.
+
+    a0 + Iann(a) always lies in I(a), since a*(a0 + x)*a = a + a*x*a, so
+    it equals I(a) iff |Iann(a)| = |I(a)|; translate_ok holds that one
+    count comparison per witness.
+    """
 
     # None when Iann(a) = l(a) + r(a); otherwise the first element of
     # l(a) + r(a) outside Iann(a), or failing that of Iann(a) outside it
     ann_mismatch: Optional[int]
     frame_ok: np.ndarray  # per witness a0: whether Iann(a) = R*e_c + f_c*R
+    translate_ok: np.ndarray  # per witness a0: whether I(a) = a0 + Iann(a)
 
 
 def _row_masks(n: int, rows: np.ndarray) -> np.ndarray:
@@ -266,17 +262,21 @@ def _sums_to(u: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def iann_decomposition_batch(a: Elem, a0s) -> IannDecompositions:
-    """Iann(a) = l(a) + r(a) once, and Iann(a) = R*e_c + f_c*R per witness.
+    """Iann(a) = l(a) + r(a) once, and per witness Iann(a) = R*e_c + f_c*R
+    and I(a) = a0 + Iann(a).
 
-    Each identity is decided by the subgroup count of _sums_to, once per
-    frame; the sumset is built only to name the element of a failure.
+    Each sum identity is decided by the subgroup count of _sums_to, once
+    per frame; the sumset is built only to name the element of a failure.
+    The translate compares |Iann(a)| with |I(a)|, both counted from one
+    a*x*a gather.
     """
     ring = a.ring
     n = ring.size
     idx = _scan_indices(ring)
     frames = idempotent_frames(a, a0s)
     ax = ring.idx_mul(a.index, idx)
-    iann = np.asarray(ring.idx_mul(ax, a.index)) == 0
+    axa = np.asarray(ring.idx_mul(ax, a.index))
+    iann = axa == 0
     left = np.asarray(ring.idx_mul(idx, a.index)) == 0
     right = np.asarray(ax) == 0
     mismatch = None
@@ -292,15 +292,9 @@ def iann_decomposition_batch(a: Elem, a0s) -> IannDecompositions:
         r_ec = _row_masks(n, ring.idx_mul(idx[None, :], e_c[rows, None]))
         fc_r = _row_masks(n, ring.idx_mul(f_c[rows, None], idx[None, :]))
         ok[rows] = _sums_to(r_ec, fc_r, iann)
-    return IannDecompositions(mismatch, ok[frames.of])
-
-
-def inner_translate_batch(a: Elem, a0s) -> Iterator[tuple]:
-    """I(a) as the translate a0 + Iann(a) per witness a0 in a0s, in
-    inner_inverses_param_batch's blocks."""
-    a0s = idempotent_frames(a, a0s).witnesses
-    iann = inner_annihilator(a).indices()
-    return _translate_rows(a.ring, a0s, np.arange(len(a0s)), iann)
+    translate = np.count_nonzero(iann) == np.count_nonzero(axa == a.index)
+    return IannDecompositions(mismatch, ok[frames.of],
+                              np.full(len(frames.of), translate))
 
 
 def _distinct_per_row(n: int, vals: np.ndarray) -> tuple:
@@ -315,11 +309,11 @@ def _distinct_per_row(n: int, vals: np.ndarray) -> tuple:
 def ref_decomposition(a: Elem, a0s) -> np.ndarray:
     """Ref(a) as {a0 + f*r*e_c + f_c*s*e + f_c*s*a*r*e_c : r, s in R}.
 
-    This is phi applied to the translate form of I(a): writing a member
-    as a0 + r*e_c + f_c*s and conjugating kills the cross terms, leaving
-    the two-parameter family above.  The r and s occurrences are shared
-    between summands, so the family is strictly smaller than the sumset
-    of the three independent product sets.
+    This is the image of the translate form of I(a) under x -> x*a*x:
+    writing a member as a0 + r*e_c + f_c*s and conjugating kills the
+    cross terms, leaving the two-parameter family above.  The r and s
+    occurrences are shared between summands, so the family is strictly
+    smaller than the sumset of the three independent product sets.
 
     a0s is an index array of reflexive inverses, and the result is a
     (len(a0s), |R|) bool array whose row k is the membership mask of
@@ -412,15 +406,6 @@ def sumset(s: ElemSet, t: ElemSet) -> ElemSet:
                                                 s.indices(), t.indices()))
 
 
-def scaled_set(c: Elem, s: ElemSet, d: Elem) -> ElemSet:
-    """{c*x*d : x in s}."""
-    ring = _same_ring(c, d)
-    if s.ring != ring:
-        raise RingMismatch("set belongs to a different ring")
-    vals = ring.idx_mul(ring.idx_mul(c.index, s.indices()), d.index)
-    return ElemSet.from_indices(ring, vals)
-
-
 def additive_span(ring: Ring, gens: Iterable[Elem]) -> ElemSet:
     """Closure of gens under addition and integer scaling; contains 0."""
     arr = np.zeros(1, dtype=np.int64)
@@ -431,53 +416,3 @@ def additive_span(ring: Ring, gens: Iterable[Elem]) -> ElemSet:
                   for c in range(ring.char)]
         arr = np.unique(np.concatenate(layers))
     return ElemSet.from_indices(ring, arr)
-
-
-# ---------------------------------------------------------------------------
-# the combined report
-
-
-@dataclass(frozen=True)
-class InverseReport:
-    """Every inverse-related set for one element, plus the chosen witness."""
-
-    element: Elem
-    witness: Optional[Elem]
-    inner: ElemSet
-    reflexive: ElemSet
-    outer: ElemSet
-    iann: ElemSet
-    left_ann: ElemSet
-    right_ann: ElemSet
-    right_ideal: ElemSet
-    left_ideal: ElemSet
-
-    def cardinalities(self) -> dict[str, int]:
-        """The size of every set, keyed by field name in field order."""
-        return {f.name: len(getattr(self, f.name)) for f in fields(self)
-                if f.name not in ("element", "witness")}
-
-
-def inverse_report(a: Elem) -> InverseReport:
-    """Compute all the sets for a and sanity-check their relations."""
-    ring = a.ring
-    ring.ensure_enumerable()
-    witness = is_regular(a)
-    report = InverseReport(
-        element=a,
-        witness=witness,
-        inner=inner_inverses(a),
-        reflexive=reflexive_inverses(a),
-        outer=outer_inverses(a),
-        iann=inner_annihilator(a),
-        left_ann=left_annihilator(a),
-        right_ann=right_annihilator(a),
-        right_ideal=principal_right_ideal(a),
-        left_ideal=principal_left_ideal(a),
-    )
-    consistent = (report.reflexive == report.inner.intersection(report.outer)
-                  and (len(report.inner) > 0) == (witness is not None)
-                  and (witness is None or witness in report.inner))
-    if not consistent:
-        raise NotRegular(f"inconsistent inverse sets for {a}; table corruption?")
-    return report

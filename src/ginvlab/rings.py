@@ -366,15 +366,6 @@ class ElemSet:
             return cls(ring, _mask_members(ring, [indices]))
         return cls(ring, _sorted_distinct(indices))
 
-    @classmethod
-    def from_elems(cls, ring: Ring, elems) -> "ElemSet":
-        out = []
-        for e in elems:
-            if e.ring is not ring and e.ring != ring:
-                raise RingMismatch("set members belong to different rings")
-            out.append(e.index)
-        return cls.from_indices(ring, out)
-
     def indices(self) -> np.ndarray:
         return self.idx
 

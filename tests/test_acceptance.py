@@ -82,13 +82,16 @@ def test_c03_parametrization_matches_scan_for_every_witness(
         z6, z30, m2gf2, m2gf3, example):
     for ring in (z6, z30, m2gf2, m2gf3, example):
         for a in regular_elements(ring):
+            # one verdict per witness: a0 + {t - f*t*e : t in R} = I(a)
             inner = inner_inverses(a).indices()
-            seen = np.zeros(len(inner), dtype=bool)
-            for positions, members in inner_inverses_param_batch(a, inner):
-                seen[positions] = True
-                for a0, row in zip(inner[positions].tolist(), members):
-                    assert np.array_equal(np.unique(row), inner), (a, a0)
-            assert seen.all(), a
+            verdicts = inner_inverses_param_batch(a, inner)
+            assert verdicts.shape == inner.shape and verdicts.all(), a
+            # and, built in full for the first witness, the scan's set
+            t, a0 = ring.all_indices(), int(inner[0])
+            f, e = ring.idx_mul(a0, a.index), ring.idx_mul(a.index, a0)
+            row = ring.idx_add(a0, ring.idx_sub(
+                t, ring.idx_mul(ring.idx_mul(f, t), e)))
+            assert np.array_equal(np.unique(row), inner), a
 
 
 def test_c04_comparison_biconditional_with_proof_identities(

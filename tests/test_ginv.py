@@ -5,18 +5,16 @@ import random
 import numpy as np
 import pytest
 
-from ginvlab import (BudgetExceeded, ElemSet, NotInnerInverse, NotRegular,
+from ginvlab import (BudgetExceeded, ElemSet, NotInnerInverse,
                      NotReflexiveInverse, RingMismatch, ZmodRing,
                      additive_span, build_matrix_ring, build_zmod,
                      iann_decomposition_batch, idempotent_frames,
                      inner_annihilator, inner_inverses,
-                     inner_inverses_param_batch, inner_products,
-                     inner_translate_batch, inverse_report, is_regular,
-                     left_annihilator, outer_inverses, parse_element, phi,
+                     inner_inverses_param_batch, inner_products, is_regular,
+                     left_annihilator, outer_inverses, parse_element,
                      principal_left_ideal, principal_right_ideal,
                      ref_decomposition, reflexive_inverses,
-                     reflexive_via_product, right_annihilator, scaled_set,
-                     singleton_conjugate_batch, sumset)
+                     right_annihilator, singleton_conjugate_batch, sumset)
 from ginvlab import ginv, rings
 from ginvlab.ginv import _pairwise
 
@@ -94,29 +92,56 @@ def test_inner_nonempty_iff_regular(z6, z30, m2gf2):
                 assert len(inner) == len(inner_annihilator(a))
 
 
-def _assert_rows_equal_inner_set(a):
-    """Every row of both translate forms of I(a), one per witness, is I(a)."""
+def _coset_verdicts(a, a0s):
+    """Per witness, whether a0 + {t - f*t*e : t in R} and a0 + Iann(a) are
+    I(a), each translate built in full and compared with the scan."""
+    ring = a.ring
+    idx = ring.all_indices()
     inner = inner_inverses(a).indices()
-    for blocks in (inner_inverses_param_batch(a, inner),
-                   inner_translate_batch(a, inner)):
-        rows = _rows_as_sets(a.ring, blocks, len(inner))
-        for a0, row in zip(inner.tolist(), rows):
-            assert np.array_equal(row, inner), (a, a0)
+    iann = inner_annihilator(a).indices()
+    param, translate = [], []
+    for a0 in np.asarray(a0s, dtype=np.int64).tolist():
+        f, e = ring.idx_mul(a0, a.index), ring.idx_mul(a.index, a0)
+        base = ring.idx_sub(idx, ring.idx_mul(ring.idx_mul(f, idx), e))
+        for coset, out in ((base, param), (iann, translate)):
+            out.append(np.array_equal(np.unique(ring.idx_add(a0, coset)),
+                                      inner))
+    return param, translate
+
+
+def _assert_coset_verdicts(a):
+    """Both counting verdicts, one per witness of a, against
+    _coset_verdicts."""
+    a0s = inner_inverses(a).indices()
+    param, translate = _coset_verdicts(a, a0s)
+    got = inner_inverses_param_batch(a, a0s)
+    assert got.dtype == bool and got.tolist() == param, a
+    got = iann_decomposition_batch(a, a0s).translate_ok
+    assert got.dtype == bool and got.tolist() == translate, a
 
 
 def test_param_matches_scan(z6, z4, m2gf2):
     for ring in (z6, z4, m2gf2):
         for a in ring.elements():
-            _assert_rows_equal_inner_set(a)
+            _assert_coset_verdicts(a)
+
+
+def test_coset_verdicts_above_table_cap():
+    # Z/5005 has no op tables: both verdicts run on raw arithmetic
+    ring = build_zmod(5005)
+    assert not ring.has_tables()
+    picks = random.Random(11).sample(range(ring.size), 40)
+    regular = [a for a in map(ring.from_index, picks) if is_regular(a)][:5]
+    assert len(regular) == 5
+    for a in regular:
+        _assert_coset_verdicts(a)
 
 
 def test_param_rejects_non_inverse(z6):
     three = z6.from_index(3)
     two = z6.from_index(2)
     with pytest.raises(NotInnerInverse):
-        list(inner_inverses_param_batch(three, [two.index]))
-    with pytest.raises(NotInnerInverse):
-        inner_translate_batch(three, [two.index])
+        inner_inverses_param_batch(three, [two.index])
     with pytest.raises(NotInnerInverse):
         idempotent_frames(three, [two.index])
 
@@ -304,32 +329,21 @@ def test_ref_decomposition_array_names_the_first_bad_witness(m2gf2):
     assert str(exc.value) == f"{x} is not an outer inverse of {a}"
 
 
-def test_reflexive_via_product(z6, m2gf2):
-    for ring in (z6, m2gf2):
-        for idx in range(ring.size):
-            a = ring.from_index(idx)
-            if is_regular(a) is None:
-                continue
-            assert reflexive_via_product(a) == reflexive_inverses(a)
-
-
-def test_reflexive_via_product_rejects_non_regular(z4):
-    with pytest.raises(NotRegular):
-        reflexive_via_product(z4.from_index(2))
-
-
 def test_phi_maps_inner_onto_reflexive(z6, m2gf2):
+    # phi: x -> x*a*x maps I(a) onto Ref(a) and fixes it, and
+    # Ref(a) = I(a)*a*I(a)
     for ring in (z6, m2gf2):
         for idx in range(ring.size):
             a = ring.from_index(idx)
             inner = inner_inverses(a)
             if not len(inner):
                 continue
-            image = ElemSet.from_elems(ring, [phi(a, x) for x in inner])
+            image = {(x * a * x).index for x in inner}
             refl = reflexive_inverses(a)
-            assert image == refl
+            assert sorted(image) == refl.indices().tolist()
             for y in refl:
-                assert phi(a, y) == y
+                assert y * a * y == y
+            assert inner_products(a, inner.indices(), inner.indices()) == refl
 
 
 def test_singleton_conjugate_matches_bruteforce(z6):
@@ -370,8 +384,6 @@ def test_set_plumbing(z6):
     t = ElemSet.from_indices(z6, [0, 3])
     assert set(sumset(s, t).indices().tolist()) == {1, 2, 4, 5}
     two = z6.from_index(2)
-    one = z6.from_index(1)
-    assert set(scaled_set(two, s, one).indices().tolist()) == {2, 4}
     span = additive_span(z6, [two])
     assert set(span.indices().tolist()) == {0, 2, 4}
     assert set(additive_span(z6, []).indices().tolist()) == {0}
@@ -411,26 +423,11 @@ def test_principal_ideals(z6, m2gf2):
             assert set(principal_left_ideal(a).indices().tolist()) == left
 
 
-def test_inverse_report(z6, z4):
-    report = inverse_report(z6.from_index(3))
-    cards = report.cardinalities()
-    assert cards["inner"] == 3 and cards["reflexive"] == 1
-    assert cards["inner"] == cards["iann"]
-    assert report.witness in report.inner
-    assert report.reflexive == report.inner.intersection(report.outer)
-    empty = inverse_report(z4.from_index(2))
-    assert empty.witness is None and len(empty.inner) == 0
-
-
 def test_cross_ring_rejected(z6, z4):
     a = z6.from_index(3)
     x = z4.from_index(1)
     with pytest.raises(RingMismatch):
-        phi(a, x)
-    with pytest.raises(RingMismatch):
         sumset(inner_inverses(a), inner_inverses(x))
-    with pytest.raises(RingMismatch):
-        scaled_set(a, inner_inverses(x), a)
     with pytest.raises(RingMismatch):
         singleton_conjugate_batch([0], a, x)
 
@@ -441,15 +438,6 @@ def test_budget_respected():
     # generous budget allows the scan
     big = ZmodRing(100003, enumeration_budget=200000)
     assert len(inner_inverses(big.from_index(5))) > 0
-
-
-def _rows_as_sets(ring, blocks, count):
-    """Per witness position, the sorted members of its row in the blocks."""
-    out = [None] * count
-    for positions, members in blocks:
-        for pos, row in zip(positions.tolist(), np.asarray(members)):
-            out[pos] = np.unique(row)
-    return out
 
 
 def _batch_cases(name, request):
@@ -466,7 +454,7 @@ def test_batched_forms_match_the_scan(request, name):
     bs = ring.all_indices()
     for a in regs:
         a0s = inner_inverses(a).indices()
-        _assert_rows_equal_inner_set(a)
+        _assert_coset_verdicts(a)
         _assert_iann_sums(a)
         want = _singleton_by_gather(ring, a)
         for a0 in (a0s[0], a0s[-1]):
@@ -513,8 +501,7 @@ def test_frames_match_reflexive_inverses(request, name):
 
 def test_batched_forms_reject_non_inverses(z6):
     three, two = z6.from_index(3), z6.from_index(2)
-    calls = [lambda: list(inner_inverses_param_batch(three, [1, 2, 3])),
-             lambda: inner_translate_batch(three, [1, 2, 3]),
+    calls = [lambda: inner_inverses_param_batch(three, [1, 2, 3]),
              lambda: iann_decomposition_batch(three, [1, 2, 3]),
              lambda: idempotent_frames(three, [1, 2, 3]),
              lambda: singleton_conjugate_batch([0, 1], three, two)]
@@ -532,8 +519,7 @@ def test_batched_forms_name_the_first_non_witness(m2gf2):
     low, high = outside[0], outside[-1]
     assert low < high and len(inner) > 2
     a0s = inner[:1] + [high] + inner[1:] + [low]
-    calls = [lambda: list(inner_inverses_param_batch(a, a0s)),
-             lambda: inner_translate_batch(a, a0s),
+    calls = [lambda: inner_inverses_param_batch(a, a0s),
              lambda: iann_decomposition_batch(a, a0s),
              lambda: idempotent_frames(a, a0s)]
     for call in calls:

@@ -22,6 +22,12 @@ CASES = {
     "m2gf5": ({"kind": "matrix", "k": 2, "q": 5}, 0),
     "z1155": ({"kind": "zmod", "n": 1155}, 0),
     "z5005": ({"kind": "zmod", "n": 5005}, 0),  # above TABLE_CAP: sampled
+    # GF(2)[t]/(t^13): a table algebra above TABLE_CAP, not semiprime
+    "gf2t13": ({"kind": "table", "p": 2,
+                "basis": ["1", "t"] + [f"t{i}" for i in range(2, 13)],
+                "unity": [1] + [0] * 12,
+                "constants": [[i, j, i + j, 1] for i in range(13)
+                              for j in range(13) if i + j < 13]}, 0),
 }
 
 

@@ -310,8 +310,6 @@ def test_elemset_equal_sets_hash_equal(z6):
     s = ElemSet.from_indices(z6, [1, 3, 5])
     t = ElemSet.from_indices(z6, np.asarray([5, 3, 5, 1, 1], dtype=np.uint16))
     assert s == t and hash(s) == hash(t)
-    assert ElemSet.from_elems(z6, [z6.from_index(5), z6.from_index(1),
-                                   z6.from_index(3)]) == s
     assert s != ElemSet.from_indices(z6, [1, 3])
     assert tuple(s.idx) == (1, 3, 5)
     assert [e.index for e in s] == [1, 3, 5]

@@ -235,54 +235,44 @@ def _outside(ring, members):
     return int(np.setdiff1d(ring.all_indices(), members)[0])
 
 
-def _corrupt_rows(ring, real, target):
-    """Wrap a (positions, members)-block batch form: one wrong row."""
-    a, a0 = target
-
-    def corrupted(x, a0s):
-        for positions, members in real(x, a0s):
-            members = np.array(members, dtype=np.int64)
-            hit = np.asarray(a0s)[positions] == a0
-            if x.index == a and hit.any():
-                outside = _outside(ring, inner_inverses(x).indices())
-                members[np.argmax(hit), 0] = outside
-            yield positions, members
-    return corrupted
-
-
 def _witnesses(verdict):
     return [(k, e.index) for k, e in verdict.witnesses]
 
 
-def test_inner_param_checks_the_batched_parametrization(m2gf2, monkeypatch):
-    target = _last_with_several(m2gf2, inner_inverses)
-    monkeypatch.setattr(
-        theoremlab, "inner_inverses_param_batch", _corrupt_rows(
-            m2gf2, ginvlab.ginv.inner_inverses_param_batch, target))
-    verdict = check_inner_param(m2gf2)
-    assert verdict.status == "violation"
-    assert _witnesses(verdict) == [("a", target[0]), ("a0", target[1])]
-    assert verdict.note == "parametrized I(a) differs from the scan"
-
-
-def test_decomposition_checks_the_batched_translate(m2gf2, monkeypatch):
-    target = _last_with_several(m2gf2, inner_inverses)
-    monkeypatch.setattr(theoremlab, "inner_translate_batch", _corrupt_rows(
-        m2gf2, ginvlab.ginv.inner_translate_batch, target))
-    verdict = check_decomposition(m2gf2)
-    assert verdict.status == "violation"
-    assert _witnesses(verdict) == [("a", target[0]), ("a0", target[1])]
-    assert verdict.note == "a0 + Iann(a) differs from I(a)"
-
-
-def _corrupt_sums(a, change):
-    """Wrap iann_decomposition_batch: change(result, a0s) for a only."""
-    real = ginvlab.ginv.iann_decomposition_batch
+def _corrupt(name, a, change):
+    """Wrap the ginv kernel name: change(result, a0s) for a only."""
+    real = getattr(ginvlab.ginv, name)
 
     def corrupted(x, a0s):
         got = real(x, a0s)
         return change(got, np.asarray(a0s)) if x.index == a else got
     return corrupted
+
+
+def _corrupt_sums(a, change):
+    """_corrupt for iann_decomposition_batch."""
+    return _corrupt("iann_decomposition_batch", a, change)
+
+
+def test_inner_param_checks_the_batched_parametrization(m2gf2, monkeypatch):
+    a, a0 = _last_with_several(m2gf2, inner_inverses)
+    monkeypatch.setattr(theoremlab, "inner_inverses_param_batch", _corrupt(
+        "inner_inverses_param_batch", a, lambda got, a0s: got & (a0s != a0)))
+    verdict = check_inner_param(m2gf2)
+    assert verdict.status == "violation"
+    assert _witnesses(verdict) == [("a", a), ("a0", a0)]
+    assert verdict.note == "parametrized I(a) differs from the scan"
+
+
+def test_decomposition_checks_the_batched_translate(m2gf2, monkeypatch):
+    a, a0 = _last_with_several(m2gf2, inner_inverses)
+    monkeypatch.setattr(theoremlab, "iann_decomposition_batch", _corrupt_sums(
+        a, lambda got, a0s: got._replace(
+            translate_ok=got.translate_ok & (a0s != a0))))
+    verdict = check_decomposition(m2gf2)
+    assert verdict.status == "violation"
+    assert _witnesses(verdict) == [("a", a), ("a0", a0)]
+    assert verdict.note == "a0 + Iann(a) differs from I(a)"
 
 
 def test_decomposition_checks_the_batched_annihilator_sum(m2gf2, monkeypatch):
