@@ -12,8 +12,9 @@ from .ginv import (Frames, IannDecompositions, additive_span,
                    iann_decomposition_batch, idempotent_frames,
                    inner_annihilator, inner_inverses,
                    inner_inverses_param_batch, inner_products,
-                   left_annihilator, outer_inverses, principal_left_ideal,
-                   principal_right_ideal, ref_decomposition,
+                   left_annihilator, outer_inverses, principal_ideal_rows,
+                   principal_left_ideal, principal_right_ideal,
+                   ref_decomposition,
                    reflexive_inverses, right_annihilator,
                    singleton_conjugate_batch, sumset)
 from .parsing import parse_element, render_elem

@@ -32,8 +32,7 @@ from .errors import (
     NotReflexiveInverse,
     RingMismatch,
 )
-from .rings import (_CHUNK, Elem, ElemSet, Ring, _mask_members,
-                    _sorted_distinct)
+from .rings import _CHUNK, Elem, ElemSet, Ring, _distinct
 
 
 def _scan_indices(ring: Ring) -> np.ndarray:
@@ -47,20 +46,6 @@ def _same_ring(*elems: Elem) -> Ring:
         if e.ring is not ring and e.ring != ring:
             raise RingMismatch("elements belong to different rings")
     return ring
-
-
-def _distinct(ring: Ring, blocks) -> np.ndarray:
-    """Sorted distinct int64 values over an iterable of index blocks.
-
-    With op tables one index mask collects them; above TABLE_CAP each
-    block is deduplicated on its own, which bounds peak memory by the
-    block size, and the pieces are merged.
-    """
-    if ring.has_tables():
-        return _mask_members(ring, blocks)
-    pieces = [_sorted_distinct(b) for b in blocks]
-    return (pieces[0] if len(pieces) == 1
-            else _sorted_distinct(np.concatenate(pieces)))
 
 
 def _first_difference(got: np.ndarray, want: np.ndarray) -> int:
@@ -178,18 +163,34 @@ def inner_annihilator(a: Elem) -> ElemSet:
     return ElemSet.from_indices(ring, idx[axa == 0])
 
 
+def principal_ideal_rows(ring: Ring, side: str, s) -> np.ndarray:
+    """Membership rows of sR (side "right") or Rs (side "left"), one per s.
+
+    A (len(s), |R|) bool array, built in blocks of max(1, _CHUNK // |R|)
+    rows so that each gather has at most max(_CHUNK, |R|) entries.
+    """
+    idx = _scan_indices(ring)[None, :]
+    s = np.asarray(s, dtype=np.int64).reshape(-1, 1)
+    out = np.zeros((len(s), ring.size), dtype=bool)
+    step = max(1, _CHUNK // ring.size)
+    for lo in range(0, len(s), step):
+        rows = s[lo:lo + step]
+        prods = (ring.idx_mul(rows, idx) if side == "right"
+                 else ring.idx_mul(idx, rows))
+        out[np.arange(lo, lo + len(rows))[:, None], prods] = True
+    return out
+
+
 def principal_right_ideal(a: Elem) -> ElemSet:
     """aR = {a*r : r in R}."""
-    ring = a.ring
-    idx = _scan_indices(ring)
-    return ElemSet.from_indices(ring, ring.idx_mul(a.index, idx))
+    return ElemSet(a.ring, np.flatnonzero(
+        principal_ideal_rows(a.ring, "right", [a.index])[0]))
 
 
 def principal_left_ideal(a: Elem) -> ElemSet:
     """Ra = {r*a : r in R}."""
-    ring = a.ring
-    idx = _scan_indices(ring)
-    return ElemSet.from_indices(ring, ring.idx_mul(idx, a.index))
+    return ElemSet(a.ring, np.flatnonzero(
+        principal_ideal_rows(a.ring, "left", [a.index])[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +243,6 @@ class IannDecompositions(NamedTuple):
     translate_ok: np.ndarray  # per witness a0: whether I(a) = a0 + Iann(a)
 
 
-def _row_masks(n: int, rows: np.ndarray) -> np.ndarray:
-    """One membership mask over range(n) per row of indices."""
-    masks = np.zeros((len(rows), n), dtype=bool)
-    masks[np.arange(len(rows))[:, None], rows] = True
-    return masks
-
-
 def _sums_to(u: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Whether U + W = T, for additive subgroups given as masks (per row).
 
@@ -266,12 +260,12 @@ def iann_decomposition_batch(a: Elem, a0s) -> IannDecompositions:
     and I(a) = a0 + Iann(a).
 
     Each sum identity is decided by the subgroup count of _sums_to, once
-    per frame; the sumset is built only to name the element of a failure.
+    per frame, with R*e_c and f_c*R from principal_ideal_rows; the sumset
+    is built only to name the element of a failure.
     The translate compares |Iann(a)| with |I(a)|, both counted from one
     a*x*a gather.
     """
     ring = a.ring
-    n = ring.size
     idx = _scan_indices(ring)
     frames = idempotent_frames(a, a0s)
     ax = ring.idx_mul(a.index, idx)
@@ -286,12 +280,12 @@ def iann_decomposition_batch(a: Elem, a0s) -> IannDecompositions:
     e_c = np.asarray(ring.idx_sub(ring._one_index, frames.e), dtype=np.int64)
     f_c = np.asarray(ring.idx_sub(ring._one_index, frames.f), dtype=np.int64)
     ok = np.empty(len(e_c), dtype=bool)
-    step = max(1, _CHUNK // n)
+    step = max(1, _CHUNK // ring.size)
     for lo in range(0, len(ok), step):
         rows = slice(lo, lo + step)
-        r_ec = _row_masks(n, ring.idx_mul(idx[None, :], e_c[rows, None]))
-        fc_r = _row_masks(n, ring.idx_mul(f_c[rows, None], idx[None, :]))
-        ok[rows] = _sums_to(r_ec, fc_r, iann)
+        ok[rows] = _sums_to(principal_ideal_rows(ring, "left", e_c[rows]),
+                            principal_ideal_rows(ring, "right", f_c[rows]),
+                            iann)
     translate = np.count_nonzero(iann) == np.count_nonzero(axa == a.index)
     return IannDecompositions(mismatch, ok[frames.of],
                               np.full(len(frames.of), translate))

@@ -276,17 +276,22 @@ def _sorted_distinct(values) -> np.ndarray:
     return arr[keep]
 
 
-def _mask_members(ring: Ring, blocks) -> np.ndarray:
-    """Sorted distinct int64 indices over an iterable of index arrays.
+def _distinct(ring: Ring, blocks) -> np.ndarray:
+    """Sorted distinct int64 indices over an iterable of index blocks.
 
-    One boolean mask over range(ring.size) collects every block, so the
-    cost is linear in the input plus |R| and no sort runs.  Meant for rings
-    with op tables, where |R| <= TABLE_CAP.
+    With op tables (|R| <= TABLE_CAP) one boolean mask over range(|R|)
+    collects every block, so the cost is linear in the input plus |R| and
+    no sort runs.  Above TABLE_CAP each block is deduplicated on its own,
+    which bounds peak memory by the block size, and the pieces are merged.
     """
-    mask = np.zeros(ring.size, dtype=bool)
-    for block in blocks:
-        mask[block] = True
-    return np.flatnonzero(mask).astype(np.int64, copy=False)
+    if ring.has_tables():
+        mask = np.zeros(ring.size, dtype=bool)
+        for block in blocks:
+            mask[block] = True
+        return np.flatnonzero(mask).astype(np.int64, copy=False)
+    pieces = [_sorted_distinct(b) for b in blocks]
+    return (pieces[0] if len(pieces) == 1
+            else _sorted_distinct(np.concatenate(pieces)))
 
 
 class Elem:
@@ -362,9 +367,7 @@ class ElemSet:
     def from_indices(cls, ring: Ring, indices) -> "ElemSet":
         if not isinstance(indices, np.ndarray):
             indices = np.fromiter(indices, dtype=np.int64)
-        if ring.has_tables():
-            return cls(ring, _mask_members(ring, [indices]))
-        return cls(ring, _sorted_distinct(indices))
+        return cls(ring, _distinct(ring, [indices]))
 
     def indices(self) -> np.ndarray:
         return self.idx

@@ -16,8 +16,9 @@ every witness; larger (but still budget-sized) rings over a
 deterministic evenly-spaced sample (pairs over a smaller subsample), the
 first inner inverse of each element and no reflexive witness, and
 _Scan.note marks their notes "sampled".  _Scan is also the only reader
-of how principal ideals are stored, so jain_prasad, subset_criterion,
-invariance and hartwig run one body in both modes.  One check still
+of how principal ideals are stored: one store per side, filled from the
+batched kernel ginv.principal_ideal_rows in both modes, so jain_prasad,
+subset_criterion, invariance and hartwig run one body.  One check still
 picks an algorithm by size: refl_map's product law I(a)*a*I(a) samples
 factor pairs once the pair count passes 2^22, since the product set is
 quadratic in |I(a)|.
@@ -41,9 +42,8 @@ from .errors import BudgetExceeded, UnknownCheck, WrongRing
 from .ginv import (_first_difference, additive_span,
                    iann_decomposition_batch, idempotent_frames,
                    inner_inverses, inner_inverses_param_batch, inner_products,
-                   left_annihilator, principal_left_ideal,
-                   principal_right_ideal, ref_decomposition,
-                   reflexive_inverses, right_annihilator,
+                   left_annihilator, principal_ideal_rows,
+                   ref_decomposition, reflexive_inverses, right_annihilator,
                    singleton_conjugate_batch)
 from .rings import TABLE_CAP, Elem, Ring
 
@@ -88,6 +88,48 @@ def _render(ring: Ring, i: int) -> str:
     return parsing.render_elem(Elem(ring, int(i)))
 
 
+class _Ideals:
+    """The principal ideals of one side seen so far, each stored once.
+
+    `ids[s]` is the id of sR (or Rs), -1 while s is not seen yet; `rows`
+    holds one bool membership row per id, and `meets[i, j]` whether rows
+    i and j meet only in 0.  meets counts the common members in float32,
+    which is exact for `== 1` at any |R|: the terms are 0 or 1, and a
+    partial sum that reaches 2 rounds to at least 2, never back to 1.
+    """
+
+    def __init__(self, ring: Ring, side: str, first: np.ndarray):
+        self.ring, self.side = ring, side
+        self.ids = np.full(ring.size, -1, dtype=np.int64)
+        self._of_row: dict[bytes, int] = {}
+        self.rows = np.zeros((0, ring.size), dtype=bool)
+        self.meets = np.zeros((0, 0), dtype=bool)
+        self.intern(first)
+
+    def ids_of(self, s) -> np.ndarray:
+        """The id of each s's ideal, computing those not seen yet."""
+        s = np.asarray(s, dtype=np.int64)
+        unseen = s[self.ids[s] < 0]
+        if len(unseen):
+            self.intern(np.unique(unseen))
+        return self.ids[s]
+
+    def intern(self, s: np.ndarray) -> None:
+        """Give each index in s its ideal's id, from one kernel call."""
+        fresh = []
+        for i, row in zip(s.tolist(),
+                          principal_ideal_rows(self.ring, self.side, s)):
+            key = row.tobytes()
+            if key not in self._of_row:
+                self._of_row[key] = len(self._of_row)
+                fresh.append(row)
+            self.ids[i] = self._of_row[key]
+        if fresh:
+            self.rows = np.concatenate([self.rows, fresh])
+            counts = self.rows.astype(np.float32)
+            self.meets = counts @ counts.T == 1
+
+
 class _Scan:
     """Shared per-run caches over one ring, and its quantified domain.
 
@@ -99,12 +141,14 @@ class _Scan:
     word the notes of sampled runs.
 
     Principal ideals answer three questions, each broadcast over index
-    arrays: `ideal_key(a)` (equal exactly when aR = bR and Ra = Rb),
-    `trivial_meet(side, b, d)` (bR and dR, or Rb and Rd, meet only in 0)
-    and `member(side, x, s)` (x in sR, or x in Rs).  Every ideal comes
-    from ginv.principal_right_ideal or principal_left_ideal: interned
-    once for all elements in exhaustive mode, computed on demand when
-    sampled.
+    arrays: `ideal_key(a)` (the pair of ideal ids, equal exactly when
+    aR = bR and Ra = Rb), `trivial_meet(side, b, d)` (bR and dR, or Rb
+    and Rd, meet only in 0) and `member(side, x, s)` (x in sR, or x in
+    Rs).  One _Ideals store per side answers them the same way in both
+    modes: each element's ideal comes from one ginv.principal_ideal_rows
+    call, made on first use, and the first use interns the whole sample,
+    so an exhaustive run makes one kernel call per side.  I(a) and Ref(a)
+    are likewise computed once per element and kept.
     """
 
     def __init__(self, ring: Ring):
@@ -113,8 +157,7 @@ class _Scan:
         self._isets: dict[int, np.ndarray] = {}
         self._refsets: dict[int, np.ndarray] = {}
         self._isreg: dict[int, bool] = {}
-        self._kept_rows: dict[tuple[str, int], np.ndarray] = {}
-        self._interning: dict[str, tuple] = {}
+        self._ideals: dict[str, _Ideals] = {}
 
     @cached_property
     def idx(self) -> np.ndarray:
@@ -154,12 +197,9 @@ class _Scan:
                           dtype=bool).reshape(arr.shape)
 
     def _kept(self, cache: dict, kernel, a: int) -> np.ndarray:
-        if a in cache:
-            return cache[a]
-        out = kernel(Elem(self.ring, a)).indices()
-        if not self.sampled:  # sampled sets are not kept; they may be large
-            cache[a] = out
-        return out
+        if a not in cache:
+            cache[a] = kernel(Elem(self.ring, a)).indices()
+        return cache[a]
 
     def iset(self, a: int) -> np.ndarray:
         return self._kept(self._isets, inner_inverses, a)
@@ -212,69 +252,28 @@ class _Scan:
                     f"{len(self.pair_points)}-point sample")
         return f"all {count} {pairs}"
 
-    def ideal_key(self, a: int):
-        """Equal for a and b exactly when aR = bR and Ra = Rb."""
-        return tuple(rows[at].tobytes() for rows, at in (
-            self._ideal_rows(side, a) for side in ("right", "left")))
+    def ideal_key(self, a):
+        """(id of aR, id of Ra), broadcast over a: equal for a and b exactly
+        when aR = bR and Ra = Rb."""
+        return self._store("right").ids_of(a), self._store("left").ids_of(a)
 
     def trivial_meet(self, side: str, b, d) -> np.ndarray:
         """Whether bR and dR (or Rb and Rd) meet only in 0."""
-        rb, ib = self._ideal_rows(side, b)
-        rd, jd = self._ideal_rows(side, d)
-        if not self.sampled:
-            _, _, meets = self._interned(side)
-            return meets[ib, jd]
-        return np.count_nonzero(rb[ib] & rd[jd], axis=-1) == 1
+        store = self._store(side)
+        ib, jd = store.ids_of(b), store.ids_of(d)
+        return store.meets[ib, jd]
 
     def member(self, side: str, x, s) -> np.ndarray:
         """Whether x lies in sR (or in Rs)."""
-        rows, at = self._ideal_rows(side, s)
-        return rows[at, x]
+        store = self._store(side)
+        at = store.ids_of(s)  # may grow store.rows
+        return store.rows[at, x]
 
-    def _ideal_rows(self, side: str, s):
-        """(rows, at): bool membership rows, and the row of each s's ideal.
-
-        Exhaustive runs read the interning.  Sampled runs compute the ideal
-        of each distinct s once per call and keep only the pair points'.
-        """
-        if not self.sampled:
-            ids, masks, _ = self._interned(side)
-            return masks, ids[s]
-        distinct, at = np.unique(np.asarray(s, dtype=np.int64),
-                                 return_inverse=True)
-        rows = [self._ideal_row(side, v) for v in distinct.tolist()]
-        return np.asarray(rows), at.reshape(np.shape(s))
-
-    def _ideal_row(self, side: str, s: int) -> np.ndarray:
-        if (side, s) in self._kept_rows:
-            return self._kept_rows[side, s]
-        row = self._ideal_mask(side, s)
-        if s in self.pair_points:  # other s may be many; not kept
-            self._kept_rows[side, s] = row
-        return row
-
-    def _ideal_mask(self, side: str, s: int) -> np.ndarray:
-        kernel = (principal_right_ideal if side == "right"
-                  else principal_left_ideal)
-        mask = np.zeros(self.ring.size, dtype=bool)
-        mask[kernel(Elem(self.ring, s)).indices()] = True
-        return mask
-
-    def _interned(self, side: str):
-        """(ids, masks, meets): each element's ideal as the id of one bool
-        row per distinct ideal, and which pairs of rows meet only in 0.
-        float32 counts the common members exactly, as |R| <= TABLE_CAP."""
-        if side not in self._interning:
-            n = self.ring.size
-            rows = np.asarray([self._ideal_mask(side, i) for i in range(n)])
-            # one bytes item per row: np.unique(axis=0) compares field-wise
-            _, first, ids = np.unique(rows.view(np.dtype((np.void, n)))[:, 0],
-                                      return_index=True, return_inverse=True)
-            masks = rows[first]
-            counts = masks.astype(np.float32)
-            self._interning[side] = (ids.reshape(-1), masks,
-                                     counts @ counts.T == 1)
-        return self._interning[side]
+    def _store(self, side: str) -> _Ideals:
+        if side not in self._ideals:
+            # self.sample checks the budget before ids spans the ring
+            self._ideals[side] = _Ideals(self.ring, side, self.sample)
+        return self._ideals[side]
 
     @cached_property
     def unit_idx(self) -> np.ndarray:
@@ -589,8 +588,9 @@ def _check_hartwig(s: _Scan):
     except BudgetExceeded as exc:
         return SKIPPED, [], f"unit enumeration is not feasible here: {exc}"
     classes: dict = {}
-    for a in (int(v) for v in s.regulars):
-        classes.setdefault(s.ideal_key(a), []).append(a)
+    right, left = s.ideal_key(s.regulars)
+    for a, key in zip(s.regulars.tolist(), zip(right.tolist(), left.tolist())):
+        classes.setdefault(key, []).append(a)
     pairs = 0
     for members in classes.values():
         arr = np.asarray(members, dtype=np.int64)

@@ -12,9 +12,10 @@ from ginvlab import (BudgetExceeded, ElemSet, NotInnerInverse,
                      inner_annihilator, inner_inverses,
                      inner_inverses_param_batch, inner_products, is_regular,
                      left_annihilator, outer_inverses, parse_element,
-                     principal_left_ideal, principal_right_ideal,
-                     ref_decomposition, reflexive_inverses,
-                     right_annihilator, singleton_conjugate_batch, sumset)
+                     principal_ideal_rows, principal_left_ideal,
+                     principal_right_ideal, ref_decomposition,
+                     reflexive_inverses, right_annihilator,
+                     singleton_conjugate_batch, sumset)
 from ginvlab import ginv, rings
 from ginvlab.ginv import _pairwise
 
@@ -422,14 +423,24 @@ def test_additive_span_example(example):
     assert set(span.indices().tolist()) == {0, a.index}
 
 
-def test_principal_ideals(z6, m2gf2):
+def test_principal_ideals(z6, m2gf2, monkeypatch):
+    monkeypatch.setattr(ginv, "_CHUNK", 20)  # rows come in several blocks
+    caps = (rings.TABLE_CAP, 0)  # op tables, then raw arithmetic
     for ring in (z6, m2gf2):
-        for idx in range(ring.size):
-            a = ring.from_index(idx)
-            right = {(a * x).index for x in ring.elements()}
-            left = {(x * a).index for x in ring.elements()}
-            assert set(principal_right_ideal(a).indices().tolist()) == right
-            assert set(principal_left_ideal(a).indices().tolist()) == left
+        s = ring.all_indices()[::-1]
+        for cap in caps:
+            monkeypatch.setattr(rings, "TABLE_CAP", cap)
+            rows = [principal_ideal_rows(ring, side, s)
+                    for side in ("right", "left")]
+            for k, idx in enumerate(s.tolist()):
+                a = ring.from_index(idx)
+                right = {(a * x).index for x in ring.elements()}
+                left = {(x * a).index for x in ring.elements()}
+                assert set(principal_right_ideal(a).indices().tolist()) == right
+                assert set(principal_left_ideal(a).indices().tolist()) == left
+                assert set(np.flatnonzero(rows[0][k]).tolist()) == right
+                assert set(np.flatnonzero(rows[1][k]).tolist()) == left
+            assert principal_ideal_rows(ring, "left", []).shape == (0, ring.size)
 
 
 def test_cross_ring_rejected(z6, z4):

@@ -8,12 +8,13 @@ import pytest
 
 import ginvlab
 from ginvlab import (CHECK_NAMES, TABLE_CAP, ElemSet, UnknownCheck, WrongRing,
-                     ZmodRing, build_table_algebra, check_decomposition,
-                     check_example_claims, check_hartwig, check_inner_param,
-                     check_invariance, check_jain_prasad, check_nielsen,
-                     check_refl_map, check_subset_criterion,
-                     inner_annihilator, inner_inverses, is_regular,
-                     parse_element, principal_left_ideal,
+                     ZmodRing, build_matrix_ring, build_table_algebra,
+                     check_decomposition, check_example_claims,
+                     check_hartwig, check_inner_param, check_invariance,
+                     check_jain_prasad, check_nielsen, check_refl_map,
+                     check_subset_criterion, inner_annihilator,
+                     inner_inverses, is_regular, parse_element,
+                     principal_ideal_rows, principal_left_ideal,
                      principal_right_ideal, ref_decomposition,
                      reflexive_inverses, rings, run_suite, theoremlab)
 from ginvlab.fixture import BASIS
@@ -127,8 +128,12 @@ def test_sampled_large_ring():
 
 
 def test_budget_override_skips_everything():
-    report = run_suite(ZmodRing(16384, enumeration_budget=100))
-    assert report.summary() == {"pass": 0, "violation": 0, "skipped": 11}
+    # M_5(GF(3)) has 3^25 elements, past the default budget, so no
+    # per-element array (op tables, ideal ids) may exist before the check
+    for ring in (ZmodRing(16384, enumeration_budget=100),
+                 build_matrix_ring(5, 3)):
+        report = run_suite(ring)
+        assert report.summary() == {"pass": 0, "violation": 0, "skipped": 11}
 
 
 def test_unknown_check_rejected(z6):
@@ -371,6 +376,48 @@ def test_ideal_oracle_agrees_across_modes_and_with_definition(
         assert _classes([scan.ideal_key(int(a)) for a in pts]) == want
 
 
+@pytest.mark.parametrize("sampled", [False, True],
+                         ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("name", ["z30", "m2gf3"])
+def test_ideal_store_answers_do_not_depend_on_query_order(
+        request, monkeypatch, name, sampled):
+    # The store interns its sample on first use; with a one-point sample it
+    # then grows by one element per single-element question, and its ids
+    # follow the (shuffled) order of the questions.
+    ring = request.getfixturevalue(name)
+    if sampled:
+        monkeypatch.setattr(theoremlab, "TABLE_CAP", 0)  # op tables stay
+    pts = ring.all_indices()
+    order = np.random.default_rng(11).permutation(pts).tolist()
+    grown = theoremlab._Scan(ring)
+    assert grown.sampled == sampled
+    grown.sample = np.asarray(order[:1])
+    for k, a in enumerate(order):
+        if k % 3 == 0:
+            grown.ideal_key(a)
+        for side, _ in KERNELS:
+            if k % 3 == 1:
+                grown.trivial_meet(side, a, order[0])
+            elif k % 3 == 2:
+                grown.member(side, order[0], a)
+            assert np.count_nonzero(grown._ideals[side].ids >= 0) == k + 1
+    oneshot = theoremlab._Scan(ring)
+    elems = [ring.from_index(int(i)) for i in pts]
+    b, d = pts[:, None], pts[None, :]
+    for side, kernel in KERNELS:
+        ideals = [kernel(e) for e in elems]
+        meets = [[len(u.intersection(w)) == 1 for w in ideals] for u in ideals]
+        members = [[e in ideal for ideal in ideals] for e in elems]
+        for scan in (grown, oneshot):
+            assert scan.trivial_meet(side, b, d).tolist() == meets
+            assert scan.member(side, b, d).tolist() == members
+    want = _classes([(principal_right_ideal(e), principal_left_ideal(e))
+                     for e in elems])
+    for scan in (grown, oneshot):
+        right, left = scan.ideal_key(pts)
+        assert _classes(list(zip(right.tolist(), left.tolist()))) == want
+
+
 def test_zmod_ideal_oracle_matches_closed_forms():
     # above TABLE_CAP: aR = Ra = gcd(a, n)*Z/n, so bR and dR meet only in 0
     # iff n divides lcm(gcd(b, n), gcd(d, n)), and x in sR iff gcd(s, n) | x
@@ -403,7 +450,7 @@ def test_zmod_ideal_oracle_matches_closed_forms():
 
 
 # jain_prasad, subset_criterion and invariance must read aR and Ra from the
-# principal ideal kernels in both modes: one element's ideal losing one
+# principal ideal kernel in both modes: one element's ideal losing one
 # member must surface as a violation naming the first pair it affects.
 
 
@@ -416,20 +463,21 @@ def note_prefix(request, monkeypatch):
     return ""
 
 
-def _dropping(real, target, dropped):
-    """Wrap a principal ideal kernel: target's ideal loses dropped."""
-    def kernel(e):
-        got = real(e)
-        if e.index != target:
-            return got
-        return ElemSet(e.ring, got.indices()[got.indices() != dropped])
+def _dropping(sides, target, dropped):
+    """Wrap principal_ideal_rows: on each of sides, target's row loses
+    dropped."""
+    def kernel(ring, side, s):
+        rows = principal_ideal_rows(ring, side, s)
+        if side in sides:
+            rows[np.asarray(s).reshape(-1) == target, dropped] = False
+        return rows
     return kernel
 
 
 def test_jain_prasad_reads_the_ideal_kernels(z30, monkeypatch, note_prefix):
     # 6R and 25R meet only in 0 and 6 + 25 = 1: without 6 in 1R, c1 fails
-    monkeypatch.setattr(theoremlab, "principal_right_ideal",
-                        _dropping(principal_right_ideal, 1, 6))
+    monkeypatch.setattr(theoremlab, "principal_ideal_rows",
+                        _dropping(("right",), 1, 6))
     verdict = check_jain_prasad(z30)
     assert verdict.status == "violation"
     assert _witnesses(verdict) == [("b", 6), ("d", 25)]
@@ -438,8 +486,8 @@ def test_jain_prasad_reads_the_ideal_kernels(z30, monkeypatch, note_prefix):
 
 
 def test_invariance_reads_the_ideal_kernels(z30, monkeypatch, note_prefix):
-    monkeypatch.setattr(theoremlab, "principal_right_ideal",
-                        _dropping(principal_right_ideal, 1, 6))
+    monkeypatch.setattr(theoremlab, "principal_ideal_rows",
+                        _dropping(("right",), 1, 6))
     verdict = check_invariance(z30)
     assert verdict.status == "violation"
     assert _witnesses(verdict) == [("a", 1), ("b", 6)]
@@ -449,8 +497,8 @@ def test_invariance_reads_the_ideal_kernels(z30, monkeypatch, note_prefix):
 def test_subset_criterion_reads_the_ideal_kernels(z30, monkeypatch,
                                                   note_prefix):
     # 5R and 27R = 3R share only 0 and 15: without 15 they meet trivially
-    for _, real in KERNELS:
-        monkeypatch.setattr(theoremlab, real.__name__, _dropping(real, 5, 15))
+    monkeypatch.setattr(theoremlab, "principal_ideal_rows",
+                        _dropping(("right", "left"), 5, 15))
     verdict = check_subset_criterion(z30)
     assert verdict.status == "violation"
     assert _witnesses(verdict) == [("a", 2), ("b", 5), ("d", 27)]
