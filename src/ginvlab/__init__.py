@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 
 from .errors import (BadTensorShape, BudgetExceeded, GinvError, InvalidModulus,
                      NoUnity, NotAssociative, NotInnerInverse, NotReflexiveInverse,
-                     NotRegular, ParseError, RingMismatch, TableCapExceeded,
-                     UnknownCheck, WrongRing)
+                     ParseError, RingMismatch, TableCapExceeded, UnknownCheck,
+                     WrongRing)
 from .fixture import build_example_ring, is_example_ring
 from .ginv import (Frames, IannDecompositions, additive_span,
                    iann_decomposition_batch, idempotent_frames,

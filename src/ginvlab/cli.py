@@ -19,8 +19,15 @@ from .rings import DEFAULT_BUDGET, Elem, Ring
 
 DISPLAY_CAP = 64
 
-_INV_KINDS = ("inner", "outer", "reflexive", "iann", "left-ann", "right-ann",
-              "ideals")
+# `inv --kind` -> (label, set function); the kind "ideals" lists aR and Ra
+_INV_KINDS = {
+    "inner": ("inner inverses", ginv.inner_inverses),
+    "outer": ("outer inverses", ginv.outer_inverses),
+    "reflexive": ("reflexive inverses", ginv.reflexive_inverses),
+    "iann": ("inner annihilator", ginv.inner_annihilator),
+    "left-ann": ("left annihilator", ginv.left_annihilator),
+    "right-ann": ("right annihilator", ginv.right_annihilator),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +172,7 @@ def cmd_inv(args) -> int:
                 ("inv_left_ideal", f"left ideal R*{shown}",
                  ginv.principal_left_ideal)]
     else:
-        label = {"inner": "inner inverses", "outer": "outer inverses",
-                 "reflexive": "reflexive inverses",
-                 "iann": "inner annihilator", "left-ann": "left annihilator",
-                 "right-ann": "right annihilator"}[args.kind]
-        fn = {"inner": ginv.inner_inverses, "outer": ginv.outer_inverses,
-              "reflexive": ginv.reflexive_inverses,
-              "iann": ginv.inner_annihilator,
-              "left-ann": ginv.left_annihilator,
-              "right-ann": ginv.right_annihilator}[args.kind]
+        label, fn = _INV_KINDS[args.kind]
         jobs = [(f"inv_{args.kind.replace('-', '_')}",
                  f"{label} of {shown}", fn)]
     checks, lines = [], [header]
@@ -298,7 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("spec", help='ring spec file or "example10"')
     p_inv.add_argument("--elem", required=True,
                        help='element expression, e.g. "3" or "a + bx"')
-    p_inv.add_argument("--kind", choices=_INV_KINDS, default="inner")
+    p_inv.add_argument("--kind", choices=(*_INV_KINDS, "ideals"),
+                       default="inner")
     p_inv.add_argument("--all", action="store_true",
                        help=f"list every member (default caps at {DISPLAY_CAP})")
     p_inv.set_defaults(func=cmd_inv)

@@ -58,10 +58,6 @@ class UnknownGenerator(ParseError):
     """Expression names a generator the ring does not define."""
 
 
-class NotRegular(GinvError):
-    """Element has no inner inverse."""
-
-
 class NotInnerInverse(GinvError):
     """Claimed witness fails a*a0*a = a."""
 

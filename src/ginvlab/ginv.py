@@ -32,7 +32,7 @@ from .errors import (
     NotReflexiveInverse,
     RingMismatch,
 )
-from .rings import _CHUNK, Elem, ElemSet, Ring, _distinct
+from .rings import Elem, ElemSet, Ring, _distinct, _row_blocks
 
 
 def _scan_indices(ring: Ring) -> np.ndarray:
@@ -61,9 +61,8 @@ def _pairwise(ring: Ring, op, left: np.ndarray,
     right = _distinct(ring, [np.asarray(right, dtype=np.int64)])
     if len(left) == 0 or len(right) == 0:
         return np.empty(0, dtype=np.int64)
-    step = max(1, _CHUNK // len(right))
-    return _distinct(ring, (op(left[lo:lo + step, None], right[None, :])
-                            for lo in range(0, len(left), step)))
+    return _distinct(ring, (op(left[rows, None], right[None, :])
+                            for rows in _row_blocks(len(left), len(right))))
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +103,7 @@ def inner_inverses_param_batch(a: Elem, a0s) -> np.ndarray:
     in I(a), which is checked on the images of R's additive generators.
     Then a0 + B = I(a) iff |B| = |I(a)|, that is iff
     |R| = |I(a)| * |{t : f*t*e = t}|, the kernel of the map.  One verdict
-    per frame (f, e), frames in blocks of max(1, _CHUNK // |R|) rows.
+    per frame (f, e), frames in row blocks (rings._row_blocks).
     """
     ring = a.ring
     n = ring.size
@@ -118,9 +117,7 @@ def inner_inverses_param_batch(a: Elem, a0s) -> np.ndarray:
     inside = (np.asarray(ring.idx_mul(ring.idx_mul(a.index, base), a.index))
               == 0).all(axis=1)
     fixed = np.empty(len(inside), dtype=np.int64)
-    step = max(1, _CHUNK // n)
-    for lo in range(0, len(fixed), step):
-        rows = slice(lo, lo + step)
+    for rows in _row_blocks(len(fixed), n):
         fte = ring.idx_mul(ring.idx_mul(f[rows], idx[None, :]), e[rows])
         fixed[rows] = np.count_nonzero(fte == idx, axis=1)
     return (inside & (fixed * inner == n))[frames.of]
@@ -166,18 +163,16 @@ def inner_annihilator(a: Elem) -> ElemSet:
 def principal_ideal_rows(ring: Ring, side: str, s) -> np.ndarray:
     """Membership rows of sR (side "right") or Rs (side "left"), one per s.
 
-    A (len(s), |R|) bool array, built in blocks of max(1, _CHUNK // |R|)
-    rows so that each gather has at most max(_CHUNK, |R|) entries.
+    A (len(s), |R|) bool array, built in row blocks (rings._row_blocks).
     """
     idx = _scan_indices(ring)[None, :]
     s = np.asarray(s, dtype=np.int64).reshape(-1, 1)
     out = np.zeros((len(s), ring.size), dtype=bool)
-    step = max(1, _CHUNK // ring.size)
-    for lo in range(0, len(s), step):
-        rows = s[lo:lo + step]
-        prods = (ring.idx_mul(rows, idx) if side == "right"
-                 else ring.idx_mul(idx, rows))
-        out[np.arange(lo, lo + len(rows))[:, None], prods] = True
+    for rows in _row_blocks(len(s), ring.size):
+        block = out[rows]  # a view: marking it marks out
+        prods = (ring.idx_mul(s[rows], idx) if side == "right"
+                 else ring.idx_mul(idx, s[rows]))
+        block[np.arange(len(block))[:, None], prods] = True
     return out
 
 
@@ -280,9 +275,7 @@ def iann_decomposition_batch(a: Elem, a0s) -> IannDecompositions:
     e_c = np.asarray(ring.idx_sub(ring._one_index, frames.e), dtype=np.int64)
     f_c = np.asarray(ring.idx_sub(ring._one_index, frames.f), dtype=np.int64)
     ok = np.empty(len(e_c), dtype=bool)
-    step = max(1, _CHUNK // ring.size)
-    for lo in range(0, len(ok), step):
-        rows = slice(lo, lo + step)
+    for rows in _row_blocks(len(ok), ring.size):
         ok[rows] = _sums_to(principal_ideal_rows(ring, "left", e_c[rows]),
                             principal_ideal_rows(ring, "right", f_c[rows]),
                             iann)
@@ -325,8 +318,8 @@ def ref_decomposition(a: Elem, a0s) -> np.ndarray:
     a0 + a0*v + t*(e + v) over the distinct v in a*R*e_c and t in f_c*R,
     each deduplicated per row in one mask.  Since v ranges over an image
     of aR and t over f_c*R = r(a), a row pairs at most |aR|*|r(a)| = |R|
-    (v, t), and blocks of max(1, _CHUNK // |R|) rows bound every gather
-    and temporary by max(_CHUNK, |R|) entries.
+    (v, t), so row blocks of width |R| (rings._row_blocks) bound every
+    gather and temporary.
     """
     ring = a.ring
     a0s = np.asarray(a0s, dtype=np.int64).reshape(-1)
@@ -344,9 +337,7 @@ def ref_decomposition(a: Elem, a0s) -> np.ndarray:
     ar = _distinct(ring, [ring.idx_mul(a.index, idx)])
     out = np.zeros((len(a0s), n), dtype=bool)
     flat = out.reshape(-1)
-    step = max(1, _CHUNK // n)
-    for lo in range(0, len(a0s), step):
-        rows = slice(lo, lo + step)
+    for rows in _row_blocks(len(a0s), n):
         vrow, v = _distinct_per_row(n, ring.idx_mul(ar[None, :],
                                                     e_c[rows, None]))
         trow, t = _distinct_per_row(n, ring.idx_mul(f_c[rows, None],
@@ -361,7 +352,7 @@ def ref_decomposition(a: Elem, a0s) -> np.ndarray:
         heads = ring.idx_add(a0, ring.idx_mul(a0, v))  # a0 + a0*v
         factors = ring.idx_add(e[rows][vrow], v)  # e + v
         vals = ring.idx_add(heads[vi], ring.idx_mul(t[ti], factors[vi]))
-        flat[(lo + vrow[vi]) * n + vals] = True
+        flat[(rows.start + vrow[vi]) * n + vals] = True
     return out
 
 

@@ -115,10 +115,6 @@ class Ring:
     def descriptor(self) -> tuple:
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        """Small JSON-friendly summary used by reports."""
-        return {"kind": self.kind, "size": self.size}
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -171,12 +167,9 @@ class Ring:
             dtype = np.uint16 if n <= 0xFFFF else np.int64
             mul = np.empty((n, n), dtype=dtype)
             add = np.empty((n, n), dtype=dtype)
-            step = max(1, _CHUNK // n)
-            for lo in range(0, n, step):
-                hi = min(n, lo + step)
-                rows = idx[lo:hi, None]
-                mul[lo:hi] = self._raw_mul(rows, idx[None, :])
-                add[lo:hi] = self._raw_add(rows, idx[None, :])
+            for rows in _row_blocks(n, n):
+                mul[rows] = self._raw_mul(idx[rows, None], idx[None, :])
+                add[rows] = self._raw_add(idx[rows, None], idx[None, :])
             self._mul_table = mul
             self._add_table = add
             self._neg_table = self._raw_neg(idx).astype(dtype)
@@ -262,6 +255,14 @@ class Ring:
             two_sided = mul[rinv, cand] == one
             self._units = cand[two_sided].astype(np.int64)
         return self._units
+
+
+def _row_blocks(count: int, width: int) -> Iterator[slice]:
+    """Slices over range(count) in blocks of max(1, _CHUNK // width) rows,
+    so that a block gathered against `width` columns holds at most
+    max(_CHUNK, width) entries."""
+    step = max(1, _CHUNK // width)
+    return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
 def _sorted_distinct(values) -> np.ndarray:
@@ -615,9 +616,6 @@ class MatrixRing(_DigitRing):
     def descriptor(self):
         return ("matrix", self.k, self.q)
 
-    def describe(self):
-        return {"kind": self.kind, "size": self.size, "k": self.k, "q": self.q}
-
     def payload_of_index(self, i):
         d, k = self._int_digits(i), self.k
         return tuple(tuple(d[r * k:r * k + k]) for r in range(k))
@@ -675,10 +673,6 @@ class TableRing(_DigitRing):
 
     def descriptor(self):
         return ("table", self.p, self.labels, self.unity, self.tensor.tobytes())
-
-    def describe(self):
-        return {"kind": self.kind, "size": self.size, "p": self.p,
-                "dim": self.dim, "basis": list(self.labels)}
 
     def payload_of_index(self, i):
         return tuple(self._int_digits(i))

@@ -3,12 +3,12 @@
 Each check scans a ring and returns pass, violation, or skipped together
 with witness elements and a note.  Every set a check reads (I(a),
 Ref(a), Iann(a), l(a), r(a), aR, Ra) comes from a ginv kernel, and
-regularity from rings.regular_elements or rings.is_regular.  The
-identities that inner_param, decomposition, invariance and refl_map
-verify come from the ginv functions that state them, in their batched
-forms; no check computes its own copy.  inner_param and decomposition
-items (i)-(ii) read one verdict per witness, and name the first failing
-witness in array order.
+regularity is read from I(a): a is regular exactly when I(a) is not
+empty.  The identities that inner_param, decomposition, invariance and
+refl_map verify come from the ginv functions that state them, in their
+batched forms; no check computes its own copy.  inner_param and
+decomposition items (i)-(ii) read one verdict per witness, and name the
+first failing witness in array order.
 
 _Scan alone decides between exhaustive and sampled quantification.
 Rings of at most TABLE_CAP elements quantify over every element and
@@ -20,8 +20,8 @@ of how principal ideals are stored: one store per side, filled from the
 batched kernel ginv.principal_ideal_rows in both modes, so jain_prasad,
 subset_criterion, invariance and hartwig run one body.  One check still
 picks an algorithm by size: refl_map's product law I(a)*a*I(a) samples
-factor pairs once the pair count passes 2^22, since the product set is
-quadratic in |I(a)|.
+factor pairs once the pair count passes PRODUCT_PAIR_CAP, since the
+product set is quadratic in |I(a)|.
 
 Checks on rings whose hypotheses fail are never asserted silently: they
 either skip with an observational note or report the counterexample and
@@ -54,6 +54,9 @@ SKIPPED = "skipped"
 # quantifier sample for rings above TABLE_CAP: 64 outer points, 16 for pairs
 SAMPLE_COUNT = 64
 PAIR_SAMPLE = 16
+# above TABLE_CAP, refl_map's product law I(a)*a*I(a) samples factor pairs
+# once |{x*a : x in I(a)}| * |I(a)| passes this
+PRODUCT_PAIR_CAP = 1 << 22
 
 @dataclass
 class CheckVerdict:
@@ -148,7 +151,9 @@ class _Scan:
     modes: each element's ideal comes from one ginv.principal_ideal_rows
     call, made on first use, and the first use interns the whole sample,
     so an exhaustive run makes one kernel call per side.  I(a) and Ref(a)
-    are likewise computed once per element and kept.
+    are likewise computed once per element and kept, and regularity is
+    read from I(a) in both modes: `regular_at` computes I(a) for each
+    element not asked about before and keeps whether it is empty.
     """
 
     def __init__(self, ring: Ring):
@@ -156,7 +161,6 @@ class _Scan:
         self.sampled = ring.size > TABLE_CAP
         self._isets: dict[int, np.ndarray] = {}
         self._refsets: dict[int, np.ndarray] = {}
-        self._isreg: dict[int, bool] = {}
         self._ideals: dict[str, _Ideals] = {}
 
     @cached_property
@@ -175,26 +179,23 @@ class _Scan:
         return _sample_indices(self.ring.size) if self.sampled else idx
 
     @cached_property
-    def reg_mask(self) -> np.ndarray:
-        mask = np.zeros(self.ring.size, dtype=bool)
-        mask[rings.regular_elements(self.ring).indices()] = True
-        return mask
+    def _regular(self) -> np.ndarray:
+        """Per element: 1 if regular, 0 if not, -1 while not known yet."""
+        self.sample  # checks the budget before the array spans the ring
+        return np.full(self.ring.size, -1, dtype=np.int8)
 
     @cached_property
     def regulars(self) -> np.ndarray:
         return self.sample[self.regular_at(self.sample)]
 
     def regular_at(self, indices) -> np.ndarray:
-        """Whether each index is regular, as a bool array of the same shape."""
-        if not self.sampled:
-            return self.reg_mask[indices]
-        arr = np.asarray(indices, dtype=np.int64)
-        flat = arr.reshape(-1).tolist()
-        for i in flat:
-            if i not in self._isreg:
-                self._isreg[i] = rings.is_regular(Elem(self.ring, i)) is not None
-        return np.asarray([self._isreg[i] for i in flat],
-                          dtype=bool).reshape(arr.shape)
+        """Whether each index is regular, that is I(a) is not empty, as a
+        bool array of the same shape."""
+        known = self._regular
+        indices = np.asarray(indices, dtype=np.int64)
+        for i in np.unique(indices[known[indices] < 0]).tolist():
+            known[i] = len(self.iset(i)) > 0
+        return known[indices] == 1
 
     def _kept(self, cache: dict, kernel, a: int) -> np.ndarray:
         if a not in cache:
@@ -308,7 +309,6 @@ def _first_clash(keys: np.ndarray, vals: np.ndarray):
 
 def _check_refl_map(s: _Scan):
     ring = s.ring
-    pair_cap = 1 << 22
     sampled_products = False
     for a in (int(v) for v in s.regulars):
         ia = s.iset(a)
@@ -337,7 +337,8 @@ def _check_refl_map(s: _Scan):
                     "x*a*x = y*a*y but (x*a, a*x) != (y*a, a*y)",
                     "(x*a, a*x) = (y*a, a*y) but x*a*x != y*a*y")[k]
         right = ia
-        if s.sampled and len(np.unique(frames.f)) * len(ia) > pair_cap:
+        pairs = len(np.unique(frames.f)) * len(ia)
+        if s.sampled and pairs > PRODUCT_PAIR_CAP:
             sampled_products = True
             right = ia[:: max(1, len(ia) // SAMPLE_COUNT)]
         prods = inner_products(Elem(ring, a), ia, right).indices()

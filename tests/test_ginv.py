@@ -424,7 +424,7 @@ def test_additive_span_example(example):
 
 
 def test_principal_ideals(z6, m2gf2, monkeypatch):
-    monkeypatch.setattr(ginv, "_CHUNK", 20)  # rows come in several blocks
+    monkeypatch.setattr(rings, "_CHUNK", 20)  # rows come in several blocks
     caps = (rings.TABLE_CAP, 0)  # op tables, then raw arithmetic
     for ring in (z6, m2gf2):
         s = ring.all_indices()[::-1]

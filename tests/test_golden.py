@@ -20,6 +20,7 @@ CASES = {
     "z30": ({"kind": "zmod", "n": 30}, 0),
     "m2gf3": ({"kind": "matrix", "k": 2, "q": 3}, 0),
     "m2gf5": ({"kind": "matrix", "k": 2, "q": 5}, 0),
+    "m3gf3": ({"kind": "matrix", "k": 3, "q": 3}, 0),  # sampled, raw digits
     "z1155": ({"kind": "zmod", "n": 1155}, 0),
     "z5005": ({"kind": "zmod", "n": 5005}, 0),  # above TABLE_CAP: sampled
     # GF(2)[t]/(t^13): a table algebra above TABLE_CAP, not semiprime

@@ -336,6 +336,29 @@ def test_refl_map_checks_the_batched_product_law(m2gf2, monkeypatch):
     assert _witnesses(verdict) == [("a", a), ("x", x)]
     assert verdict.note == "the product set I(a)*a*I(a) differs from Ref(a)"
 
+    # sampled factor pairs: every product must still lie in Ref(a)
+    monkeypatch.setattr(theoremlab, "TABLE_CAP", 0)  # op tables stay
+    monkeypatch.setattr(theoremlab, "PRODUCT_PAIR_CAP", 0)
+    monkeypatch.setattr(theoremlab, "inner_products", real)
+    verdict = check_refl_map(m2gf2)
+    assert verdict.status == "pass"
+    assert verdict.note.endswith(
+        "; product law restricted to sampled factor pairs")
+    w = _outside(m2gf2, reflexive_inverses(m2gf2.from_index(a)).indices())
+
+    def adding(e, xs, ys):
+        got = real(e, xs, ys)
+        if e.index == a:
+            return ElemSet(m2gf2, np.union1d(got.indices(), [w]))
+        return got
+
+    monkeypatch.setattr(theoremlab, "inner_products", adding)
+    verdict = check_refl_map(m2gf2)
+    assert verdict.status == "violation"
+    assert _witnesses(verdict) == [("a", a), ("x", w)]
+    assert verdict.note == \
+        "a product x*a*y with x,y in I(a) falls outside Ref(a)"
+
 
 # _Scan's ideal questions (trivial_meet, member, ideal_key) must give the
 # same answers in both modes, and the definition's, computed from ElemSets.
@@ -383,7 +406,8 @@ def test_ideal_store_answers_do_not_depend_on_query_order(
         request, monkeypatch, name, sampled):
     # The store interns its sample on first use; with a one-point sample it
     # then grows by one element per single-element question, and its ids
-    # follow the (shuffled) order of the questions.
+    # follow the (shuffled) order of the questions.  Regularity is kept
+    # per element too, one more element per regular_at question.
     ring = request.getfixturevalue(name)
     if sampled:
         monkeypatch.setattr(theoremlab, "TABLE_CAP", 0)  # op tables stay
@@ -401,6 +425,8 @@ def test_ideal_store_answers_do_not_depend_on_query_order(
             elif k % 3 == 2:
                 grown.member(side, order[0], a)
             assert np.count_nonzero(grown._ideals[side].ids >= 0) == k + 1
+        grown.regular_at(a)
+        assert np.count_nonzero(grown._regular >= 0) == k + 1
     oneshot = theoremlab._Scan(ring)
     elems = [ring.from_index(int(i)) for i in pts]
     b, d = pts[:, None], pts[None, :]
@@ -416,6 +442,10 @@ def test_ideal_store_answers_do_not_depend_on_query_order(
     for scan in (grown, oneshot):
         right, left = scan.ideal_key(pts)
         assert _classes(list(zip(right.tolist(), left.tolist()))) == want
+    regular = np.zeros(ring.size, dtype=bool)
+    regular[rings.regular_elements(ring).indices()] = True
+    for scan in (grown, oneshot):
+        assert np.array_equal(scan.regular_at(pts), regular)
 
 
 def test_zmod_ideal_oracle_matches_closed_forms():
