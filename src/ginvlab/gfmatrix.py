@@ -7,16 +7,13 @@ Entries are int64 while a k-term sum of products of residues fits in
 int64 (rings._int64_exact), and Python ints (object arrays) past that,
 so that no product or sum below wraps.
 
-The rank factorization A = E · diag(I_r, 0) · F drives the constructive
-inner inverse G0 = F^-1 · diag(I_r, 0) · E^-1, which is reflexive by
-construction, and the rank-additivity intersection tests behind the
-inner-inverse-set comparison criterion for matrix rings.
+One row reduction T·A = R gives the constructive inner inverse G0 = S·T
+(S places the pivot rows; see inner_inverse_matrix), which is reflexive
+by construction.  Rank additivity gives the intersection tests behind
+the inner-inverse-set comparison criterion for matrix rings.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -70,56 +67,22 @@ def rank(A, q: int) -> int:
     return len(pivots)
 
 
-def invert(A, q: int) -> Optional[np.ndarray]:
-    """Inverse mod q, or None if singular."""
-    R, T, pivots = row_reduce(A, q)
-    if len(pivots) != R.shape[0]:
-        return None
-    return T % q
-
-
-@dataclass
-class RankFactorization:
-    """A = E · diag(I_r, 0) · F with cached inverses, all mod q."""
-
-    E: np.ndarray
-    r: int
-    F: np.ndarray
-    E_inv: np.ndarray
-    F_inv: np.ndarray
-    q: int
-
-    def diagonal(self) -> np.ndarray:
-        k = self.E.shape[0]
-        D = np.zeros((k, k), dtype=self.E.dtype)
-        D[: self.r, : self.r] = np.eye(self.r, dtype=self.E.dtype)
-        return D
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.E @ self.diagonal() @ self.F) % self.q
-
-
-def rank_factorization(A, q: int) -> RankFactorization:
-    """Exact factorization A = E · diag(I_r, 0) · F over GF(q).
-
-    Row-reduce A to get T1·A in RREF; because an RREF matrix has column
-    space spanned by the first r standard vectors, row-reducing its
-    transpose finishes the job: T2·(T1·A)^T = diag, so
-    T1·A·T2^T = diag(I_r, 0).
-    """
-    R, T1, pivots = row_reduce(A, q)
-    R2, T2, _ = row_reduce(R.T % q, q)
-    C = T2.T % q
-    r = len(pivots)
-    E = invert(T1, q)
-    F = invert(C, q)
-    return RankFactorization(E=E, r=r, F=F, E_inv=T1 % q, F_inv=C, q=q)
-
-
 def inner_inverse_matrix(A, q: int) -> np.ndarray:
-    """The canonical reflexive inner inverse G0 = F^-1 · diag(I_r,0) · E^-1."""
-    fac = rank_factorization(A, q)
-    return (fac.F_inv @ fac.diagonal() @ fac.E_inv) % q
+    """The canonical reflexive inner inverse G0 = S·T, from one elimination.
+
+    row_reduce gives T·A = R, R in RREF with pivot columns p_i, and S has
+    S[p_i, i] = 1 and zeros elsewhere, so row p_i of G0 is row i of T and
+    the other rows are zero.  Column i of R·S is column p_i of R, the unit
+    vector e_i, so R·S = D = diag(I_r, 0); also D·R = R and S·D = S.  With
+    A = T^-1·R:
+
+        A·G0·A  = T^-1·R·S·R = T^-1·D·R = T^-1·R = A,
+        G0·A·G0 = S·R·S·T    = S·D·T    = S·T    = G0.
+    """
+    R, T, pivots = row_reduce(A, q)
+    G = np.zeros(R.shape[::-1], dtype=T.dtype)
+    G[pivots] = T[:len(pivots)]
+    return G
 
 
 def col_intersection_trivial(B, D, q: int) -> bool:

@@ -109,12 +109,12 @@ def inner_inverses_param_batch(a: Elem, a0s) -> np.ndarray:
     n = ring.size
     idx = _scan_indices(ring)
     frames = idempotent_frames(a, a0s)
-    axa = np.asarray(ring.idx_mul(ring.idx_mul(a.index, idx), a.index))
+    axa = ring.idx_mul(ring.idx_mul(a.index, idx), a.index)
     inner = int(np.count_nonzero(axa == a.index))
     f, e = frames.f[:, None], frames.e[:, None]
     gens = ring.additive_generator_indices()[None, :]
     base = ring.idx_sub(gens, ring.idx_mul(ring.idx_mul(f, gens), e))
-    inside = (np.asarray(ring.idx_mul(ring.idx_mul(a.index, base), a.index))
+    inside = (ring.idx_mul(ring.idx_mul(a.index, base), a.index)
               == 0).all(axis=1)
     fixed = np.empty(len(inside), dtype=np.int64)
     for rows in _row_blocks(len(fixed), n):
@@ -210,9 +210,9 @@ def idempotent_frames(a: Elem, a0s) -> Frames:
     """
     ring = a.ring
     a0s = np.asarray(a0s, dtype=np.int64).reshape(-1)
-    f = np.asarray(ring.idx_mul(a0s, a.index), dtype=np.int64)
-    e = np.asarray(ring.idx_mul(a.index, a0s), dtype=np.int64)
-    bad = np.nonzero(np.asarray(ring.idx_mul(e, a.index)) != a.index)[0]
+    f = ring.idx_mul(a0s, a.index)
+    e = ring.idx_mul(a.index, a0s)
+    bad = np.nonzero(ring.idx_mul(e, a.index) != a.index)[0]
     if len(bad):
         raise NotInnerInverse(
             f"{Elem(ring, int(a0s[bad[0]]))} is not an inner inverse of {a}")
@@ -264,16 +264,16 @@ def iann_decomposition_batch(a: Elem, a0s) -> IannDecompositions:
     idx = _scan_indices(ring)
     frames = idempotent_frames(a, a0s)
     ax = ring.idx_mul(a.index, idx)
-    axa = np.asarray(ring.idx_mul(ax, a.index))
+    axa = ring.idx_mul(ax, a.index)
     iann = axa == 0
-    left = np.asarray(ring.idx_mul(idx, a.index)) == 0
-    right = np.asarray(ax) == 0
+    left = ring.idx_mul(idx, a.index) == 0
+    right = ax == 0
     mismatch = None
     if not _sums_to(left, right, iann):
         mismatch = _first_difference(
             _pairwise(ring, ring.idx_add, idx[left], idx[right]), idx[iann])
-    e_c = np.asarray(ring.idx_sub(ring._one_index, frames.e), dtype=np.int64)
-    f_c = np.asarray(ring.idx_sub(ring._one_index, frames.f), dtype=np.int64)
+    e_c = ring.idx_sub(ring._one_index, frames.e)
+    f_c = ring.idx_sub(ring._one_index, frames.f)
     ok = np.empty(len(e_c), dtype=bool)
     for rows in _row_blocks(len(ok), ring.size):
         ok[rows] = _sums_to(principal_ideal_rows(ring, "left", e_c[rows]),
@@ -289,7 +289,7 @@ def _distinct_per_row(n: int, vals: np.ndarray) -> tuple:
     array, row by row in ascending order, marked in one flat mask over
     row*n + value so that no per-row sort runs."""
     mask = np.zeros(vals.shape[0] * n, dtype=bool)
-    mask[np.arange(0, mask.size, n)[:, None] + vals.astype(np.int64)] = True
+    mask[np.arange(0, mask.size, n)[:, None] + vals] = True
     return np.divmod(np.flatnonzero(mask), n)
 
 
@@ -323,7 +323,7 @@ def ref_decomposition(a: Elem, a0s) -> np.ndarray:
     """
     ring = a.ring
     a0s = np.asarray(a0s, dtype=np.int64).reshape(-1)
-    outer = np.asarray(ring.idx_mul(ring.idx_mul(a0s, a.index), a0s)) == a0s
+    outer = ring.idx_mul(ring.idx_mul(a0s, a.index), a0s) == a0s
     if not outer.all():
         a0 = Elem(ring, int(a0s[np.argmin(outer)]))
         raise NotReflexiveInverse(f"{a0} is not an outer inverse of {a}")
@@ -331,9 +331,8 @@ def ref_decomposition(a: Elem, a0s) -> np.ndarray:
     n = ring.size
     idx = _scan_indices(ring)
     e = frames.e[frames.of]
-    e_c = np.asarray(ring.idx_sub(ring._one_index, e), dtype=np.int64)
-    f_c = np.asarray(ring.idx_sub(ring._one_index, frames.f[frames.of]),
-                     dtype=np.int64)
+    e_c = ring.idx_sub(ring._one_index, e)
+    f_c = ring.idx_sub(ring._one_index, frames.f[frames.of])
     ar = _distinct(ring, [ring.idx_mul(a.index, idx)])
     out = np.zeros((len(a0s), n), dtype=bool)
     flat = out.reshape(-1)
@@ -375,7 +374,7 @@ def singleton_conjugate_batch(bs, a: Elem, a0: Elem) -> np.ndarray:
     gens = ring.additive_generator_indices()
     diff = ring.idx_sub(gens, ring.idx_mul(ring.idx_mul(f, gens), e))
     vals = ring.idx_mul(ring.idx_mul(bs, diff[None, :]), bs)
-    return (np.asarray(vals) == 0).all(axis=1)
+    return (vals == 0).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +395,7 @@ def additive_span(ring: Ring, gens: Iterable[Elem]) -> ElemSet:
     arr = np.zeros(1, dtype=np.int64)
     for g in gens:
         gi = g.index if isinstance(g, Elem) else int(g)
-        layers = [np.asarray(ring.idx_add(arr, ring.scale_index(c, gi)),
-                             dtype=np.int64).reshape(-1)
+        layers = [ring.idx_add(arr, ring.scale_index(c, gi))
                   for c in range(ring.char)]
         arr = np.unique(np.concatenate(layers))
     return ElemSet.from_indices(ring, arr)

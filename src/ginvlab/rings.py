@@ -12,6 +12,12 @@ and vectorized numpy operations on index arrays for scan-heavy set
 computations.  Rings with at most TABLE_CAP elements build full index
 tables once and answer everything by fancy indexing; larger rings fall
 back to per-backend vectorized formulas, chunked to bound memory.
+Either way idx_mul, idx_add, idx_neg and idx_sub accept operands of any
+integer dtype and return int64 of the broadcast shape: the tables are
+uint16 storage that only this module reads, cast at the gather.
+
+Z/n computes in int64, so it refuses a modulus whose residue products
+could pass 2^63 (n > 3037000500) with InvalidModulus.
 
 Matrix rings and odd-p table algebras share one digit kernel
 (_DigitRing): an index splits once into its base-q digits, digit o of a
@@ -145,6 +151,8 @@ class Ring:
         return Elem(self, self.index_of_payload(payload))
 
     # --- raw vectorized index arithmetic (subclass; no tables) ---------
+    # Operands may have any integer dtype; each kernel converts them to
+    # int64 once and returns int64.
 
     def _raw_mul(self, I, J):
         raise NotImplementedError
@@ -182,23 +190,24 @@ class Ring:
 
     # --- uniform index arithmetic ---------------------------------------
 
+    # Every idx_* result is int64, of the operands' broadcast shape (an
+    # int64 scalar or 0-d array for scalar operands), whatever the integer
+    # dtype of the operands; the uint16 op tables never leave this module.
+
     def idx_mul(self, I, J):
         if self.has_tables():
-            mul, _, _ = self._tables()
-            return mul[I, J]
-        return self._raw_mul(np.asarray(I), np.asarray(J))
+            return self._tables()[0][I, J].astype(np.int64)
+        return self._raw_mul(I, J)
 
     def idx_add(self, I, J):
         if self.has_tables():
-            _, add, _ = self._tables()
-            return add[I, J]
-        return self._raw_add(np.asarray(I), np.asarray(J))
+            return self._tables()[1][I, J].astype(np.int64)
+        return self._raw_add(I, J)
 
     def idx_neg(self, I):
         if self.has_tables():
-            _, _, neg = self._tables()
-            return neg[I]
-        return self._raw_neg(np.asarray(I))
+            return self._tables()[2][I].astype(np.int64)
+        return self._raw_neg(I)
 
     def idx_sub(self, I, J):
         return self.idx_add(I, self.idx_neg(J))
@@ -253,7 +262,7 @@ class Ring:
             rinv = np.argmax(mul[cand] == one, axis=1)
             # in a finite ring a one-sided inverse is two-sided; verify anyway
             two_sided = mul[rinv, cand] == one
-            self._units = cand[two_sided].astype(np.int64)
+            self._units = cand[two_sided]
         return self._units
 
 
@@ -289,7 +298,7 @@ def _distinct(ring: Ring, blocks) -> np.ndarray:
         mask = np.zeros(ring.size, dtype=bool)
         for block in blocks:
             mask[block] = True
-        return np.flatnonzero(mask).astype(np.int64, copy=False)
+        return np.flatnonzero(mask)
     pieces = [_sorted_distinct(b) for b in blocks]
     return (pieces[0] if len(pieces) == 1
             else _sorted_distinct(np.concatenate(pieces)))
@@ -423,6 +432,10 @@ class ZmodRing(Ring):
     kind = "zmod"
 
     def __init__(self, n: int, enumeration_budget: int = DEFAULT_BUDGET):
+        if not _int64_exact(n, 1):
+            raise InvalidModulus(
+                f"Z/{n} multiplies residues up to {(n - 1) ** 2}, past int64 "
+                f"(2^63); the modulus must be at most 3037000500")
         super().__init__(n, n, enumeration_budget)
         self.n = n
         self._one_index = 1 % n
@@ -437,13 +450,15 @@ class ZmodRing(Ring):
         return int(payload) % self.n
 
     def _raw_mul(self, I, J):
-        return (I * J) % self.n
+        I, J = np.asarray(I, dtype=np.int64), np.asarray(J, dtype=np.int64)
+        return I * J % self.n
 
     def _raw_add(self, I, J):
+        I, J = np.asarray(I, dtype=np.int64), np.asarray(J, dtype=np.int64)
         return (I + J) % self.n
 
     def _raw_neg(self, I):
-        return (-I) % self.n
+        return -np.asarray(I, dtype=np.int64) % self.n
 
     def additive_generator_indices(self):
         return np.asarray([self._one_index], dtype=np.int64)
@@ -739,13 +754,12 @@ class TableRing(_DigitRing):
 
     def _raw_add(self, I, J):
         if self.p == 2:
-            I, J = np.broadcast_arrays(np.asarray(I), np.asarray(J))
-            return I ^ J
+            return np.asarray(I, dtype=np.int64) ^ np.asarray(J, dtype=np.int64)
         return super()._raw_add(I, J)
 
     def _raw_neg(self, I):
         if self.p == 2:
-            return np.asarray(I)
+            return np.array(I, dtype=np.int64)  # a copy: never the operand
         return super()._raw_neg(I)
 
     def generator_labels(self):
@@ -864,7 +878,7 @@ def build_table_algebra(p: int, basis: Sequence[str], unity: Sequence[int],
 def is_regular(a: Elem) -> Optional[Elem]:
     """Some a0 with a·a0·a = a, or None.
 
-    Matrix rings get a constructive (rank-factorization) witness with no
+    Matrix rings get a constructive witness (one row reduction) with no
     enumeration; other backends scan in canonical order.
     """
     ring = a.ring

@@ -313,13 +313,12 @@ def _check_refl_map(s: _Scan):
     for a in (int(v) for v in s.regulars):
         ia = s.iset(a)
         ref = s.refset(a)
-        phi_vals = np.asarray(ring.idx_mul(ring.idx_mul(ia, a), ia),
-                              dtype=np.int64)
+        phi_vals = ring.idx_mul(ring.idx_mul(ia, a), ia)
         if not np.array_equal(np.unique(phi_vals), ref):
             w = _first_difference(np.unique(phi_vals), ref)
             return VIOLATION, [("a", a), ("x", w)], \
                 "image of x -> x*a*x over I(a) differs from Ref(a)"
-        fixed = np.asarray(ring.idx_mul(ring.idx_mul(ref, a), ref))
+        fixed = ring.idx_mul(ring.idx_mul(ref, a), ref)
         if np.any(fixed != ref):
             x = int(ref[np.nonzero(fixed != ref)[0][0]])
             return VIOLATION, [("a", a), ("x", x)], \
@@ -429,7 +428,7 @@ def _check_jain_prasad(s: _Scan):
     pts = s.pair_points
     checked = 0
     for b in (int(v) for v in pts):
-        srow = np.asarray(ring.idx_add(b, pts))
+        srow = ring.idx_add(b, pts)
         ok = s.regular_at(srow)
         int_r = s.trivial_meet("right", b, pts)
         int_l = s.trivial_meet("left", b, pts)
@@ -462,7 +461,7 @@ def _check_subset_criterion(s: _Scan):
     for a in (int(v) for v in regs):
         ia = s.iset(a)
         subs = masks[:, ia].all(axis=1)
-        drow = np.asarray(ring.idx_sub(a, regs))
+        drow = ring.idx_sub(a, regs)
         crit = (s.trivial_meet("right", regs, drow)
                 & s.trivial_meet("left", regs, drow))
         mism = subs != crit
@@ -557,7 +556,7 @@ def _check_nielsen(s: _Scan):
         if len(members) < 2:
             continue
         arr = np.asarray(members, dtype=np.int64)
-        diffs = np.asarray(ring.idx_sub(arr[:, None], arr[None, :]))
+        diffs = ring.idx_sub(arr[:, None], arr[None, :])
         reg = s.regular_at(diffs)
         np.fill_diagonal(reg, False)
         if reg.any():
@@ -585,7 +584,7 @@ def _check_theorem_reflexive(s: _Scan):
 def _check_hartwig(s: _Scan):
     ring = s.ring
     try:
-        units = np.asarray(s.unit_idx, dtype=np.int64)
+        units = s.unit_idx
     except BudgetExceeded as exc:
         return SKIPPED, [], f"unit enumeration is not feasible here: {exc}"
     classes: dict = {}
@@ -598,7 +597,7 @@ def _check_hartwig(s: _Scan):
         for a in (int(v) for v in arr):
             for orbit, law in ((ring.idx_mul(a, units), "u with b = a*u"),
                                (ring.idx_mul(units, a), "v with b = v*a")):
-                miss = ~np.isin(arr, np.asarray(orbit))
+                miss = ~np.isin(arr, orbit)
                 if miss.any():
                     b = int(arr[np.argmax(miss)])
                     return VIOLATION, [("a", a), ("b", b)], \
@@ -668,11 +667,11 @@ def _check_example_claims(s: _Scan):
     w = semi.witness.index
     agens = ring.additive_generator_indices()
     wgw = ring.idx_mul(ring.idx_mul(w, agens), w)
-    if np.any(np.asarray(wgw) != 0):
+    if np.any(wgw != 0):
         return fail([("w", w)], "the semiprimeness witness fails w*t*w = 0")
-    rws = np.asarray(ring.idx_mul(ring.idx_mul(agens[:, None], w),
-                                  agens[None, :])).reshape(-1)
-    quad = np.asarray(ring.idx_mul(rws[:, None], rws[None, :]))
+    rws = ring.idx_mul(ring.idx_mul(agens[:, None], w),
+                       agens[None, :]).reshape(-1)
+    quad = ring.idx_mul(rws[:, None], rws[None, :])
     if np.any(quad != 0):
         return fail([("w", w)], "(RwR)^2 is not zero for the witness")
     # the generator a does not witness failure: a*x*a = a is nonzero and

@@ -380,6 +380,16 @@ def test_table_spec_file(tmp_path):
     assert ring["semiprime_witness"] == "t"
 
 
+def test_zmod_past_int64_exits_2(tmp_path, capsys):
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"kind": "zmod", "n": 10 ** 18 + 9}))
+    assert cli.main(["ring", "info", str(spec)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "int64" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_error_exits(z6_spec, tmp_path):
     cases = [
         ("check", z6_spec, "--checks", "bogus"),

@@ -519,6 +519,31 @@ def test_frames_match_reflexive_inverses(request, name):
         assert len(frames.f) == len(reflexive_inverses(a))
 
 
+def test_frames_sort_by_frame_past_2_31_elements():
+    # M_2(GF(257)) has 257^4 > 2^31 elements, so f*|R| + e passes 2^63 for
+    # about half of these frames; the sort key must not wrap
+    ring = build_matrix_ring(2, 257)
+    a = ring.element([[200, 1], [35, 58]])  # a rank-one idempotent
+    assert a * a == a and ring.size >= 1 << 31
+    g0 = a  # an idempotent is its own inner inverse
+    f0, e0 = g0 * a, a * g0
+    rng = random.Random(3)
+    ts = [ring.element([[rng.randrange(257) for _ in range(2)]
+                        for _ in range(2)]) for _ in range(9)]
+    a0s = [(g0 + t - f0 * t * e0).index for t in ts]
+    a0s += [a0s[0], a0s[4], a0s[4]]  # repeated witnesses
+    frames = idempotent_frames(a, a0s)
+    keys = list(zip(frames.f.tolist(), frames.e.tolist()))
+    assert keys == sorted(set(keys))
+    assert max(f for f, _ in keys) * ring.size >= 1 << 63
+    for pos, w in enumerate(a0s):
+        a0 = ring.from_index(w)
+        assert frames.f[frames.of[pos]] == (a0 * a).index
+        assert frames.e[frames.of[pos]] == (a * a0).index
+    assert frames.of[9] == frames.of[0]
+    assert frames.of[10] == frames.of[11] == frames.of[4]
+
+
 def test_batched_forms_reject_non_inverses(z6):
     three, two = z6.from_index(3), z6.from_index(2)
     calls = [lambda: inner_inverses_param_batch(three, [1, 2, 3]),

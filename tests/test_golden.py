@@ -1,8 +1,10 @@
-"""Full check reports (notes and witnesses included), byte for byte.
+"""Full check and matrix reports (notes and witnesses included), byte
+for byte.
 
-The files under tests/golden/ are the output of
-`ginvlab check <ring> --format json --no-timing`; a change that alters a
-report on purpose regenerates them and says why.
+The files tests/golden/<ring>.json are the output of
+`ginvlab check <ring> --format json --no-timing`, and the files under
+tests/golden/matrix/ that of `ginvlab matrix ... --format json`; a change
+that alters a report on purpose regenerates them and says why.
 """
 
 import json
@@ -44,3 +46,30 @@ def test_check_report_matches_golden(name, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+# name -> arguments of `ginvlab matrix`, each run with --format json
+MATRIX_CASES = {
+    "ginverse-m3gf3": ["--k", "3", "--q", "3", "ginverse", "1,2,0;0,1,1;1,0,1"],
+    # b in aR but not in Ra
+    "membership-m3gf3": ["--k", "3", "--q", "3", "membership",
+                         "1,1,0;0,0,0;0,0,0", "1,0,0;0,0,0;0,0,0"],
+    "seteq-equal": ["--k", "3", "--q", "3", "seteq",
+                    "1,2,0;0,1,1;0,0,0", "1,2,0;0,1,1;0,0,0"],
+    "seteq-unequal": ["--k", "3", "--q", "3", "seteq",
+                      "1,2,0;0,1,1;0,0,0", "1,2,0;0,1,1;0,0,1"],
+    # (q-1)^2, or q itself, passes 2^63: elimination runs on Python ints
+    "ginverse-past-int64": ["--k", "2", "--q", "4611686018427387847",
+                            "ginverse", "3037000500,1;0,3037000500"],
+    "ginverse-past-2p64": ["--k", "2", "--q", str(2 ** 64 + 13),
+                           "ginverse", "3037000500,1;0,3037000500"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_CASES))
+def test_matrix_report_matches_golden(name, capsys):
+    argv = ["matrix", *MATRIX_CASES[name], "--format", "json"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (GOLDEN / "matrix" / f"{name}.json").read_text()

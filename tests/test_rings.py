@@ -29,6 +29,22 @@ def test_zmod_rejects_bad_modulus(bad):
         build_zmod(bad)
 
 
+def test_zmod_is_exact_up_to_its_int64_bound():
+    # (n-1)^2 < 2^63 exactly for n <= 3037000500
+    n = 3037000500
+    ring = build_zmod(n)
+    assert int(ring.idx_mul(n - 1, n - 1)) == 1
+    assert int(ring.idx_add(n - 1, n - 1)) == n - 2
+    assert (ring.element(n - 1) * ring.element(n - 1)).index == 1
+
+
+@pytest.mark.parametrize("n", [3037000501, 10 ** 18 + 9, 2 ** 63 + 25])
+def test_zmod_refuses_moduli_past_int64(n):
+    for build in (build_zmod, rings.ZmodRing):
+        with pytest.raises(InvalidModulus, match="int64"):
+            build(n)
+
+
 @pytest.mark.parametrize("k,q", [(0, 2), (10, 2), (2, 4), (2, 1), ("2", 3),
                                  (2, 3.0), (2.0, 3), (True, 3), (2, True),
                                  (2, np.float64(3))])
@@ -373,8 +389,8 @@ def _scrambled_algebra(dim, seed):
     rng = np.random.default_rng(seed)
     while True:
         S = rng.integers(0, 2, (dim, dim))  # new basis vector i = S[i] · old
-        T = gfmatrix.invert(S, 2)
-        if T is not None:
+        R, T, pivots = gfmatrix.row_reduce(S, 2)  # T·S = R = I if invertible
+        if len(pivots) == dim:
             break
     scrambled = np.einsum("ia,jb,abk,km->ijm", S, S, tensor, T) % 2
     return build_table_algebra(2, [f"x{k}" for k in range(dim)],
