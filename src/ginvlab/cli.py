@@ -125,14 +125,12 @@ def cmd_ring_info(args) -> int:
     ring_obj, header = _ring_header(ring)
     ring_obj["characteristic"] = ring.char
     try:
-        ring_obj["regular_count"] = len(rings.regular_elements(ring))
-    except BudgetExceeded:
-        ring_obj["regular_count"] = None
-    lines = [header,
-             f"characteristic: {ring.char}",
-             "regular: " + ("unknown (enumeration budget exceeded)"
-                            if ring_obj["regular_count"] is None
-                            else f"{ring_obj['regular_count']} of {ring.size}")]
+        count = len(rings.regular_elements(ring))
+        regular = f"{count} of {ring.size}"
+    except BudgetExceeded as exc:  # the budget, or the op-table cap
+        count, regular = None, f"unknown ({exc})"
+    ring_obj["regular_count"] = count
+    lines = [header, f"characteristic: {ring.char}", f"regular: {regular}"]
     _emit(args, _document(ring_obj, []), lines)
     return 0
 

@@ -74,7 +74,7 @@ def inner_inverses(a: Elem) -> ElemSet:
     ring = a.ring
     idx = _scan_indices(ring)
     axa = ring.idx_mul(ring.idx_mul(a.index, idx), a.index)
-    return ElemSet.from_indices(ring, idx[axa == a.index])
+    return ElemSet(ring, np.flatnonzero(axa == a.index))
 
 
 def outer_inverses(a: Elem) -> ElemSet:
@@ -82,7 +82,7 @@ def outer_inverses(a: Elem) -> ElemSet:
     ring = a.ring
     idx = _scan_indices(ring)
     xax = ring.idx_mul(ring.idx_mul(idx, a.index), idx)
-    return ElemSet.from_indices(ring, idx[xax == idx])
+    return ElemSet(ring, np.flatnonzero(xax == idx))
 
 
 def reflexive_inverses(a: Elem) -> ElemSet:
@@ -92,7 +92,7 @@ def reflexive_inverses(a: Elem) -> ElemSet:
     ax = ring.idx_mul(a.index, idx)
     inner_mask = ring.idx_mul(ax, a.index) == a.index
     outer_mask = ring.idx_mul(ring.idx_mul(idx, a.index), idx) == idx
-    return ElemSet.from_indices(ring, idx[inner_mask & outer_mask])
+    return ElemSet(ring, np.flatnonzero(inner_mask & outer_mask))
 
 
 def inner_inverses_param_batch(a: Elem, a0s) -> np.ndarray:
@@ -142,14 +142,14 @@ def left_annihilator(a: Elem) -> ElemSet:
     """l(a) = {x : x*a = 0}."""
     ring = a.ring
     idx = _scan_indices(ring)
-    return ElemSet.from_indices(ring, idx[ring.idx_mul(idx, a.index) == 0])
+    return ElemSet(ring, np.flatnonzero(ring.idx_mul(idx, a.index) == 0))
 
 
 def right_annihilator(a: Elem) -> ElemSet:
     """r(a) = {x : a*x = 0}."""
     ring = a.ring
     idx = _scan_indices(ring)
-    return ElemSet.from_indices(ring, idx[ring.idx_mul(a.index, idx) == 0])
+    return ElemSet(ring, np.flatnonzero(ring.idx_mul(a.index, idx) == 0))
 
 
 def inner_annihilator(a: Elem) -> ElemSet:
@@ -157,7 +157,7 @@ def inner_annihilator(a: Elem) -> ElemSet:
     ring = a.ring
     idx = _scan_indices(ring)
     axa = ring.idx_mul(ring.idx_mul(a.index, idx), a.index)
-    return ElemSet.from_indices(ring, idx[axa == 0])
+    return ElemSet(ring, np.flatnonzero(axa == 0))
 
 
 def principal_ideal_rows(ring: Ring, side: str, s) -> np.ndarray:
@@ -386,8 +386,8 @@ def sumset(s: ElemSet, t: ElemSet) -> ElemSet:
     if s.ring != t.ring:
         raise RingMismatch("sets belong to different rings")
     ring = s.ring
-    return ElemSet.from_indices(ring, _pairwise(ring, ring.idx_add,
-                                                s.indices(), t.indices()))
+    return ElemSet(ring, _pairwise(ring, ring.idx_add, s.indices(),
+                                   t.indices()))
 
 
 def additive_span(ring: Ring, gens: Iterable[Elem]) -> ElemSet:
@@ -397,5 +397,5 @@ def additive_span(ring: Ring, gens: Iterable[Elem]) -> ElemSet:
         gi = g.index if isinstance(g, Elem) else int(g)
         layers = [ring.idx_add(arr, ring.scale_index(c, gi))
                   for c in range(ring.char)]
-        arr = np.unique(np.concatenate(layers))
-    return ElemSet.from_indices(ring, arr)
+        arr = _distinct(ring, layers)
+    return ElemSet(ring, arr)

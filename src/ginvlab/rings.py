@@ -115,6 +115,7 @@ class Ring:
         self._neg_table = None
         self._all = None
         self._units = None
+        self._semiprime = None
 
     # --- identity ----------------------------------------------------
 
@@ -274,34 +275,20 @@ def _row_blocks(count: int, width: int) -> Iterator[slice]:
     return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
-def _sorted_distinct(values) -> np.ndarray:
-    """np.unique's result as int64, from one sort and a neighbour comparison.
-
-    numpy 2's np.unique hashes first, several times slower on index arrays.
-    """
-    arr = np.sort(values, axis=None).astype(np.int64, copy=False)
-    keep = np.empty(len(arr), dtype=bool)
-    keep[:1] = True
-    np.not_equal(arr[1:], arr[:-1], out=keep[1:])
-    return arr[keep]
-
-
 def _distinct(ring: Ring, blocks) -> np.ndarray:
     """Sorted distinct int64 indices over an iterable of index blocks.
 
-    With op tables (|R| <= TABLE_CAP) one boolean mask over range(|R|)
-    collects every block, so the cost is linear in the input plus |R| and
-    no sort runs.  Above TABLE_CAP each block is deduplicated on its own,
-    which bounds peak memory by the block size, and the pieces are merged.
+    This is the one way ring indices are deduplicated: a boolean mask over
+    range(|R|) collects every block, so the cost is linear in the input
+    plus |R|, no sort runs, and the op tables play no part.  The mask
+    spans the ring, so the ring must be enumerable (BudgetExceeded
+    otherwise).
     """
-    if ring.has_tables():
-        mask = np.zeros(ring.size, dtype=bool)
-        for block in blocks:
-            mask[block] = True
-        return np.flatnonzero(mask)
-    pieces = [_sorted_distinct(b) for b in blocks]
-    return (pieces[0] if len(pieces) == 1
-            else _sorted_distinct(np.concatenate(pieces)))
+    ring.ensure_enumerable()
+    mask = np.zeros(ring.size, dtype=bool)
+    for block in blocks:
+        mask[block] = True
+    return np.flatnonzero(mask)
 
 
 class Elem:
@@ -375,6 +362,7 @@ class ElemSet:
 
     @classmethod
     def from_indices(cls, ring: Ring, indices) -> "ElemSet":
+        """The distinct indices given, through _distinct's ring mask."""
         if not isinstance(indices, np.ndarray):
             indices = np.fromiter(indices, dtype=np.int64)
         return cls(ring, _distinct(ring, [indices]))
@@ -906,7 +894,7 @@ def regular_elements(ring: Ring) -> ElemSet:
         idx = ring.all_indices()
         prod = mul[mul, idx[:, None]]  # prod[a, x] = (a·x)·a
         mask = (prod == idx[:, None]).any(axis=1)
-        return ElemSet.from_indices(ring, idx[mask])
+        return ElemSet(ring, np.flatnonzero(mask))
     # large non-matrix ring: quadratic scan would blow the budget
     raise TableCapExceeded(ring.size, TABLE_CAP)
 
@@ -919,8 +907,22 @@ class SemiprimeVerdict(NamedTuple):
 def is_semiprime(ring: Ring) -> SemiprimeVerdict:
     """True iff no nonzero a has a·t·a = 0 for all t.
 
+    The first scan's witness index is kept on the ring, as unit_indices
+    keeps the units, so the suite and the report header share one scan.
+    An index, not an Elem: an Elem would refer back to the ring, and that
+    cycle would keep every checked ring and its op tables alive until the
+    garbage collector next ran.
+    """
+    if ring._semiprime is None:
+        ring._semiprime = _semiprime_scan(ring)
+    w = ring._semiprime
+    return SemiprimeVerdict(w < 0, None if w < 0 else Elem(ring, w))
+
+
+def _semiprime_scan(ring: Ring) -> int:
+    """The first nonzero a in canonical order with a·R·a = 0, or -1.
+
     a R a = 0 is linear in t, so t ranges over additive generators only.
-    The witness, when present, is the first such a in canonical order.
     """
     ring.ensure_enumerable()
     idx = ring.all_indices()
@@ -930,10 +932,8 @@ def is_semiprime(ring: Ring) -> SemiprimeVerdict:
         aga = ring.idx_mul(ag, idx)
         mask &= aga == 0
     mask[0] = False
-    hits = np.nonzero(mask)[0]
-    if len(hits):
-        return SemiprimeVerdict(False, Elem(ring, int(hits[0])))
-    return SemiprimeVerdict(True, None)
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else -1
 
 
 def squarefree(n: int) -> bool:

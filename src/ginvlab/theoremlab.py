@@ -45,7 +45,7 @@ from .ginv import (_first_difference, additive_span,
                    left_annihilator, principal_ideal_rows,
                    ref_decomposition, reflexive_inverses, right_annihilator,
                    singleton_conjugate_batch)
-from .rings import TABLE_CAP, Elem, Ring
+from .rings import TABLE_CAP, Elem, Ring, _distinct
 
 PASS = "pass"
 VIOLATION = "violation"
@@ -114,7 +114,7 @@ class _Ideals:
         s = np.asarray(s, dtype=np.int64)
         unseen = s[self.ids[s] < 0]
         if len(unseen):
-            self.intern(np.unique(unseen))
+            self.intern(_distinct(self.ring, [unseen]))
         return self.ids[s]
 
     def intern(self, s: np.ndarray) -> None:
@@ -193,7 +193,7 @@ class _Scan:
         bool array of the same shape."""
         known = self._regular
         indices = np.asarray(indices, dtype=np.int64)
-        for i in np.unique(indices[known[indices] < 0]).tolist():
+        for i in _distinct(self.ring, [indices[known[indices] < 0]]).tolist():
             known[i] = len(self.iset(i)) > 0
         return known[indices] == 1
 
@@ -314,8 +314,9 @@ def _check_refl_map(s: _Scan):
         ia = s.iset(a)
         ref = s.refset(a)
         phi_vals = ring.idx_mul(ring.idx_mul(ia, a), ia)
-        if not np.array_equal(np.unique(phi_vals), ref):
-            w = _first_difference(np.unique(phi_vals), ref)
+        image = _distinct(ring, [phi_vals])
+        if not np.array_equal(image, ref):
+            w = _first_difference(image, ref)
             return VIOLATION, [("a", a), ("x", w)], \
                 "image of x -> x*a*x over I(a) differs from Ref(a)"
         fixed = ring.idx_mul(ring.idx_mul(ref, a), ref)
@@ -336,7 +337,7 @@ def _check_refl_map(s: _Scan):
                     "x*a*x = y*a*y but (x*a, a*x) != (y*a, a*y)",
                     "(x*a, a*x) = (y*a, a*y) but x*a*x != y*a*y")[k]
         right = ia
-        pairs = len(np.unique(frames.f)) * len(ia)
+        pairs = len(_distinct(ring, [frames.f])) * len(ia)
         if s.sampled and pairs > PRODUCT_PAIR_CAP:
             sampled_products = True
             right = ia[:: max(1, len(ia) // SAMPLE_COUNT)]

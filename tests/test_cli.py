@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import ginvlab
-from ginvlab import cli, parsing
+from ginvlab import cli, parsing, rings
 
 CMD = [sys.executable, "-m", "ginvlab"]
 
@@ -388,6 +388,31 @@ def test_zmod_past_int64_exits_2(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and "int64" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n,argv,limit", [
+    (5005, [], "ring has 5005 elements, op-table cap is 4096"),
+    (6, ["--budget", "3"], "ring has 6 elements, enumeration budget is 3"),
+])
+def test_ring_info_names_the_limit_it_hit(tmp_path, capsys, n, argv, limit):
+    spec = tmp_path / "z.json"
+    spec.write_text(json.dumps({"kind": "zmod", "n": n}))
+    assert cli.main(["ring", "info", str(spec), *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == f"regular: unknown ({limit})"
+    assert cli.main(["ring", "info", str(spec), *argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ring"]["regular_count"] is None
+
+
+def test_check_scans_semiprimeness_once(z6_spec, monkeypatch, capsys):
+    """The suite and the report header read one kept semiprime verdict."""
+    scan = rings._semiprime_scan
+    calls = []
+    monkeypatch.setattr(rings, "_semiprime_scan",
+                        lambda ring: calls.append(ring) or scan(ring))
+    assert cli.main(["check", z6_spec, "--format", "json", "--no-timing"]) == 0
+    assert json.loads(capsys.readouterr().out)["ring"]["semiprime"] is True
+    assert len(calls) == 1
 
 
 def test_error_exits(z6_spec, tmp_path):

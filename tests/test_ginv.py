@@ -30,10 +30,13 @@ def _brute(n, a):
     return inner, outer, inner & outer, iann, left, right
 
 
-@pytest.mark.parametrize("n", [4, 6, 30])
+@pytest.mark.parametrize("n", [4, 6, 30, 5005])
 def test_sets_match_bruteforce(n):
     ring = ZmodRing(n)
-    for v in range(n):
+    # every element below TABLE_CAP; a seeded handful above it (no op tables)
+    values = (range(n) if ring.has_tables()
+              else random.Random(n).sample(range(n), 6))
+    for v in values:
         a = ring.from_index(v)
         inner, outer, refl, iann, left, right = _brute(n, v)
         assert set(inner_inverses(a).indices().tolist()) == inner
@@ -405,16 +408,17 @@ def test_set_plumbing(z6):
     ([], [1, 2]),
     ([1, 2], np.empty(0, dtype=np.int64)),
 ])
-def test_pairwise_mask_and_sort_paths_agree(z30, monkeypatch, left, right):
+def test_pairwise_dedups_with_and_without_op_tables(z30, monkeypatch, left,
+                                                    right):
     brute = {(x + y) % 30 for x in np.asarray(left).tolist()
              for y in np.asarray(right).tolist()}
-    via_mask = _pairwise(z30, z30.idx_add, left, right)
-    monkeypatch.setattr(rings, "TABLE_CAP", 0)  # sort path, raw arithmetic
+    with_tables = _pairwise(z30, z30.idx_add, left, right)
+    monkeypatch.setattr(rings, "TABLE_CAP", 0)  # raw arithmetic, no op tables
     assert not z30.has_tables()
-    via_sort = _pairwise(z30, z30.idx_add, left, right)
-    assert via_mask.dtype == via_sort.dtype == np.int64
-    assert np.array_equal(via_mask, via_sort)
-    assert via_mask.tolist() == sorted(brute)
+    without_tables = _pairwise(z30, z30.idx_add, left, right)
+    assert with_tables.dtype == without_tables.dtype == np.int64
+    assert np.array_equal(with_tables, without_tables)
+    assert with_tables.tolist() == sorted(brute)
 
 
 def test_additive_span_example(example):

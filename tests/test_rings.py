@@ -3,6 +3,7 @@
 import math
 import operator
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ginvlab import (BadTensorShape, BudgetExceeded, Elem, ElemSet,
                      build_matrix_ring, build_table_algebra, build_zmod,
                      is_regular, is_semiprime, parse_element, regular_elements,
                      squarefree)
-from ginvlab import gfmatrix, rings
+from ginvlab import gfmatrix, ginv, rings
 from ginvlab.rings import TABLE_CAP
 
 
@@ -274,6 +275,17 @@ def test_semiprime_verdicts(z4, z6, z30, m2gf2, example):
         assert (w * example.from_index(int(g)) * w).index == 0
 
 
+def test_kept_semiprime_verdict_does_not_keep_the_ring_alive():
+    """The verdict kept on the ring refers to no Elem of it, so dropping
+    the ring frees it (and its op tables) without waiting for gc."""
+    ring = build_zmod(4)
+    assert is_semiprime(ring).witness.index == 2
+    assert is_semiprime(ring).witness.index == 2  # from the kept verdict
+    ref = weakref.ref(ring)
+    del ring
+    assert ref() is None
+
+
 def test_semiprime_matches_squarefree_up_to_100():
     for n in range(2, 101):
         assert is_semiprime(build_zmod(n)).semiprime == squarefree(n), n
@@ -339,15 +351,30 @@ def test_elemset_equal_sets_hash_equal(z6):
     (np.asarray([[4, 4], [0, 9]], dtype=np.int64), [0, 4, 9]),
     (range(30), list(range(30))),
 ])
-def test_from_indices_mask_and_sort_paths_agree(z30, monkeypatch, indices,
-                                                expected):
-    via_mask = ElemSet.from_indices(z30, indices).indices()
-    monkeypatch.setattr(rings, "TABLE_CAP", 0)  # above the cap: one sort
+def test_from_indices_dedups_with_and_without_op_tables(z30, monkeypatch,
+                                                        indices, expected):
+    with_tables = ElemSet.from_indices(z30, indices).indices()
+    monkeypatch.setattr(rings, "TABLE_CAP", 0)  # above the cap: no op tables
     assert not z30.has_tables()
-    via_sort = ElemSet.from_indices(z30, indices).indices()
-    assert via_mask.dtype == via_sort.dtype == np.int64
-    assert np.array_equal(via_mask, via_sort)
-    assert via_mask.tolist() == expected
+    without_tables = ElemSet.from_indices(z30, indices).indices()
+    assert with_tables.dtype == without_tables.dtype == np.int64
+    assert np.array_equal(with_tables, without_tables)
+    assert with_tables.tolist() == expected
+
+
+def test_dedup_past_the_budget_raises():
+    """Deduplication marks a mask over the whole ring, so past the
+    enumeration budget it raises, with op tables (Z/30) or without."""
+    for ring in (build_zmod(30, enumeration_budget=10),
+                 build_zmod(5005, enumeration_budget=100)):
+        a = ring.from_index(1)
+        s = ElemSet(ring, np.asarray([1, 2], dtype=np.int64))
+        calls = [lambda: ElemSet.from_indices(ring, [2, 1, 2]),
+                 lambda: ginv.inner_products(a, [1, 2], [2, 3]),
+                 lambda: ginv.sumset(s, s)]
+        for call in calls:
+            with pytest.raises(BudgetExceeded):
+                call()
 
 
 # --- GF(2) products against the structure-constant formula -----------------
