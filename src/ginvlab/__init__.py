@@ -20,8 +20,7 @@ from .ginv import (Frames, IannDecompositions, additive_span,
 from .parsing import parse_element, render_elem
 from .rings import (DEFAULT_BUDGET, TABLE_CAP, Elem, ElemSet, MatrixRing, Ring,
                     TableRing, ZmodRing, build_matrix_ring, build_table_algebra,
-                    build_zmod, is_regular, is_semiprime, regular_elements,
-                    squarefree)
+                    build_zmod, is_regular, is_semiprime, regular_elements)
 from .theoremlab import (CHECK_NAMES, CheckVerdict, SuiteReport,
                          check_decomposition, check_example_claims,
                          check_hartwig, check_inner_param, check_invariance,

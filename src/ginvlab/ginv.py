@@ -15,6 +15,8 @@ witness and an array of b instead.  Most are named *_batch.  The two
 coset forms of I(a), a0 + {t - f*t*e} and a0 + Iann(a), are decided by
 counting: a coset that lies in I(a) equals it iff it has |I(a)|
 elements, so no translate is built.
+inner_products and ref_decomposition build Ref(a) = I(a)*a*I(a) in
+factored form, from I(a)*a and a*I(a), whose sizes multiply to |Ref(a)|.
 ref_decomposition keeps its name because the benchmark counts calls to
 it, and that count measures the batching.
 Witnesses with the same frame (a0*a, a*a0) share the frame's work; see
@@ -126,12 +128,20 @@ def inner_inverses_param_batch(a: Elem, a0s) -> np.ndarray:
 def inner_products(a: Elem, xs, ys) -> ElemSet:
     """{x*a*y : x in xs, y in ys}, over every factor pair at once.
 
-    With xs = ys = I(a) this is I(a)*a*I(a) = Ref(a); a subset of I(a) as
-    ys gives the products of those factor pairs only.
+    x*a*y depends on x only through x*a and on y only through a*y, so
+    one x per distinct x*a and one y per distinct a*y are paired.  With
+    xs = ys = I(a) this is I(a)*a*I(a) = Ref(a), and since
+    |I(a)*a|*|a*I(a)| = |Ref(a)| it costs at most |Ref(a)| products.
     """
     ring = a.ring
+    ring.ensure_enumerable()
+    ys = np.asarray(ys, dtype=np.int64)
+    ay = ring.idx_mul(a.index, ys)
+    rep = np.empty(ring.size, dtype=np.int64)
+    rep[ay] = ys  # one y for each a*y
     left = ring.idx_mul(np.asarray(xs, dtype=np.int64), a.index)
-    return ElemSet(ring, _pairwise(ring, ring.idx_mul, left, ys))
+    return ElemSet(ring, _pairwise(ring, ring.idx_mul, left,
+                                   rep[_distinct(ring, [ay])]))
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +294,6 @@ def iann_decomposition_batch(a: Elem, a0s) -> IannDecompositions:
                               np.full(len(frames.of), translate))
 
 
-def _distinct_per_row(n: int, vals: np.ndarray) -> tuple:
-    """(rows, values): the distinct values of each row of a 2-D index
-    array, row by row in ascending order, marked in one flat mask over
-    row*n + value so that no per-row sort runs."""
-    mask = np.zeros(vals.shape[0] * n, dtype=bool)
-    mask[np.arange(0, mask.size, n)[:, None] + vals] = True
-    return np.divmod(np.flatnonzero(mask), n)
-
-
 def ref_decomposition(a: Elem, a0s) -> np.ndarray:
     """Ref(a) as {a0 + f*r*e_c + f_c*s*e + f_c*s*a*r*e_c : r, s in R}.
 
@@ -312,14 +313,14 @@ def ref_decomposition(a: Elem, a0s) -> np.ndarray:
     then NotInnerInverse (from idempotent_frames) for the first that is
     not an inner inverse either.
 
-    Evaluation: r enters only through v = a*r*e_c, because f = a0*a makes
-    f*r*e_c = a0*v, and s only through t = f_c*s, because
-    f_c*s*e + f_c*s*a*r*e_c = t*(e + v).  So the family is the table
-    a0 + a0*v + t*(e + v) over the distinct v in a*R*e_c and t in f_c*R,
-    each deduplicated per row in one mask.  Since v ranges over an image
-    of aR and t over f_c*R = r(a), a row pairs at most |aR|*|r(a)| = |R|
-    (v, t), so row blocks of width |R| (rings._row_blocks) bound every
-    gather and temporary.
+    Evaluation, in factored form: with w = f_c*s*a and v = a*r*e_c the
+    family is {(f + w)*a0*(e + v)}, since a0*a*a0 = a0 turns the four
+    products of that expansion into the four summands.  f_c*R = r(a) and
+    R*e_c = l(a), so w ranges over W_a = r(a)*a and v over V_a = a*l(a),
+    both independent of a0 and computed once per call.  A row is then
+    |W_a|*|V_a| products, and |W_a|*|V_a| = |I(a)*a|*|a*I(a)| = |Ref(a)|
+    because (f + W_a) = I(a)*a and (e + V_a) = a*I(a); row blocks of
+    that width (rings._row_blocks) bound every temporary.
     """
     ring = a.ring
     a0s = np.asarray(a0s, dtype=np.int64).reshape(-1)
@@ -328,30 +329,20 @@ def ref_decomposition(a: Elem, a0s) -> np.ndarray:
         a0 = Elem(ring, int(a0s[np.argmin(outer)]))
         raise NotReflexiveInverse(f"{a0} is not an outer inverse of {a}")
     frames = idempotent_frames(a, a0s)  # raises NotInnerInverse
-    n = ring.size
     idx = _scan_indices(ring)
-    e = frames.e[frames.of]
-    e_c = ring.idx_sub(ring._one_index, e)
-    f_c = ring.idx_sub(ring._one_index, frames.f[frames.of])
-    ar = _distinct(ring, [ring.idx_mul(a.index, idx)])
-    out = np.zeros((len(a0s), n), dtype=bool)
-    flat = out.reshape(-1)
-    for rows in _row_blocks(len(a0s), n):
-        vrow, v = _distinct_per_row(n, ring.idx_mul(ar[None, :],
-                                                    e_c[rows, None]))
-        trow, t = _distinct_per_row(n, ring.idx_mul(f_c[rows, None],
-                                                    idx[None, :]))
-        # pair each v with every t of its row: trow is sorted
-        first = np.searchsorted(trow, vrow)
-        count = np.searchsorted(trow, vrow, side="right") - first
-        vi = np.repeat(np.arange(len(v)), count)
-        ti = np.arange(len(vi)) + np.repeat(first - np.cumsum(count) + count,
-                                            count)
-        a0 = a0s[rows][vrow]
-        heads = ring.idx_add(a0, ring.idx_mul(a0, v))  # a0 + a0*v
-        factors = ring.idx_add(e[rows][vrow], v)  # e + v
-        vals = ring.idx_add(heads[vi], ring.idx_mul(t[ti], factors[vi]))
-        flat[(rows.start + vrow[vi]) * n + vals] = True
+    right_ann = idx[ring.idx_mul(a.index, idx) == 0]
+    left_ann = idx[ring.idx_mul(idx, a.index) == 0]
+    w = _distinct(ring, [ring.idx_mul(right_ann, a.index)])[None, :, None]
+    v = _distinct(ring, [ring.idx_mul(a.index, left_ann)])[None, None, :]
+    f = frames.f[frames.of][:, None, None]
+    e = frames.e[frames.of][:, None, None]
+    out = np.zeros((len(a0s), ring.size), dtype=bool)
+    for rows in _row_blocks(len(a0s), w.size * v.size):
+        heads = ring.idx_mul(ring.idx_add(f[rows], w), a0s[rows, None, None])
+        prods = ring.idx_mul(heads, ring.idx_add(e[rows], v))
+        block = out[rows]  # a view: marking it marks out
+        block[np.arange(len(block))[:, None],
+              prods.reshape(len(block), -1)] = True
     return out
 
 

@@ -934,15 +934,3 @@ def _semiprime_scan(ring: Ring) -> int:
     mask[0] = False
     hits = np.flatnonzero(mask)
     return int(hits[0]) if len(hits) else -1
-
-
-def squarefree(n: int) -> bool:
-    """Exact integer-factorization check, used to cross-check is_semiprime."""
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        while n % d == 0:
-            n //= d
-        d += 1
-    return True

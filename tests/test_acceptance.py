@@ -20,9 +20,11 @@ from ginvlab import (ZmodRing, additive_span, build_example_ring,
                      inner_inverses, inner_inverses_param_batch, is_semiprime,
                      left_annihilator, parse_element, principal_left_ideal,
                      principal_right_ideal, reflexive_inverses,
-                     regular_elements, right_annihilator, squarefree)
+                     regular_elements, right_annihilator)
 from ginvlab.gfmatrix import (inner_set_equal_matrices, membership_Ra,
                               membership_aR)
+
+from conftest import squarefree
 
 
 def _semiprime_rings(z6, z30, m2gf2, m2gf3):

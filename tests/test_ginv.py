@@ -260,7 +260,7 @@ def _assert_rows_match_defining_family(a):
         assert np.array_equal(np.flatnonzero(row), want), (a, a0)
 
 
-@pytest.mark.parametrize("name", ["z6", "z30", "m2gf2"])
+@pytest.mark.parametrize("name", ["z6", "z30", "m2gf2", "m2gf3", "gf3t3"])
 def test_ref_decomposition_matches_defining_family(request, name):
     ring = request.getfixturevalue(name)
     for a in ring.elements():
@@ -342,6 +342,45 @@ def test_reflexive_via_product(z6, m2gf2):
                 continue
             inner = inner_inverses(a).indices()
             assert inner_products(a, inner, inner) == reflexive_inverses(a)
+
+
+def _products_by_pairs(a, xs, ys):
+    """{x*a*y : x in xs, y in ys}, one Elem product per pair."""
+    ring = a.ring
+    return sorted({(ring.from_index(x) * a * ring.from_index(y)).index
+                   for x in xs for y in ys})
+
+
+@pytest.mark.parametrize("name", ["z30", "m2gf2", "example"])
+def test_inner_products_match_every_factor_pair(request, name):
+    # arbitrary factors: repeated, outside I(a), and for a not regular
+    ring = request.getfixturevalue(name)
+    rng = random.Random(5)
+    elems = ring.all_indices().tolist()
+    picks = [0] + rng.sample(elems, 12) if name == "example" else elems
+    irregular = 0
+    for a in map(ring.from_index, picks):
+        inner = inner_inverses(a).indices().tolist()
+        irregular += not inner
+        xs = rng.choices(elems, k=7) + inner[:2] * 2
+        ys = rng.choices(elems, k=7) + inner[-2:] * 2 + xs[:2]
+        got = inner_products(a, xs, ys).indices().tolist()
+        assert got == _products_by_pairs(a, xs, ys), a
+        assert inner_products(a, xs, []).indices().tolist() == [], a
+    assert irregular > 0 or name != "example"
+
+
+@pytest.mark.parametrize("name", ["z30", "m2gf3", "gf3t3"])
+def test_factored_products_count_ref(request, name):
+    # |I(a)*a| * |a*I(a)| = |Ref(a)|: the bound on inner_products' work
+    ring = request.getfixturevalue(name)
+    for a in ring.elements():
+        inner = inner_inverses(a).indices()
+        if not len(inner):
+            continue
+        xa = np.unique(ring.idx_mul(inner, a.index))
+        ax = np.unique(ring.idx_mul(a.index, inner))
+        assert len(xa) * len(ax) == len(reflexive_inverses(a)), a
 
 
 def test_phi_maps_inner_onto_reflexive(z6, m2gf2):

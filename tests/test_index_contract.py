@@ -12,24 +12,17 @@ import random
 import numpy as np
 import pytest
 
-from ginvlab import (build_example_ring, build_matrix_ring,
-                     build_table_algebra, build_zmod, rings)
+from ginvlab import build_example_ring, build_matrix_ring, build_zmod, rings
 
-
-def _truncated_polynomials(p, dim):
-    """GF(p)[t]/(t^dim) on the basis 1, t, ..., t^(dim-1)."""
-    basis = ["1"] + [f"t{k}" for k in range(1, dim)]
-    constants = [[i, j, i + j, 1] for i in range(dim) for j in range(dim - i)]
-    return build_table_algebra(p, basis, [1] + [0] * (dim - 1), constants)
-
+from conftest import truncated_polynomials
 
 RINGS = {
     "z30": lambda: build_zmod(30),
     "m2gf3": lambda: build_matrix_ring(2, 3),
     "example10": build_example_ring,  # GF(2) table algebra
-    "gf3t4": lambda: _truncated_polynomials(3, 4),  # odd-p table algebra
+    "gf3t4": lambda: truncated_polynomials(3, 4),  # odd-p table algebra
     "z5005": lambda: build_zmod(5005),  # above TABLE_CAP
-    "gf2t13": lambda: _truncated_polynomials(2, 13),  # above TABLE_CAP
+    "gf2t13": lambda: truncated_polynomials(2, 13),  # above TABLE_CAP
 }
 TABLED = ("z30", "m2gf3", "example10", "gf3t4")
 CASES = ([(name, True) for name in TABLED]

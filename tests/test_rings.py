@@ -11,10 +11,11 @@ import pytest
 from ginvlab import (BadTensorShape, BudgetExceeded, Elem, ElemSet,
                      InvalidModulus, NoUnity, NotAssociative, RingMismatch,
                      build_matrix_ring, build_table_algebra, build_zmod,
-                     is_regular, is_semiprime, parse_element, regular_elements,
-                     squarefree)
+                     is_regular, is_semiprime, parse_element, regular_elements)
 from ginvlab import gfmatrix, ginv, rings
 from ginvlab.rings import TABLE_CAP
+
+from conftest import squarefree
 
 
 def test_zmod_basics(z6):
