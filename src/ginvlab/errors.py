@@ -41,7 +41,8 @@ class BudgetExceeded(GinvError):
 
 
 class TableCapExceeded(BudgetExceeded):
-    """Ring is above TABLE_CAP, and the scan needs full op tables."""
+    """Ring is above TABLE_CAP, the size up to which a scan over every
+    pair of elements (and an op table) is allowed."""
 
     limit = "op-table cap"
 

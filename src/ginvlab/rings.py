@@ -9,12 +9,17 @@ The index order is the canonical order used by sets and reports.
 
 Arithmetic is exposed two ways: Elem objects with operator overloading,
 and vectorized numpy operations on index arrays for scan-heavy set
-computations.  Rings with at most TABLE_CAP elements build full index
-tables once and answer everything by fancy indexing; larger rings fall
-back to per-backend vectorized formulas, chunked to bound memory.
-Either way idx_mul, idx_add, idx_neg and idx_sub accept operands of any
-integer dtype and return int64 of the broadcast shape: the tables are
-uint16 storage that only this module reads, cast at the gather.
+computations.  Index arithmetic runs on per-backend vectorized formulas
+(raw arithmetic), chunked to bound memory, until build_tables() builds
+full |R|^2 op tables, which then answer by fancy indexing.  The tables
+pay only for quadratic work, so only the two quadratic consumers build
+them, theoremlab's _Scan and regular_elements, and only on rings of at
+most TABLE_CAP elements; Z/n never builds them, since a residue product
+is one numpy op.  Single queries (inverse sets, the semiprime header,
+parsing) run raw.  Either way idx_mul, idx_add, idx_neg and idx_sub
+accept operands of any integer dtype and return int64 of the broadcast
+shape: the tables are uint16 storage that only this module reads, cast
+at the gather.
 
 Z/n computes in int64, so it refuses a modulus whose residue products
 could pass 2^63 (n > 3037000500) with InvalidModulus.
@@ -53,7 +58,8 @@ from .errors import (
 )
 
 DEFAULT_BUDGET = 1 << 20
-# Full op tables (and exhaustive pair quantification) below this size.
+# Op tables (built by build_tables) and exhaustive pair quantification
+# up to this size.
 TABLE_CAP = 4096
 _CHUNK = 1 << 16
 
@@ -167,7 +173,18 @@ class Ring:
     # --- table management ----------------------------------------------
 
     def has_tables(self) -> bool:
-        return self.size <= TABLE_CAP
+        """Whether this ring's op tables are built."""
+        return self._mul_table is not None
+
+    def build_tables(self) -> None:
+        """Build the op tables once, if the ring has at most TABLE_CAP
+        elements; larger rings stay on raw arithmetic.
+
+        Building costs |R|^2 products, which only a quadratic scan earns
+        back, so only _Scan and regular_elements call this.
+        """
+        if self.size <= TABLE_CAP:
+            self._tables()
 
     def _tables(self):
         if self._mul_table is None:
@@ -196,18 +213,18 @@ class Ring:
     # dtype of the operands; the uint16 op tables never leave this module.
 
     def idx_mul(self, I, J):
-        if self.has_tables():
-            return self._tables()[0][I, J].astype(np.int64)
+        if self._mul_table is not None:
+            return self._mul_table[I, J].astype(np.int64)
         return self._raw_mul(I, J)
 
     def idx_add(self, I, J):
-        if self.has_tables():
-            return self._tables()[1][I, J].astype(np.int64)
+        if self._add_table is not None:
+            return self._add_table[I, J].astype(np.int64)
         return self._raw_add(I, J)
 
     def idx_neg(self, I):
-        if self.has_tables():
-            return self._tables()[2][I].astype(np.int64)
+        if self._neg_table is not None:
+            return self._neg_table[I].astype(np.int64)
         return self._raw_neg(I)
 
     def idx_sub(self, I, J):
@@ -249,21 +266,26 @@ class Ring:
     # --- units -------------------------------------------------------------
 
     def unit_indices(self) -> np.ndarray:
-        """Indices of all units, from the op tables; cached.
+        """Indices of all units, by one row-blocked scan of x·y = 1; cached.
 
-        Subclasses may avoid the table scan.
+        The scan is quadratic, so rings above TABLE_CAP raise
+        TableCapExceeded.  It gathers from the op tables if they are
+        built and runs raw otherwise; it builds none.  Subclasses may
+        avoid the scan.
         """
         if self._units is None:
-            if not self.has_tables():
+            if self.size > TABLE_CAP:
                 raise TableCapExceeded(self.size, TABLE_CAP)
-            mul, _, _ = self._tables()
-            one = self._one_index
-            has_right = (mul == one).any(axis=1)
-            cand = np.nonzero(has_right)[0]
-            rinv = np.argmax(mul[cand] == one, axis=1)
+            idx, one = self.all_indices(), self._one_index
+            cand, rinv = [], []
+            for rows in _row_blocks(self.size, self.size):
+                hit = self.idx_mul(idx[rows, None], idx[None, :]) == one
+                has_right = hit.any(axis=1)
+                cand.append(idx[rows][has_right])
+                rinv.append(np.argmax(hit[has_right], axis=1))
+            cand, rinv = np.concatenate(cand), np.concatenate(rinv)
             # in a finite ring a one-sided inverse is two-sided; verify anyway
-            two_sided = mul[rinv, cand] == one
-            self._units = cand[two_sided]
+            self._units = cand[self.idx_mul(rinv, cand) == one]
         return self._units
 
 
@@ -453,6 +475,10 @@ class ZmodRing(Ring):
 
     def scale_index(self, c, i):
         return (c * i) % self.n
+
+    def build_tables(self):
+        """Nothing: a residue product is one numpy op, no slower than a
+        table gather, so Z/n always runs raw."""
 
     def unit_indices(self):
         idx = self.all_indices()
@@ -884,19 +910,26 @@ def is_regular(a: Elem) -> Optional[Elem]:
 
 
 def regular_elements(ring: Ring) -> ElemSet:
-    """Reg(R) = {a : a x a = a for some x}."""
+    """Reg(R) = {a : a x a = a for some x}.
+
+    Matrix rings need no scan: every matrix over a field is regular.
+    Other rings of at most TABLE_CAP elements run one row-blocked scan of
+    a·x·a = a over every pair, after build_tables(): on op tables, or raw
+    on Z/n.  Larger ones raise TableCapExceeded, as the scan is quadratic.
+    """
     ring.ensure_enumerable()
     if ring.kind == "matrix":
-        # constructive: every matrix over a field is regular
         return ElemSet(ring, np.arange(ring.size, dtype=np.int64))
-    if ring.has_tables():
-        mul, _, _ = ring._tables()
-        idx = ring.all_indices()
-        prod = mul[mul, idx[:, None]]  # prod[a, x] = (a·x)·a
-        mask = (prod == idx[:, None]).any(axis=1)
-        return ElemSet(ring, np.flatnonzero(mask))
-    # large non-matrix ring: quadratic scan would blow the budget
-    raise TableCapExceeded(ring.size, TABLE_CAP)
+    if ring.size > TABLE_CAP:
+        raise TableCapExceeded(ring.size, TABLE_CAP)
+    ring.build_tables()
+    idx = ring.all_indices()
+    mask = np.empty(ring.size, dtype=bool)
+    for rows in _row_blocks(ring.size, ring.size):
+        a = idx[rows, None]
+        axa = ring.idx_mul(ring.idx_mul(a, idx[None, :]), a)
+        mask[rows] = (axa == a).any(axis=1)
+    return ElemSet(ring, np.flatnonzero(mask))
 
 
 class SemiprimeVerdict(NamedTuple):
@@ -907,14 +940,23 @@ class SemiprimeVerdict(NamedTuple):
 def is_semiprime(ring: Ring) -> SemiprimeVerdict:
     """True iff no nonzero a has a·t·a = 0 for all t.
 
-    The first scan's witness index is kept on the ring, as unit_indices
+    M_k(GF(q)) is simple, hence semiprime, so matrix rings get the verdict
+    without a scan, as is_regular and regular_elements read their
+    regularity constructively; past the enumeration budget they still
+    raise BudgetExceeded, like every other ring.  Other rings run
+    _semiprime_scan, on raw arithmetic unless the op tables were already
+    built: it builds none, so a single query pays no |R|^2 table build.
+
+    The first verdict's witness index is kept on the ring, as unit_indices
     keeps the units, so the suite and the report header share one scan.
     An index, not an Elem: an Elem would refer back to the ring, and that
     cycle would keep every checked ring and its op tables alive until the
     garbage collector next ran.
     """
     if ring._semiprime is None:
-        ring._semiprime = _semiprime_scan(ring)
+        ring.ensure_enumerable()
+        ring._semiprime = (-1 if ring.kind == "matrix"
+                           else _semiprime_scan(ring))
     w = ring._semiprime
     return SemiprimeVerdict(w < 0, None if w < 0 else Elem(ring, w))
 

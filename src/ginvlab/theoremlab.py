@@ -148,6 +148,10 @@ class _Scan:
     are likewise computed once per element and kept, and regularity is
     read from I(a) in both modes: `regular_at` computes I(a) for each
     element not asked about before and keeps whether it is empty.
+
+    `idx`, the first thing every scan reads, also builds the ring's op
+    tables (rings.Ring.build_tables) within the enumeration budget: a
+    suite's quadratic scans pay the build back, a single query would not.
     """
 
     def __init__(self, ring: Ring):
@@ -160,6 +164,7 @@ class _Scan:
     @cached_property
     def idx(self) -> np.ndarray:
         self.ring.ensure_enumerable()
+        self.ring.build_tables()
         return self.ring.all_indices()
 
     @cached_property

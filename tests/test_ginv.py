@@ -33,8 +33,8 @@ def _brute(n, a):
 @pytest.mark.parametrize("n", [4, 6, 30, 5005])
 def test_sets_match_bruteforce(n):
     ring = ZmodRing(n)
-    # every element below TABLE_CAP; a seeded handful above it (no op tables)
-    values = (range(n) if ring.has_tables()
+    # every element up to TABLE_CAP; a seeded handful above it
+    values = (range(n) if n <= rings.TABLE_CAP
               else random.Random(n).sample(range(n), 6))
     for v in values:
         a = ring.from_index(v)
@@ -447,12 +447,12 @@ def test_set_plumbing(z6):
     ([], [1, 2]),
     ([1, 2], np.empty(0, dtype=np.int64)),
 ])
-def test_pairwise_dedups_with_and_without_op_tables(z30, monkeypatch, left,
-                                                    right):
+def test_pairwise_dedups_with_and_without_op_tables(z30, left, right):
     brute = {(x + y) % 30 for x in np.asarray(left).tolist()
              for y in np.asarray(right).tolist()}
-    with_tables = _pairwise(z30, z30.idx_add, left, right)
-    monkeypatch.setattr(rings, "TABLE_CAP", 0)  # raw arithmetic, no op tables
+    tabled = build_zmod(30)
+    tabled._tables()  # build_tables() leaves Z/n raw; force the tables
+    with_tables = _pairwise(tabled, tabled.idx_add, left, right)
     assert not z30.has_tables()
     without_tables = _pairwise(z30, z30.idx_add, left, right)
     assert with_tables.dtype == without_tables.dtype == np.int64
@@ -466,13 +466,14 @@ def test_additive_span_example(example):
     assert set(span.indices().tolist()) == {0, a.index}
 
 
-def test_principal_ideals(z6, m2gf2, monkeypatch):
+def test_principal_ideals(monkeypatch):
     monkeypatch.setattr(rings, "_CHUNK", 20)  # rows come in several blocks
-    caps = (rings.TABLE_CAP, 0)  # op tables, then raw arithmetic
-    for ring in (z6, m2gf2):
-        s = ring.all_indices()[::-1]
-        for cap in caps:
-            monkeypatch.setattr(rings, "TABLE_CAP", cap)
+    for build in (lambda: build_zmod(6), lambda: build_matrix_ring(2, 2)):
+        for tables in (True, False):  # op tables, then raw arithmetic
+            ring = build()
+            if tables:
+                ring._tables()  # forced: build_tables() leaves Z/n raw
+            s = ring.all_indices()[::-1]
             rows = [principal_ideal_rows(ring, side, s)
                     for side in ("right", "left")]
             for k, idx in enumerate(s.tolist()):

@@ -1,10 +1,12 @@
-"""Full check and matrix reports (notes and witnesses included), byte
-for byte.
+"""Full check, matrix and query reports (notes and witnesses included),
+byte for byte.
 
 The files tests/golden/<ring>.json are the output of
-`ginvlab check <ring> --format json --no-timing`, and the files under
-tests/golden/matrix/ that of `ginvlab matrix ... --format json`; a change
-that alters a report on purpose regenerates them and says why.
+`ginvlab check <ring> --format json --no-timing`, the files under
+tests/golden/matrix/ that of `ginvlab matrix ... --format json`, and the
+files under tests/golden/query/ that of `ginvlab ring info` and
+`ginvlab inv` with --format json; a change that alters a report on
+purpose regenerates them and says why.
 """
 
 import json
@@ -34,15 +36,21 @@ CASES = {
 }
 
 
+def _spec_arg(name, tmp_path) -> str:
+    """The ring argument for CASES[name]: a spec file, or the builtin name."""
+    spec = CASES[name][0]
+    if spec is None:
+        return name
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_check_report_matches_golden(name, tmp_path, capsys):
-    spec, code = CASES[name]
-    if spec is not None:
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(spec))
-        spec = str(path)
-    argv = ["check", spec or name, "--format", "json", "--no-timing"]
-    assert cli.main(argv) == code
+    argv = ["check", _spec_arg(name, tmp_path), "--format", "json",
+            "--no-timing"]
+    assert cli.main(argv) == CASES[name][1]
     out, err = capsys.readouterr()
     assert err == ""
     assert out == (GOLDEN / f"{name}.json").read_text()
@@ -73,3 +81,27 @@ def test_matrix_report_matches_golden(name, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out == (GOLDEN / "matrix" / f"{name}.json").read_text()
+
+
+# name -> (ring of CASES, command, arguments after the ring spec), each run
+# with --format json
+QUERY_CASES = {
+    **{f"info-{ring}": (ring, ["ring", "info"], [])
+       for ring in ("example10", "z1155", "m2gf5", "gf2t13")},
+    "inv-example10-inner": ("example10", ["inv"],
+                            ["--elem", "a", "--kind", "inner", "--all"]),
+    "inv-m2gf5-reflexive": ("m2gf5", ["inv"],
+                            ["--elem", "e11 + e12", "--kind", "reflexive"]),
+    "inv-z1155-ideals": ("z1155", ["inv"], ["--elem", "35", "--kind", "ideals"]),
+    "inv-gf2t13-iann": ("gf2t13", ["inv"], ["--elem", "t5", "--kind", "iann"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUERY_CASES))
+def test_query_report_matches_golden(name, tmp_path, capsys):
+    ring, command, rest = QUERY_CASES[name]
+    argv = [*command, _spec_arg(ring, tmp_path), *rest, "--format", "json"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (GOLDEN / "query" / f"{name}.json").read_text()

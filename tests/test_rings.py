@@ -352,10 +352,11 @@ def test_elemset_equal_sets_hash_equal(z6):
     (np.asarray([[4, 4], [0, 9]], dtype=np.int64), [0, 4, 9]),
     (range(30), list(range(30))),
 ])
-def test_from_indices_dedups_with_and_without_op_tables(z30, monkeypatch,
-                                                        indices, expected):
-    with_tables = ElemSet.from_indices(z30, indices).indices()
-    monkeypatch.setattr(rings, "TABLE_CAP", 0)  # above the cap: no op tables
+def test_from_indices_dedups_with_and_without_op_tables(z30, indices,
+                                                        expected):
+    tabled = build_zmod(30)
+    tabled._tables()  # build_tables() leaves Z/n raw; force the tables
+    with_tables = ElemSet.from_indices(tabled, indices).indices()
     assert not z30.has_tables()
     without_tables = ElemSet.from_indices(z30, indices).indices()
     assert with_tables.dtype == without_tables.dtype == np.int64

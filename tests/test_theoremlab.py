@@ -193,7 +193,7 @@ def test_sampled_mode_agrees_with_exhaustive(request, monkeypatch, name):
 
 
 def test_hartwig_skip_names_the_table_cap():
-    # GF(2)[t]/(t^13): 8192 elements, above TABLE_CAP, units need op tables
+    # GF(2)[t]/(t^13): 8192 elements, above TABLE_CAP: no quadratic unit scan
     basis = ["1"] + [f"t{k}" for k in range(1, 13)]
     rows = [[i, j, i + j, 1] for i in range(13) for j in range(13) if i + j < 13]
     ring = build_table_algebra(2, basis, [1] + [0] * 12, rows)
