@@ -8,19 +8,18 @@ ring honor the ring's enumeration budget and raise BudgetExceeded
 instead of starting a scan that cannot finish.
 
 Each identity that depends on an inner inverse a0 (the witness) has one
-function.  It takes an index array of witnesses of one a and returns one
-set or verdict per witness, so one witness is a one-element array;
-singleton_conjugate_batch, whose answer does not depend on a0, takes one
-witness and an array of b instead.  Most are named *_batch.  The two
-coset forms of I(a), a0 + {t - f*t*e} and a0 + Iann(a), are decided by
-counting: a coset that lies in I(a) equals it iff it has |I(a)|
-elements, so no translate is built.
+function.  It takes the Frames of one a, built by idempotent_frames, the
+only code that checks a*a0*a = a and groups witnesses by frame
+(a0*a, a*a0); it does per-frame work once and returns one set or verdict
+per witness (singleton_conjugate_batch, whose answer does not depend on
+a0, one per b).  Most are named *_batch.  The two coset forms of I(a),
+a0 + {t - f*t*e} and a0 + Iann(a), are decided by counting: a coset that
+lies in I(a) equals it iff it has |I(a)| elements, so no translate is
+built.
 inner_products and ref_decomposition build Ref(a) = I(a)*a*I(a) in
 factored form, from I(a)*a and a*I(a), whose sizes multiply to |Ref(a)|.
 ref_decomposition keeps its name because the benchmark counts calls to
 it, and that count measures the batching.
-Witnesses with the same frame (a0*a, a*a0) share the frame's work; see
-idempotent_frames.
 """
 
 from __future__ import annotations
@@ -29,25 +28,13 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (
-    NotInnerInverse,
-    NotReflexiveInverse,
-    RingMismatch,
-)
+from .errors import NotInnerInverse, NotReflexiveInverse, RingMismatch
 from .rings import Elem, ElemSet, Ring, _distinct, _row_blocks
 
 
 def _scan_indices(ring: Ring) -> np.ndarray:
     ring.ensure_enumerable()
     return ring.all_indices()
-
-
-def _same_ring(*elems: Elem) -> Ring:
-    ring = elems[0].ring
-    for e in elems[1:]:
-        if e.ring is not ring and e.ring != ring:
-            raise RingMismatch("elements belong to different rings")
-    return ring
 
 
 def _first_difference(got: np.ndarray, want: np.ndarray) -> int:
@@ -97,8 +84,8 @@ def reflexive_inverses(a: Elem) -> ElemSet:
     return ElemSet(ring, np.flatnonzero(inner_mask & outer_mask))
 
 
-def inner_inverses_param_batch(a: Elem, a0s) -> np.ndarray:
-    """Per witness a0 in a0s, whether I(a) = {a0 + t - a0*a*t*a*a0 : t in R}.
+def inner_inverses_param_batch(frames: Frames) -> np.ndarray:
+    """Per witness a0, whether I(a) = {a0 + t - a0*a*t*a*a0 : t in R}.
 
     a0*a*t*a*a0 = f*t*e, so the set is the coset a0 + B of the image B of
     the additive map t -> t - f*t*e.  a*(t - f*t*e)*a = 0, so a0 + B lies
@@ -107,10 +94,10 @@ def inner_inverses_param_batch(a: Elem, a0s) -> np.ndarray:
     |R| = |I(a)| * |{t : f*t*e = t}|, the kernel of the map.  One verdict
     per frame (f, e), frames in row blocks (rings._row_blocks).
     """
+    a = frames.a
     ring = a.ring
     n = ring.size
     idx = _scan_indices(ring)
-    frames = idempotent_frames(a, a0s)
     axa = ring.idx_mul(ring.idx_mul(a.index, idx), a.index)
     inner = int(np.count_nonzero(axa == a.index))
     f, e = frames.f[:, None], frames.e[:, None]
@@ -203,8 +190,14 @@ def principal_left_ideal(a: Elem) -> ElemSet:
 
 
 class Frames(NamedTuple):
-    """Inner inverses of a grouped by frame, the frames sorted by (f, e)."""
+    """Inner inverses of a grouped by frame, the frames sorted by (f, e).
 
+    The input of every witness kernel.  It carries its element, so a
+    frame set cannot be paired with another; build it with
+    idempotent_frames, which checks every witness.
+    """
+
+    a: Elem
     witnesses: np.ndarray  # the inner inverses a0, as int64 indices
     f: np.ndarray   # a0*a for each frame
     e: np.ndarray   # a*a0 for each frame
@@ -214,22 +207,26 @@ class Frames(NamedTuple):
 def idempotent_frames(a: Elem, a0s) -> Frames:
     """Group inner inverses of a, given as an index array, by frame.
 
-    Raises NotInnerInverse naming the first a0 with a*a0*a != a.  Over
-    all of I(a) the frames match Ref(a) one to one: a0*a*a0 is the one
-    reflexive inverse with the frame of a0.
+    Raises NotInnerInverse naming the first a0, in array order, that is
+    not an index of the ring or has a*a0*a != a.  Over all of I(a) the
+    frames match Ref(a) one to one: a0*a*a0 is the one reflexive inverse
+    with the frame of a0.
     """
     ring = a.ring
     a0s = np.asarray(a0s, dtype=np.int64).reshape(-1)
-    f = ring.idx_mul(a0s, a.index)
-    e = ring.idx_mul(a.index, a0s)
-    bad = np.nonzero(ring.idx_mul(e, a.index) != a.index)[0]
+    inside = (a0s >= 0) & (a0s < ring.size)
+    safe = np.where(inside, a0s, 0)  # idx_mul wraps or rejects the others
+    f, e = ring.idx_mul(safe, a.index), ring.idx_mul(a.index, safe)
+    bad = np.flatnonzero(~inside | (ring.idx_mul(e, a.index) != a.index))
     if len(bad):
-        raise NotInnerInverse(
-            f"{Elem(ring, int(a0s[bad[0]]))} is not an inner inverse of {a}")
+        k = bad[0]
+        a0 = (Elem(ring, a0s[k]) if inside[k]
+              else f"index {a0s[k]}, outside the ring,")
+        raise NotInnerInverse(f"{a0} is not an inner inverse of {a}")
     # one sort key per (f, e); past 2^31 elements f*|R| needs Python ints
     keys = (f if ring.size < 1 << 31 else f.astype(object)) * ring.size + e
     _, first, of = np.unique(keys, return_index=True, return_inverse=True)
-    return Frames(a0s, f[first], e[first], of.reshape(-1))
+    return Frames(a, a0s, f[first], e[first], of.reshape(-1))
 
 
 class IannDecompositions(NamedTuple):
@@ -260,9 +257,9 @@ def _sums_to(u: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
                      == t.sum() * (u & w).sum(axis=-1))
 
 
-def iann_decomposition_batch(a: Elem, a0s) -> IannDecompositions:
-    """Iann(a) = l(a) + r(a) once, and per witness Iann(a) = R*e_c + f_c*R
-    and I(a) = a0 + Iann(a).
+def iann_decomposition_batch(frames: Frames) -> IannDecompositions:
+    """Iann(a) = l(a) + r(a) once, and per witness of frames
+    Iann(a) = R*e_c + f_c*R and I(a) = a0 + Iann(a).
 
     Each sum identity is decided by the subgroup count of _sums_to, once
     per frame, with R*e_c and f_c*R from principal_ideal_rows; the sumset
@@ -270,9 +267,9 @@ def iann_decomposition_batch(a: Elem, a0s) -> IannDecompositions:
     The translate compares |Iann(a)| with |I(a)|, both counted from one
     a*x*a gather.
     """
+    a = frames.a
     ring = a.ring
     idx = _scan_indices(ring)
-    frames = idempotent_frames(a, a0s)
     ax = ring.idx_mul(a.index, idx)
     axa = ring.idx_mul(ax, a.index)
     iann = axa == 0
@@ -294,7 +291,7 @@ def iann_decomposition_batch(a: Elem, a0s) -> IannDecompositions:
                               np.full(len(frames.of), translate))
 
 
-def ref_decomposition(a: Elem, a0s) -> np.ndarray:
+def ref_decomposition(frames: Frames) -> np.ndarray:
     """Ref(a) as {a0 + f*r*e_c + f_c*s*e + f_c*s*a*r*e_c : r, s in R}.
 
     This is the image of the translate form of I(a) under x -> x*a*x:
@@ -303,15 +300,13 @@ def ref_decomposition(a: Elem, a0s) -> np.ndarray:
     occurrences are shared between summands, so the family is strictly
     smaller than the sumset of the three independent product sets.
 
-    a0s is an index array of reflexive inverses, and the result is a
-    (len(a0s), |R|) bool array whose row k is the membership mask of
-    a0s[k]'s family.  The name has no _batch suffix because perfbench
-    counts calls to this one function, and that count measures the
-    batching: the checks make one call per element, not one per witness.
-
-    Raises NotReflexiveInverse naming the first a0 with a0*a*a0 != a0,
-    then NotInnerInverse (from idempotent_frames) for the first that is
-    not an inner inverse either.
+    Row k of the (len(witnesses), |R|) bool result is the membership mask
+    of witness k's family.  The witnesses are the reflexive inverses a0:
+    NotReflexiveInverse names the first with a0*a*a0 != a0 (each is an
+    inner inverse, as frames hold only those).  The name has no _batch
+    suffix because perfbench counts calls to this one function, and that
+    count measures the batching: the checks make one call per element,
+    not one per witness.
 
     Evaluation, in factored form: with w = f_c*s*a and v = a*r*e_c the
     family is {(f + w)*a0*(e + v)}, since a0*a*a0 = a0 turns the four
@@ -322,13 +317,12 @@ def ref_decomposition(a: Elem, a0s) -> np.ndarray:
     because (f + W_a) = I(a)*a and (e + V_a) = a*I(a); row blocks of
     that width (rings._row_blocks) bound every temporary.
     """
+    a, a0s = frames.a, frames.witnesses
     ring = a.ring
-    a0s = np.asarray(a0s, dtype=np.int64).reshape(-1)
     outer = ring.idx_mul(ring.idx_mul(a0s, a.index), a0s) == a0s
     if not outer.all():
         a0 = Elem(ring, int(a0s[np.argmin(outer)]))
         raise NotReflexiveInverse(f"{a0} is not an outer inverse of {a}")
-    frames = idempotent_frames(a, a0s)  # raises NotInnerInverse
     idx = _scan_indices(ring)
     right_ann = idx[ring.idx_mul(a.index, idx) == 0]
     left_ann = idx[ring.idx_mul(idx, a.index) == 0]
@@ -350,17 +344,17 @@ def ref_decomposition(a: Elem, a0s) -> np.ndarray:
 # the invariance test
 
 
-def singleton_conjugate_batch(bs, a: Elem, a0: Elem) -> np.ndarray:
+def singleton_conjugate_batch(bs, frames: Frames) -> np.ndarray:
     """Per b in bs, whether {b*x*b : x in I(a)} is a singleton.
 
-    Over the parametrization x = a0 + t - a0*a*t*a*a0 the conjugate is
-    b*a0*b plus a term additive in t, so vanishing is tested on additive
-    generators only: one (|bs| x generators) gather.
+    Over the parametrization x = a0 + t - a0*a*t*a*a0, with a0 the first
+    witness of frames, the conjugate is b*a0*b plus a term additive in t,
+    so vanishing is tested on additive generators only: one
+    (|bs| x generators) gather.
     """
-    _same_ring(a, a0)
-    frames = idempotent_frames(a, [a0.index])
-    f, e = int(frames.f[0]), int(frames.e[0])
-    ring = a.ring
+    k = frames.of[0]
+    f, e = int(frames.f[k]), int(frames.e[k])
+    ring = frames.a.ring
     bs = np.asarray(bs, dtype=np.int64).reshape(-1, 1)
     gens = ring.additive_generator_indices()
     diff = ring.idx_sub(gens, ring.idx_mul(ring.idx_mul(f, gens), e))

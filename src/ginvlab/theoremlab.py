@@ -6,9 +6,10 @@ Ref(a), Iann(a), l(a), r(a), aR, Ra) comes from a ginv kernel, and
 regularity is read from I(a): a is regular exactly when I(a) is not
 empty.  The identities that inner_param, decomposition, invariance and
 refl_map verify come from the ginv functions that state them, in their
-batched forms; no check computes its own copy.  inner_param and
-decomposition items (i)-(ii) read one verdict per witness, and name the
-first failing witness in array order.
+batched forms, which take an element's frames (ginv.Frames); no check
+computes its own copy.  inner_param and decomposition items (i)-(ii)
+read one verdict per witness, and name the first failing witness in
+array order.
 
 _Scan alone decides between exhaustive and sampled quantification.
 Rings of at most TABLE_CAP elements quantify over every element and
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import __version__, fixture, parsing, rings
 from .errors import BudgetExceeded, UnknownCheck, WrongRing
-from .ginv import (_first_difference, additive_span,
+from .ginv import (Frames, _first_difference, additive_span,
                    iann_decomposition_batch, idempotent_frames,
                    inner_inverses, inner_inverses_param_batch, inner_products,
                    left_annihilator, principal_ideal_rows,
@@ -133,9 +134,10 @@ class _Scan:
     The one place that tells exhaustive from sampled mode: `sample` is
     the domain, `pair_points` the domain of pair quantifiers, `regulars`
     the regular sample points, `regular_at` answers regularity anywhere,
-    `inner_witnesses` and `reflexive_witnesses` pick the witnesses that
-    per-witness checks test, and `note`, `inner_scope` and `pair_scope`
-    word the notes of sampled runs.
+    `inner_frames` and `reflexive_frames` hold the witnesses (as the
+    ginv.Frames the witness kernels take) that per-witness checks test,
+    and `note`, `inner_scope` and `pair_scope` word the notes of sampled
+    runs.
 
     Principal ideals answer three questions, each broadcast over index
     arrays: `ideal_key(a)` (the pair of ideal ids, equal exactly when
@@ -144,10 +146,11 @@ class _Scan:
     Rs).  One _Ideals store per side answers them the same way in both
     modes: each element's ideal comes from one ginv.principal_ideal_rows
     call, made on first use, and the first use interns the whole sample,
-    so an exhaustive run makes one kernel call per side.  I(a) and Ref(a)
-    are likewise computed once per element and kept, and regularity is
-    read from I(a) in both modes: `regular_at` computes I(a) for each
-    element not asked about before and keeps whether it is empty.
+    so an exhaustive run makes one kernel call per side.  I(a), Ref(a)
+    and the frames of I(a) are likewise computed once per element and
+    kept, and regularity is read from I(a) in both modes: `regular_at`
+    computes I(a) for each element not asked about before and keeps
+    whether it is empty.
 
     `idx`, the first thing every scan reads, also builds the ring's op
     tables (rings.Ring.build_tables) within the enumeration budget: a
@@ -157,8 +160,7 @@ class _Scan:
     def __init__(self, ring: Ring):
         self.ring = ring
         self.sampled = ring.size > TABLE_CAP
-        self._isets: dict[int, np.ndarray] = {}
-        self._refsets: dict[int, np.ndarray] = {}
+        self._kept_by: dict[tuple, object] = {}  # by (kind, element)
         self._ideals: dict[str, _Ideals] = {}
 
     @cached_property
@@ -196,28 +198,35 @@ class _Scan:
             known[i] = len(self.iset(i)) > 0
         return known[indices] == 1
 
-    def _kept(self, cache: dict, kernel, a: int) -> np.ndarray:
-        if a not in cache:
-            cache[a] = kernel(Elem(self.ring, a)).indices()
-        return cache[a]
+    def _kept(self, kind: str, make, a: int):
+        if (kind, a) not in self._kept_by:
+            self._kept_by[kind, a] = make(Elem(self.ring, a))
+        return self._kept_by[kind, a]
 
     def iset(self, a: int) -> np.ndarray:
-        return self._kept(self._isets, inner_inverses, a)
+        return self._kept("I", inner_inverses, a).indices()
 
     def refset(self, a: int) -> np.ndarray:
-        return self._kept(self._refsets, reflexive_inverses, a)
+        return self._kept("Ref", reflexive_inverses, a).indices()
+
+    def frames(self, a: int) -> Frames:
+        """The frames of all of I(a), which refl_map reads in both modes."""
+        return self._kept("frames", lambda x: idempotent_frames(
+            x, self.iset(a)), a)
+
+    def inner_frames(self, a: int) -> Frames:
+        """The frames of I(a), or of its first member when sampled."""
+        return self._kept("first frames", lambda x: idempotent_frames(
+            x, self.iset(a)[:1]), a) if self.sampled else self.frames(a)
+
+    def reflexive_frames(self, a: int) -> Optional[Frames]:
+        """The frames of Ref(a), or None when sampled: Ref(a) is itself a
+        scan of R, and each witness adds an |R|-wide membership row."""
+        return None if self.sampled else idempotent_frames(
+            Elem(self.ring, a), self.refset(a))
 
     def note(self, text: str) -> str:
         return "sampled: " + text if self.sampled else text
-
-    def inner_witnesses(self, ia: np.ndarray) -> np.ndarray:
-        """I(a), or its first member when sampled: the a0s checks test."""
-        return ia[:1] if self.sampled else ia
-
-    def reflexive_witnesses(self, a: int) -> np.ndarray:
-        """Ref(a), or none when sampled: Ref(a) is itself a scan of R,
-        and each witness adds an |R|-wide membership row."""
-        return np.empty(0, dtype=np.int64) if self.sampled else self.refset(a)
 
     @property
     def witness_scope(self) -> str:
@@ -285,16 +294,15 @@ class _Scan:
 
 
 def _check_inner_param(s: _Scan):
-    ring = s.ring
     total = 0
     for a in (int(v) for v in s.regulars):
-        witnesses = s.inner_witnesses(s.iset(a))
-        ok = inner_inverses_param_batch(Elem(ring, a), witnesses)
+        frames = s.inner_frames(a)
+        ok = inner_inverses_param_batch(frames)
         if not ok.all():
-            a0 = int(witnesses[np.argmin(ok)])
+            a0 = int(frames.witnesses[np.argmin(ok)])
             return VIOLATION, [("a", a), ("a0", a0)], \
                 s.note("parametrized I(a) differs from the scan")
-        total += len(witnesses)
+        total += len(frames.witnesses)
     return PASS, [], s.inner_scope(total)
 
 
@@ -309,7 +317,8 @@ def _first_clash(keys: np.ndarray, vals: np.ndarray):
 def _check_refl_map(s: _Scan):
     ring = s.ring
     for a in (int(v) for v in s.regulars):
-        ia = s.iset(a)
+        frames = s.frames(a)
+        ia = frames.witnesses
         ref = s.refset(a)
         phi_vals = ring.idx_mul(ring.idx_mul(ia, a), ia)
         image = _distinct(ring, [phi_vals])
@@ -324,7 +333,6 @@ def _check_refl_map(s: _Scan):
                 "x in Ref(a) is not a fixed point of x -> x*a*x"
         # x*a*x = y*a*y iff x and y share the frame (x*a, a*x); the first y
         # to break either direction is named, the first direction on ties
-        frames = idempotent_frames(Elem(ring, a), ia)
         clashes = [(clash[1], k, clash[0]) for k, clash in enumerate(
             (_first_clash(phi_vals, frames.of),
              _first_clash(frames.of, phi_vals))) if clash is not None]
@@ -346,27 +354,26 @@ def _check_refl_map(s: _Scan):
 def _check_decomposition(s: _Scan):
     ring = s.ring
     for a in (int(v) for v in s.regulars):
-        ea = Elem(ring, a)
-        witnesses = s.inner_witnesses(s.iset(a))
-        sums = iann_decomposition_batch(ea, witnesses)
+        frames = s.inner_frames(a)
+        sums = iann_decomposition_batch(frames)
         if sums.ann_mismatch is not None:
             return VIOLATION, [("a", a), ("x", sums.ann_mismatch)], \
                 s.note("l(a)+r(a) differs from Iann(a)")
         if not sums.frame_ok.all():
-            a0 = int(witnesses[np.argmin(sums.frame_ok)])
+            a0 = int(frames.witnesses[np.argmin(sums.frame_ok)])
             return VIOLATION, [("a", a), ("a0", a0)], \
                 s.note("Re'+f'R differs from Iann(a)")
         if not sums.translate_ok.all():
-            a0 = int(witnesses[np.argmin(sums.translate_ok)])
+            a0 = int(frames.witnesses[np.argmin(sums.translate_ok)])
             return VIOLATION, [("a", a), ("a0", a0)], \
                 s.note("a0 + Iann(a) differs from I(a)")
-        refl = s.reflexive_witnesses(a)
-        if len(refl):
+        refl = s.reflexive_frames(a)
+        if refl is not None:
             want = np.zeros(ring.size, dtype=bool)
-            want[s.refset(a)] = True
-            wrong = (ref_decomposition(ea, refl) != want).any(axis=1)
+            want[refl.witnesses] = True
+            wrong = (ref_decomposition(refl) != want).any(axis=1)
             if wrong.any():
-                a0 = int(refl[np.argmax(wrong)])
+                a0 = int(refl.witnesses[np.argmax(wrong)])
                 return VIOLATION, [("a", a), ("a0", a0)], \
                     s.note("the reflexive decomposition differs from Ref(a)")
     return PASS, [], s.note(f"items (i)-(iii) on {len(s.regulars)} regular "
@@ -383,9 +390,7 @@ def _check_invariance(s: _Scan):
              "b in Ra and aR without the singleton")
     counts, firsts = [0, 0], [None, None]
     for a in (int(v) for v in s.regulars):
-        ea = Elem(ring, a)
-        singleton = singleton_conjugate_batch(
-            bcols, ea, Elem(ring, int(s.iset(a)[0])))
+        singleton = singleton_conjugate_batch(bcols, s.inner_frames(a))
         member = s.member("right", bcols, a) & s.member("left", bcols, a)
         for k, only in enumerate((singleton & ~member, member & ~singleton)):
             if only.any():

@@ -16,8 +16,9 @@ import pytest
 
 from ginvlab import (ZmodRing, additive_span, build_example_ring,
                      check_example_claims, check_nielsen, check_theorem_inner,
-                     check_theorem_reflexive, inner_annihilator,
-                     inner_inverses, inner_inverses_param_batch, is_semiprime,
+                     check_theorem_reflexive, idempotent_frames,
+                     inner_annihilator, inner_inverses,
+                     inner_inverses_param_batch, is_semiprime,
                      left_annihilator, parse_element, principal_left_ideal,
                      principal_right_ideal, reflexive_inverses,
                      regular_elements, right_annihilator)
@@ -86,7 +87,7 @@ def test_c03_parametrization_matches_scan_for_every_witness(
         for a in regular_elements(ring):
             # one verdict per witness: a0 + {t - f*t*e : t in R} = I(a)
             inner = inner_inverses(a).indices()
-            verdicts = inner_inverses_param_batch(a, inner)
+            verdicts = inner_inverses_param_batch(idempotent_frames(a, inner))
             assert verdicts.shape == inner.shape and verdicts.all(), a
             # and, built in full for the first witness, the scan's set
             t, a0 = ring.all_indices(), int(inner[0])

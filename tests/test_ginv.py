@@ -118,9 +118,10 @@ def _assert_coset_verdicts(a):
     _coset_verdicts."""
     a0s = inner_inverses(a).indices()
     param, translate = _coset_verdicts(a, a0s)
-    got = inner_inverses_param_batch(a, a0s)
+    frames = idempotent_frames(a, a0s)
+    got = inner_inverses_param_batch(frames)
     assert got.dtype == bool and got.tolist() == param, a
-    got = iann_decomposition_batch(a, a0s).translate_ok
+    got = iann_decomposition_batch(frames).translate_ok
     assert got.dtype == bool and got.tolist() == translate, a
 
 
@@ -142,10 +143,9 @@ def test_coset_verdicts_above_table_cap():
 
 
 def test_param_rejects_non_inverse(z6):
+    # the kernels take frames, and only idempotent_frames builds them
     three = z6.from_index(3)
     two = z6.from_index(2)
-    with pytest.raises(NotInnerInverse):
-        inner_inverses_param_batch(three, [two.index])
     with pytest.raises(NotInnerInverse):
         idempotent_frames(three, [two.index])
 
@@ -158,6 +158,7 @@ def test_idempotent_frame_invariants(z6, m2gf2, example):
         one = ring.one()
         inner = inner_inverses(a)
         frames = idempotent_frames(a, inner.indices())
+        assert frames.a is a
         assert np.array_equal(frames.witnesses, inner.indices())
         for pos, a0 in enumerate(inner):
             k = frames.of[pos]
@@ -182,12 +183,13 @@ def _assert_iann_sums(a):
     """Iann(a) = l(a) + r(a), and = R*e_c + f_c*R for every witness."""
     iann = inner_annihilator(a)
     a0s = inner_inverses(a).indices()
-    sums = iann_decomposition_batch(a, a0s)
+    frames = idempotent_frames(a, a0s)
+    sums = iann_decomposition_batch(frames)
     assert sums.ann_mismatch is None and sums.frame_ok.all(), a
     assert sums.frame_ok.shape == a0s.shape
     assert sumset(left_annihilator(a), right_annihilator(a)) == iann
     # R*e_c and f_c*R depend on a0 only through its frame
-    for r_ec, fc_r in _frame_ideals(a, idempotent_frames(a, a0s)):
+    for r_ec, fc_r in _frame_ideals(a, frames):
         assert sumset(r_ec, fc_r) == iann, a
 
 
@@ -201,7 +203,7 @@ def test_iann_decomposition_verdicts(z6, m2gf2):
 def test_iann_decomposition_example(example):
     a = parse_element(example, "a")
     x = parse_element(example, "x")
-    sums = iann_decomposition_batch(a, [x.index])
+    sums = iann_decomposition_batch(idempotent_frames(a, [x.index]))
     assert sums.ann_mismatch is None and sums.frame_ok.tolist() == [True]
     one = example.one()
     r_ec = principal_left_ideal(one - a * x)
@@ -215,7 +217,7 @@ def test_ref_decomposition_matches_scan(z6, z4, m2gf2):
     for ring in (z6, z4, m2gf2):
         for a in ring.elements():
             refl = reflexive_inverses(a).indices()
-            rows = ref_decomposition(a, refl)
+            rows = ref_decomposition(idempotent_frames(a, refl))
             assert rows.shape == (len(refl), ring.size)
             for row in rows:
                 assert np.array_equal(np.flatnonzero(row), refl), a
@@ -253,7 +255,7 @@ def _reflexive_pairs(ring):
 def _assert_rows_match_defining_family(a):
     """Every row of ref_decomposition, against the family."""
     refl = reflexive_inverses(a).indices()
-    rows = ref_decomposition(a, refl)
+    rows = ref_decomposition(idempotent_frames(a, refl))
     assert rows.shape == (len(refl), a.ring.size)
     for row, a0 in zip(rows, refl.tolist()):
         want = _defining_family(a, a.ring.from_index(a0))
@@ -282,7 +284,7 @@ def test_ref_decomposition_rows_above_table_cap():
     assert len(regular) == 5
     for a in regular:
         refl = reflexive_inverses(a)
-        rows = ref_decomposition(a, refl.indices())
+        rows = ref_decomposition(idempotent_frames(a, refl.indices()))
         assert rows.shape == (len(refl), ring.size)
         for row in rows:
             assert np.array_equal(np.flatnonzero(row), refl.indices()), a
@@ -291,7 +293,7 @@ def test_ref_decomposition_rows_above_table_cap():
 def test_ref_decomposition_example(example):
     a = parse_element(example, "a")
     x = parse_element(example, "x")
-    (row,) = ref_decomposition(a, [x.index])
+    (row,) = ref_decomposition(idempotent_frames(a, [x.index]))
     assert np.array_equal(np.flatnonzero(row), reflexive_inverses(a).indices())
 
 
@@ -302,7 +304,7 @@ def test_ref_decomposition_rejects_non_reflexive(z6):
     assert three * one * three == three
     assert one * three * one != one
     with pytest.raises(NotReflexiveInverse):
-        ref_decomposition(three, [one.index])
+        ref_decomposition(idempotent_frames(three, [one.index]))
 
 
 def _witness_array_case(ring):
@@ -320,17 +322,21 @@ def test_ref_decomposition_array_names_the_first_bad_witness(m2gf2):
     head, tail = refl[:1].tolist(), refl[1:].tolist()
     x, zero = m2gf2.from_index(inner_only), m2gf2.zero()
     assert x * a * x != x and zero * a * zero == zero and a * zero * a != a
+
+    def ref_rows(a0s):
+        return ref_decomposition(idempotent_frames(a, a0s))
+
     with pytest.raises(NotReflexiveInverse) as exc:
-        ref_decomposition(a, head + [inner_only] + tail)
+        ref_rows(head + [inner_only] + tail)
     assert str(exc.value) == f"{x} is not an outer inverse of {a}"
     # 0 is an outer inverse but not an inner one
     with pytest.raises(NotInnerInverse) as exc:
-        ref_decomposition(a, head + [0] + tail)
+        ref_rows(head + [0] + tail)
     assert str(exc.value) == f"{zero} is not an inner inverse of {a}"
-    # the outer test runs over the whole array first
-    with pytest.raises(NotReflexiveInverse) as exc:
-        ref_decomposition(a, [0, inner_only])
-    assert str(exc.value) == f"{x} is not an outer inverse of {a}"
+    # the frames, and so the inner test, come before the outer test
+    with pytest.raises(NotInnerInverse) as exc:
+        ref_rows([0, inner_only])
+    assert str(exc.value) == f"{zero} is not an inner inverse of {a}"
 
 
 def test_reflexive_via_product(z6, m2gf2):
@@ -403,7 +409,8 @@ def test_singleton_conjugate_matches_bruteforce(z6):
         a = z6.from_index(ai)
         inner = inner_inverses(a)
         for a0 in inner:
-            flags = singleton_conjugate_batch(z6.all_indices(), a, a0)
+            flags = singleton_conjugate_batch(
+                z6.all_indices(), idempotent_frames(a, [a0.index]))
             for b, flag in zip(z6.elements(), flags.tolist()):
                 conj = {(b * x * b).index for x in inner}
                 assert flag == (len(conj) == 1)
@@ -423,7 +430,8 @@ def test_singleton_conjugate_example_witness(example):
     # this element multiplies everything to zero, so the set collapses
     w = parse_element(example, "xa + xb")
     zero = example.zero()
-    assert singleton_conjugate_batch([w.index], zero, zero).tolist() == [True]
+    frames = idempotent_frames(zero, [zero.index])
+    assert singleton_conjugate_batch([w.index], frames).tolist() == [True]
     # I(0) is all of R, and the one value of w*x*w is 0
     everything = example.all_indices()
     assert not example.idx_mul(example.idx_mul(w.index, everything),
@@ -492,8 +500,6 @@ def test_cross_ring_rejected(z6, z4):
     x = z4.from_index(1)
     with pytest.raises(RingMismatch):
         sumset(inner_inverses(a), inner_inverses(x))
-    with pytest.raises(RingMismatch):
-        singleton_conjugate_batch([0], a, x)
 
 
 def test_budget_respected():
@@ -522,7 +528,7 @@ def test_batched_forms_match_the_scan(request, name):
         _assert_iann_sums(a)
         want = _singleton_by_gather(ring, a)
         for a0 in (a0s[0], a0s[-1]):
-            flags = singleton_conjugate_batch(bs, a, ring.from_index(int(a0)))
+            flags = singleton_conjugate_batch(bs, idempotent_frames(a, [a0]))
             assert np.array_equal(flags, want), (a, int(a0))
         assert inner_products(a, a0s, a0s) == reflexive_inverses(a)
 
@@ -589,30 +595,58 @@ def test_frames_sort_by_frame_past_2_31_elements():
 
 
 def test_batched_forms_reject_non_inverses(z6):
-    three, two = z6.from_index(3), z6.from_index(2)
-    calls = [lambda: inner_inverses_param_batch(three, [1, 2, 3]),
-             lambda: iann_decomposition_batch(three, [1, 2, 3]),
-             lambda: idempotent_frames(three, [1, 2, 3]),
-             lambda: singleton_conjugate_batch([0, 1], three, two)]
-    for call in calls:
+    # the batched forms take frames, and idempotent_frames refuses to
+    # build them around a non-witness: a witness array, or the one
+    # witness that singleton_conjugate_batch reads
+    three = z6.from_index(3)
+    for a0s in ([1, 2, 3], [2]):
         with pytest.raises(NotInnerInverse, match="^2 is not an inner"):
-            call()
+            idempotent_frames(three, a0s)
 
 
 def test_batched_forms_name_the_first_non_witness(m2gf2):
-    # two non-witnesses, the larger index first: the first in array order
-    # is named, whichever form runs
+    # two non-witnesses, the larger index first: idempotent_frames, which
+    # builds the input of every batched form, names the first in array
+    # order
     a = parse_element(m2gf2, "e11")
     inner = inner_inverses(a).indices().tolist()
     outside = sorted(set(range(m2gf2.size)) - set(inner))
     low, high = outside[0], outside[-1]
     assert low < high and len(inner) > 2
-    a0s = inner[:1] + [high] + inner[1:] + [low]
-    calls = [lambda: inner_inverses_param_batch(a, a0s),
-             lambda: iann_decomposition_batch(a, a0s),
-             lambda: idempotent_frames(a, a0s)]
-    for call in calls:
-        with pytest.raises(NotInnerInverse) as exc:
-            call()
-        assert str(exc.value) == (f"{m2gf2.from_index(high)} is not an "
-                                  f"inner inverse of {a}")
+    with pytest.raises(NotInnerInverse) as exc:
+        idempotent_frames(a, inner[:1] + [high] + inner[1:] + [low])
+    assert str(exc.value) == (f"{m2gf2.from_index(high)} is not an "
+                              f"inner inverse of {a}")
+
+
+_FRESH = {"z30": lambda: build_zmod(30),
+          "m2gf3": lambda: build_matrix_ring(2, 3)}
+
+
+@pytest.mark.parametrize("tables", [False, True])
+@pytest.mark.parametrize("name,elem,past", [
+    ("z30", "5", [35, 30, -1, -25]),
+    ("m2gf3", "e22", [82, 81, -1]),
+])
+def test_frames_refuse_indices_outside_the_ring(name, elem, past, tables):
+    # an index past the ring must not wrap onto an element or reach a
+    # table gather: it is refused like any non-witness, on both backends
+    ring = _FRESH[name]()
+    if tables:
+        ring._tables()  # forced: build_tables() leaves Z/n raw
+    assert ring.has_tables() == tables
+    a = parse_element(ring, elem)
+    inner = inner_inverses(a).indices().tolist()
+    for i in past:
+        for a0s in ([i], inner[:1] + [i] + inner[1:]):
+            with pytest.raises(NotInnerInverse) as exc:
+                idempotent_frames(a, a0s)
+            assert str(exc.value) == (
+                f"index {i}, outside the ring, is not an inner inverse of {a}")
+    # the first bad witness in array order is named, in range or not
+    low = next(x for x in range(ring.size) if x not in inner)
+    with pytest.raises(NotInnerInverse) as exc:
+        idempotent_frames(a, inner[:1] + [low, past[0]])
+    assert str(exc.value) == (
+        f"{ring.from_index(low)} is not an inner inverse of {a}")
+    assert len(idempotent_frames(a, inner).witnesses) == len(inner)

@@ -209,10 +209,10 @@ def test_decomposition_checks_every_reflexive_witness(m2gf2, monkeypatch):
     a, a0 = [(a, ref.indices()[-1]) for a in m2gf2.elements()
              for ref in [reflexive_inverses(a)] if len(ref) > 1][-1]
 
-    def dropping_one(x, x0s):
-        rows = ref_decomposition(x, x0s)
-        if x.index == a.index:
-            k = int(np.flatnonzero(np.asarray(x0s) == a0)[0])
+    def dropping_one(frames):
+        rows = ref_decomposition(frames)
+        if frames.a.index == a.index:
+            k = int(np.flatnonzero(frames.witnesses == a0)[0])
             rows[k, np.argmax(rows[k])] = False  # drop the row's first member
         return rows
 
@@ -245,12 +245,13 @@ def _witnesses(verdict):
 
 
 def _corrupt(name, a, change):
-    """Wrap the ginv kernel name: change(result, a0s) for a only."""
+    """Wrap the ginv kernel name: change(result, witnesses) for a only."""
     real = getattr(ginvlab.ginv, name)
 
-    def corrupted(x, a0s):
-        got = real(x, a0s)
-        return change(got, np.asarray(a0s)) if x.index == a else got
+    def corrupted(frames):
+        got = real(frames)
+        return (change(got, frames.witnesses) if frames.a.index == a
+                else got)
     return corrupted
 
 
@@ -308,9 +309,9 @@ def test_invariance_checks_the_batched_singleton_test(m2gf2, monkeypatch):
     b = int(principal_right_ideal(m2gf2.from_index(a)).indices()[-1])
     real = ginvlab.ginv.singleton_conjugate_batch
 
-    def flipped(bs, x, x0):
-        got = real(bs, x, x0).copy()
-        got[np.asarray(bs) == b] ^= x.index == a
+    def flipped(bs, frames):
+        got = real(bs, frames).copy()
+        got[np.asarray(bs) == b] ^= frames.a.index == a
         return got
 
     monkeypatch.setattr(theoremlab, "singleton_conjugate_batch", flipped)
@@ -341,6 +342,31 @@ def test_refl_map_checks_the_batched_product_law(m2gf2, monkeypatch):
         assert _witnesses(verdict) == [("a", a), ("x", x)]
         assert verdict.note == \
             "the product set I(a)*a*I(a) differs from Ref(a)"
+
+
+@pytest.mark.parametrize("name,cap", [("m2gf3", TABLE_CAP), ("z30", 0)])
+def test_suite_builds_each_elements_frames_at_most_twice(
+        request, monkeypatch, name, cap):
+    # the witness kernels take an element's frames, so a suite validates
+    # and groups each regular element's witnesses once per frame set it
+    # keeps: I(a) and Ref(a) exhaustive, I(a) and its first member sampled
+    ring = request.getfixturevalue(name)
+    monkeypatch.setattr(theoremlab, "TABLE_CAP", cap)  # 0: sampled
+    calls = []
+    real = ginvlab.ginv.idempotent_frames
+
+    def counted(a, a0s):
+        calls.append(a.index)
+        return real(a, a0s)
+
+    for module in (ginvlab.ginv, theoremlab):
+        monkeypatch.setattr(module, "idempotent_frames", counted)
+    report = run_suite(ring)
+    assert _by_name(report, "inner_param").note.startswith(
+        "sampled: " if cap == 0 else "all ")
+    regular = [a.index for a in ring.elements() if is_regular(a) is not None]
+    assert set(calls) == set(regular)
+    assert len(calls) <= 2 * len(regular)
 
 
 # _Scan's ideal questions (trivial_meet, member, ideal_key) must give the
