@@ -10,7 +10,7 @@ from .errors import (BadTensorShape, BudgetExceeded, GinvError, InvalidModulus,
 from .fixture import build_example_ring, is_example_ring
 from .ginv import (Frames, IannDecompositions, additive_span,
                    iann_decomposition_batch, idempotent_frames,
-                   inner_annihilator, inner_inverses,
+                   inner_annihilator, inner_inverse_pairs, inner_inverses,
                    inner_inverses_param_batch, inner_products,
                    left_annihilator, outer_inverses, principal_ideal_rows,
                    principal_left_ideal, principal_right_ideal,

@@ -6,9 +6,12 @@ Ref(a), Iann(a), l(a), r(a), aR, Ra) comes from a ginv kernel, and
 regularity is read from I(a): a is regular exactly when I(a) is not
 empty.  The identities that inner_param, decomposition, invariance and
 refl_map verify come from the ginv functions that state them, in their
-batched forms, which take an element's frames (ginv.Frames); no check
-computes its own copy.  inner_param and decomposition items (i)-(ii)
-read one verdict per witness, and name the first failing witness in
+batched forms; no check computes its own copy.  Each takes ring-wide
+pair arrays (a, a0), grouped as a ginv.Frames, and answers once per
+pair, so a check makes one call per ring (invariance one per row block
+of elements) instead of one per element.  The pairs run by ascending a,
+so a check names the first element with any failing item, then that
+element's first failing item, then that item's first failing witness in
 array order.
 
 _Scan alone decides between exhaustive and sampled quantification.
@@ -16,9 +19,11 @@ Rings of at most TABLE_CAP elements quantify over every element and
 every witness; larger (but still budget-sized) rings over a
 deterministic evenly-spaced sample (pairs over a smaller subsample), the
 first inner inverse of each element and no reflexive witness, and
-_Scan.note marks their notes "sampled".  _Scan is also the only reader
-of how principal ideals are stored: one store per side, filled from the
-batched kernel ginv.principal_ideal_rows in both modes, so jain_prasad,
+_Scan.note marks "sampled" the notes of every verdict they quantify,
+violations included.  Both modes run one kernel path; only the pair
+arrays differ.  _Scan is also the only reader of how principal ideals
+are stored: one store per side, filled from the batched kernel
+ginv.principal_ideal_rows in both modes, so jain_prasad,
 subset_criterion, invariance and hartwig run one body.
 
 Checks on rings whose hypotheses fail are never asserted silently: they
@@ -37,13 +42,13 @@ import numpy as np
 
 from . import __version__, fixture, parsing, rings
 from .errors import BudgetExceeded, UnknownCheck, WrongRing
-from .ginv import (Frames, _first_difference, additive_span,
+from .ginv import (Frames, _first_difference, _group, additive_span,
                    iann_decomposition_batch, idempotent_frames,
-                   inner_inverses, inner_inverses_param_batch, inner_products,
-                   left_annihilator, principal_ideal_rows,
-                   ref_decomposition, reflexive_inverses, right_annihilator,
+                   inner_inverse_pairs, inner_inverses_param_batch,
+                   inner_products, left_annihilator, principal_ideal_rows,
+                   ref_decomposition, right_annihilator,
                    singleton_conjugate_batch)
-from .rings import TABLE_CAP, Elem, Ring, _distinct
+from .rings import TABLE_CAP, Elem, Ring, _distinct, _row_blocks
 
 PASS = "pass"
 VIOLATION = "violation"
@@ -84,6 +89,11 @@ def _sample_indices(n: int) -> np.ndarray:
 
 def _render(ring: Ring, i: int) -> str:
     return parsing.render_elem(Elem(ring, int(i)))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 class _Ideals:
@@ -133,11 +143,24 @@ class _Scan:
 
     The one place that tells exhaustive from sampled mode: `sample` is
     the domain, `pair_points` the domain of pair quantifiers, `regulars`
-    the regular sample points, `regular_at` answers regularity anywhere,
-    `inner_frames` and `reflexive_frames` hold the witnesses (as the
-    ginv.Frames the witness kernels take) that per-witness checks test,
-    and `note`, `inner_scope` and `pair_scope` word the notes of sampled
-    runs.
+    the regular sample points, and `note`, `inner_scope` and `pair_scope`
+    word the notes of sampled runs.
+
+    I(a) is scanned ring-wide, not one element at a time: one
+    ginv.inner_inverse_pairs call over the domain, in row blocks, gives
+    every pair (a, a0) with a0 in I(a).  They are kept as one read-only
+    array of witnesses, `_a0s`, with each element's start and count
+    (|I(a)|, -1 before its scan) in `_where` and a mask of the reflexive
+    ones (a0*a*a0 = a0) in `_outer`.  `iset(a)`, `refset(a)`,
+    `inner_size`, `ref_size` and `regular_at` (I(a) not empty) read
+    these arrays; an element outside the domain is scanned on first use,
+    in one batch per question, and appended.  The witness kernels take
+    ginv.Frames of these pairs, each built once per run: `frames` (all of
+    I(a), which refl_map reads in both modes), `inner_frames` (every
+    witness, or the first inner inverse of each element when sampled),
+    `reflexive_frames` (every Ref(a), None when sampled) and, for the
+    singleton test, `first_witnesses`.  Only these O(sum |I(a)|) arrays
+    are kept; every |R|-wide row lives for one row block.
 
     Principal ideals answer three questions, each broadcast over index
     arrays: `ideal_key(a)` (the pair of ideal ids, equal exactly when
@@ -146,11 +169,7 @@ class _Scan:
     Rs).  One _Ideals store per side answers them the same way in both
     modes: each element's ideal comes from one ginv.principal_ideal_rows
     call, made on first use, and the first use interns the whole sample,
-    so an exhaustive run makes one kernel call per side.  I(a), Ref(a)
-    and the frames of I(a) are likewise computed once per element and
-    kept, and regularity is read from I(a) in both modes: `regular_at`
-    computes I(a) for each element not asked about before and keeps
-    whether it is empty.
+    so an exhaustive run makes one kernel call per side.
 
     `idx`, the first thing every scan reads, also builds the ring's op
     tables (rings.Ring.build_tables) within the enumeration budget: a
@@ -160,8 +179,9 @@ class _Scan:
     def __init__(self, ring: Ring):
         self.ring = ring
         self.sampled = ring.size > TABLE_CAP
-        self._kept_by: dict[tuple, object] = {}  # by (kind, element)
         self._ideals: dict[str, _Ideals] = {}
+        self._a0s = _frozen(np.empty(0, dtype=np.int64))
+        self._outer = _frozen(np.empty(0, dtype=bool))
 
     @cached_property
     def idx(self) -> np.ndarray:
@@ -180,10 +200,33 @@ class _Scan:
         return _sample_indices(self.ring.size) if self.sampled else idx
 
     @cached_property
-    def _regular(self) -> np.ndarray:
-        """Per element: 1 if regular, 0 if not, -1 while not known yet."""
+    def _where(self) -> np.ndarray:
+        """Rows start and count: per element, where its I(a) sits in _a0s
+        and |I(a)|; the count is -1 while the element is not scanned."""
         self.sample  # checks the budget before the array spans the ring
-        return np.full(self.ring.size, -1, dtype=np.int8)
+        where = np.zeros((2, self.ring.size), dtype=np.int64)
+        where[1] = -1
+        return where
+
+    def _scan(self, indices: np.ndarray) -> None:
+        """Append I(a) for each of indices (distinct, none scanned yet)."""
+        ring = self.ring
+        pos, a0s = inner_inverse_pairs(ring, indices)
+        a = indices[pos]
+        counts = np.bincount(pos, minlength=len(indices))
+        self._where[0, indices] = len(self._a0s) + np.cumsum(counts) - counts
+        self._where[1, indices] = counts
+        outer = ring.idx_mul(ring.idx_mul(a0s, a), a0s) == a0s
+        self._a0s = _frozen(np.concatenate([self._a0s, a0s]))
+        self._outer = _frozen(np.concatenate([self._outer, outer]))
+
+    @cached_property
+    def _domain(self) -> tuple:
+        """(a, a0) for every a0 in I(a) and a in the domain, sorted by a,
+        then a0: the first scan, so the first entries of _a0s."""
+        self._scan(self.sample)
+        counts = self._where[1, self.sample]
+        return np.repeat(self.sample, counts), self._a0s[:counts.sum()]
 
     @cached_property
     def regulars(self) -> np.ndarray:
@@ -192,38 +235,66 @@ class _Scan:
     def regular_at(self, indices) -> np.ndarray:
         """Whether each index is regular, that is I(a) is not empty, as a
         bool array of the same shape."""
-        known = self._regular
+        self._domain  # the domain is scanned first, as one block of _a0s
+        count = self._where[1]
         indices = np.asarray(indices, dtype=np.int64)
-        for i in _distinct(self.ring, [indices[known[indices] < 0]]).tolist():
-            known[i] = len(self.iset(i)) > 0
-        return known[indices] == 1
-
-    def _kept(self, kind: str, make, a: int):
-        if (kind, a) not in self._kept_by:
-            self._kept_by[kind, a] = make(Elem(self.ring, a))
-        return self._kept_by[kind, a]
+        if (count[indices] < 0).any():
+            self._scan(_distinct(self.ring, [indices[count[indices] < 0]]))
+        return count[indices] > 0
 
     def iset(self, a: int) -> np.ndarray:
-        return self._kept("I", inner_inverses, a).indices()
+        """I(a), sorted and read-only."""
+        if self._where[1, a] < 0:
+            self.regular_at(a)  # scans a on first use
+        start, count = self._where[:, a]
+        return self._a0s[start:start + count]
 
     def refset(self, a: int) -> np.ndarray:
-        return self._kept("Ref", reflexive_inverses, a).indices()
+        """Ref(a), sorted: the members x of I(a) with x*a*x = x."""
+        ia = self.iset(a)
+        start = self._where[0, a]
+        return ia[self._outer[start:start + len(ia)]]
 
-    def frames(self, a: int) -> Frames:
-        """The frames of all of I(a), which refl_map reads in both modes."""
-        return self._kept("frames", lambda x: idempotent_frames(
-            x, self.iset(a)), a)
+    def inner_size(self, a) -> np.ndarray:
+        """|I(a)| for each index in a, every one scanned already."""
+        return self._where[1, a]
 
-    def inner_frames(self, a: int) -> Frames:
+    def ref_size(self, a) -> np.ndarray:
+        """|Ref(a)| for each index in a, every one scanned already."""
+        start, count = self._where[:, a]
+        ends = np.concatenate([[0], np.cumsum(self._outer)])
+        return ends[start + count] - ends[start]
+
+    @cached_property
+    def frames(self) -> Frames:
+        """The frames of all of I(a), every regular domain element."""
+        return idempotent_frames(self.ring, *self._domain)
+
+    @cached_property
+    def first_witnesses(self) -> tuple:
+        """(regulars, the first inner inverse of each)."""
+        return self.regulars, self._a0s[self._where[0, self.regulars]]
+
+    @cached_property
+    def inner_frames(self) -> Frames:
         """The frames of I(a), or of its first member when sampled."""
-        return self._kept("first frames", lambda x: idempotent_frames(
-            x, self.iset(a)[:1]), a) if self.sampled else self.frames(a)
+        if self.sampled:
+            return idempotent_frames(self.ring, *self.first_witnesses)
+        return self.frames
 
-    def reflexive_frames(self, a: int) -> Optional[Frames]:
-        """The frames of Ref(a), or None when sampled: Ref(a) is itself a
-        scan of R, and each witness adds an |R|-wide membership row."""
+    @cached_property
+    def ref_pairs(self) -> tuple:
+        """(a, x) for every x in Ref(a), a in the domain, sorted by a, x."""
+        a, a0s = self._domain
+        keep = self._outer[:len(a0s)]
+        return a[keep], a0s[keep]
+
+    @cached_property
+    def reflexive_frames(self) -> Optional[Frames]:
+        """The frames of every Ref(a), or None when sampled: each
+        reflexive witness adds |Ref(a)| products to decompose."""
         return None if self.sampled else idempotent_frames(
-            Elem(self.ring, a), self.refset(a))
+            self.ring, *self.ref_pairs)
 
     def note(self, text: str) -> str:
         return "sampled: " + text if self.sampled else text
@@ -294,16 +365,14 @@ class _Scan:
 
 
 def _check_inner_param(s: _Scan):
-    total = 0
-    for a in (int(v) for v in s.regulars):
-        frames = s.inner_frames(a)
-        ok = inner_inverses_param_batch(frames)
-        if not ok.all():
-            a0 = int(frames.witnesses[np.argmin(ok)])
-            return VIOLATION, [("a", a), ("a0", a0)], \
-                s.note("parametrized I(a) differs from the scan")
-        total += len(frames.witnesses)
-    return PASS, [], s.inner_scope(total)
+    frames = s.inner_frames
+    ok = inner_inverses_param_batch(frames, s.inner_size(frames.a))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        return VIOLATION, [("a", int(frames.a[k])),
+                           ("a0", int(frames.witnesses[k]))], \
+            s.note("parametrized I(a) differs from the scan")
+    return PASS, [], s.inner_scope(len(frames.witnesses))
 
 
 def _first_clash(keys: np.ndarray, vals: np.ndarray):
@@ -314,68 +383,100 @@ def _first_clash(keys: np.ndarray, vals: np.ndarray):
     return (int(earlier[bad[0]]), int(bad[0])) if len(bad) else None
 
 
+def _classes(a: np.ndarray, *keys: np.ndarray) -> tuple:
+    """(elements, how many classes keys splits each one's pairs into)."""
+    first, _ = _group(a, *keys)
+    return np.unique(a[first], return_counts=True)
+
+
+def _refl_map_failures(s: _Scan, frames: Frames, phi: np.ndarray) -> list:
+    """The elements at which each of the first three properties fails,
+    in the order refl_map states them."""
+    ring = s.ring
+    a = frames.a
+    ref_a, ref_x = s.ref_pairs
+    # the image: a pair (a, x) of the image or of Ref(a) with no partner
+    image, _ = _group(a, phi)
+    both_a = np.concatenate([a[image], ref_a])
+    first, of = _group(both_a, np.concatenate([phi[image], ref_x]))
+    unmatched = both_a[first[np.bincount(of) == 1]]
+    fixed = ring.idx_mul(ring.idx_mul(ref_x, ref_a), ref_x)
+    # x*a*x = y*a*y iff (x*a, a*x) = (y*a, a*y) on I(a) iff the partitions
+    # of I(a) by frame, by x*a*x and by both have equally many classes
+    elems, by_frame = _classes(a, frames.of)
+    by_phi, by_both = _classes(a, phi)[1], _classes(a, frames.of, phi)[1]
+    clash = elems[(by_frame != by_phi) | (by_frame != by_both)]
+    return [unmatched, ref_a[fixed != ref_x], clash]
+
+
 def _check_refl_map(s: _Scan):
     ring = s.ring
+    frames = s.frames
+    phi = ring.idx_mul(ring.idx_mul(frames.witnesses, frames.a),
+                       frames.witnesses)
+    failures = _refl_map_failures(s, frames, phi)
+    stop = min((int(bad.min()) for bad in failures if len(bad)), default=-1)
     for a in (int(v) for v in s.regulars):
-        frames = s.frames(a)
-        ia = frames.witnesses
         ref = s.refset(a)
-        phi_vals = ring.idx_mul(ring.idx_mul(ia, a), ia)
-        image = _distinct(ring, [phi_vals])
-        if not np.array_equal(image, ref):
-            w = _first_difference(image, ref)
-            return VIOLATION, [("a", a), ("x", w)], \
-                "image of x -> x*a*x over I(a) differs from Ref(a)"
-        fixed = ring.idx_mul(ring.idx_mul(ref, a), ref)
-        if np.any(fixed != ref):
-            x = int(ref[np.nonzero(fixed != ref)[0][0]])
-            return VIOLATION, [("a", a), ("x", x)], \
-                "x in Ref(a) is not a fixed point of x -> x*a*x"
-        # x*a*x = y*a*y iff x and y share the frame (x*a, a*x); the first y
-        # to break either direction is named, the first direction on ties
-        clashes = [(clash[1], k, clash[0]) for k, clash in enumerate(
-            (_first_clash(phi_vals, frames.of),
-             _first_clash(frames.of, phi_vals))) if clash is not None]
-        if clashes:
-            y, k, x = min(clashes)
+        if a == stop:
+            mine = frames.a == a
+            if a in failures[0]:
+                w = _first_difference(_distinct(ring, [phi[mine]]), ref)
+                return VIOLATION, [("a", a), ("x", w)], s.note(
+                    "image of x -> x*a*x over I(a) differs from Ref(a)")
+            if a in failures[1]:
+                fixed = ring.idx_mul(ring.idx_mul(ref, a), ref)
+                x = int(ref[np.nonzero(fixed != ref)[0][0]])
+                return VIOLATION, [("a", a), ("x", x)], s.note(
+                    "x in Ref(a) is not a fixed point of x -> x*a*x")
+            # the first y to break either direction is named, the first
+            # direction on ties
+            ia, of, vals = frames.witnesses[mine], frames.of[mine], phi[mine]
+            y, k, x = min((clash[1], k, clash[0]) for k, clash in enumerate(
+                (_first_clash(vals, of), _first_clash(of, vals)))
+                if clash is not None)
             return VIOLATION, \
-                [("a", a), ("x", int(ia[x])), ("y", int(ia[y]))], (
+                [("a", a), ("x", int(ia[x])), ("y", int(ia[y]))], s.note((
                     "x*a*x = y*a*y but (x*a, a*x) != (y*a, a*y)",
-                    "(x*a, a*x) = (y*a, a*y) but x*a*x != y*a*y")[k]
+                    "(x*a, a*x) = (y*a, a*y) but x*a*x != y*a*y")[k])
+        ia = s.iset(a)
         prods = inner_products(Elem(ring, a), ia, ia).indices()
         if not np.array_equal(prods, ref):
             w = _first_difference(prods, ref)
             return VIOLATION, [("a", a), ("x", w)], \
-                "the product set I(a)*a*I(a) differs from Ref(a)"
+                s.note("the product set I(a)*a*I(a) differs from Ref(a)")
     return PASS, [], s.note(
         f"all four properties on {len(s.regulars)} regular elements")
 
 
 def _check_decomposition(s: _Scan):
-    ring = s.ring
-    for a in (int(v) for v in s.regulars):
-        frames = s.inner_frames(a)
-        sums = iann_decomposition_batch(frames)
-        if sums.ann_mismatch is not None:
-            return VIOLATION, [("a", a), ("x", sums.ann_mismatch)], \
-                s.note("l(a)+r(a) differs from Iann(a)")
-        if not sums.frame_ok.all():
-            a0 = int(frames.witnesses[np.argmin(sums.frame_ok)])
-            return VIOLATION, [("a", a), ("a0", a0)], \
-                s.note("Re'+f'R differs from Iann(a)")
-        if not sums.translate_ok.all():
-            a0 = int(frames.witnesses[np.argmin(sums.translate_ok)])
-            return VIOLATION, [("a", a), ("a0", a0)], \
-                s.note("a0 + Iann(a) differs from I(a)")
-        refl = s.reflexive_frames(a)
-        if refl is not None:
-            want = np.zeros(ring.size, dtype=bool)
-            want[refl.witnesses] = True
-            wrong = (ref_decomposition(refl) != want).any(axis=1)
-            if wrong.any():
-                a0 = int(refl.witnesses[np.argmax(wrong)])
-                return VIOLATION, [("a", a), ("a0", a0)], \
-                    s.note("the reflexive decomposition differs from Ref(a)")
+    frames = s.inner_frames
+    sums = iann_decomposition_batch(frames, s.inner_size(frames.a))
+    # per item, in order: failing pairs, the pairs' frames, the witness
+    # named (label and value per pair) and the note
+    items = [
+        (sums.ann_mismatch >= 0, frames, "x", sums.ann_mismatch,
+         "l(a)+r(a) differs from Iann(a)"),
+        (~sums.frame_ok, frames, "a0", frames.witnesses,
+         "Re'+f'R differs from Iann(a)"),
+        (~sums.translate_ok, frames, "a0", frames.witnesses,
+         "a0 + Iann(a) differs from I(a)"),
+    ]
+    refl = s.reflexive_frames
+    if refl is not None:
+        ok = ref_decomposition(refl, s.ref_size(refl.a))
+        items.append((~ok, refl, "a0", refl.witnesses,
+                      "the reflexive decomposition differs from Ref(a)"))
+    # pairs run by ascending a, so each item's first failing pair is its
+    # first failing element's first failing witness; the first element
+    # with a failing item is named, with its first failing item
+    failed = [(int(fr.a[np.argmax(bad)]), k)
+              for k, (bad, fr, _, _, _) in enumerate(items) if bad.any()]
+    if failed:
+        a, k = min(failed)
+        bad, _, label, named, note = items[k]
+        return VIOLATION, [("a", a), (label, int(named[np.argmax(bad)]))], \
+            s.note(note)
     return PASS, [], s.note(f"items (i)-(iii) on {len(s.regulars)} regular "
                             f"elements, {s.witness_scope}")
 
@@ -389,16 +490,30 @@ def _check_invariance(s: _Scan):
     found = ("b*I(a)*b a singleton with b outside Ra and aR",
              "b in Ra and aR without the singleton")
     counts, firsts = [0, 0], [None, None]
-    for a in (int(v) for v in s.regulars):
-        singleton = singleton_conjugate_batch(bcols, s.inner_frames(a))
-        member = s.member("right", bcols, a) & s.member("left", bcols, a)
-        for k, only in enumerate((singleton & ~member, member & ~singleton)):
-            if only.any():
-                b = int(bcols[np.argmax(only)])
-                if s.semi.semiprime:
-                    return VIOLATION, [("a", a), ("b", b)], sides[k]
-                firsts[k] = firsts[k] or (a, b)
-                counts[k] += int(only.sum())
+    regs, a0s = s.first_witnesses
+    for rows in _row_blocks(len(regs), len(bcols)):
+        a = regs[rows]
+        singleton = singleton_conjugate_batch(
+            bcols, idempotent_frames(ring, a, a0s[rows]))
+        member = (s.member("right", bcols[None, :], a[:, None])
+                  & s.member("left", bcols[None, :], a[:, None]))
+        only = (singleton & ~member, member & ~singleton)
+        if s.semi.semiprime:
+            # the first a with either direction failing, the first
+            # direction at that a, then the first b
+            row = np.flatnonzero((only[0] | only[1]).any(axis=1))
+            if len(row):
+                i = row[0]
+                k = 0 if only[0][i].any() else 1
+                b = int(bcols[np.argmax(only[k][i])])
+                return VIOLATION, [("a", int(a[i])), ("b", b)], \
+                    s.note(sides[k])
+            continue
+        for k in (0, 1):
+            if only[k].any() and firsts[k] is None:
+                i, j = np.unravel_index(np.argmax(only[k]), only[k].shape)
+                firsts[k] = (int(a[i]), int(bcols[j]))
+            counts[k] += int(only[k].sum())
     if s.semi.semiprime:
         return PASS, [], s.note(
             f"biconditional on {len(s.regulars) * len(bcols)} (a, b) pairs")
@@ -555,7 +670,7 @@ def _check_nielsen(s: _Scan):
             return VIOLATION, \
                 [("a", int(arr[i])), ("b", int(arr[j])),
                  ("d", int(diffs[i, j]))], \
-                "I(a) = I(b) with a-b regular but a != b"
+                s.note("I(a) = I(b) with a-b regular but a != b")
     if npairs:
         return PASS, [], s.note(
             f"{npairs} pairs of distinct regular elements share I-sets; "
@@ -582,18 +697,26 @@ def _check_hartwig(s: _Scan):
     right, left = s.ideal_key(s.regulars)
     for a, key in zip(s.regulars.tolist(), zip(right.tolist(), left.tolist())):
         classes.setdefault(key, []).append(a)
+    laws = ("u with b = a*u", "v with b = v*a")
     pairs = 0
     for members in classes.values():
         arr = np.asarray(members, dtype=np.int64)
-        for a in (int(v) for v in arr):
-            for orbit, law in ((ring.idx_mul(a, units), "u with b = a*u"),
-                               (ring.idx_mul(units, a), "v with b = v*a")):
-                miss = ~np.isin(arr, orbit)
-                if miss.any():
-                    b = int(arr[np.argmax(miss)])
-                    return VIOLATION, [("a", a), ("b", b)], \
-                        f"no unit {law} although aR = bR and Ra = Rb"
-            pairs += len(arr)
+        # mark the orbits a*U and U*a of a block of the class, one gather
+        # each, and read which members of the class they miss
+        for rows in _row_blocks(len(arr), max(len(units), ring.size)):
+            a = arr[rows, None]
+            miss = np.empty((len(a), 2, len(arr)), dtype=bool)
+            for k, orbit in enumerate((ring.idx_mul(a, units),
+                                       ring.idx_mul(units, a))):
+                marks = np.zeros((len(a), ring.size), dtype=bool)
+                marks[np.arange(len(a))[:, None], orbit] = True
+                miss[:, k] = ~marks[:, arr]
+            if miss.any():
+                # the first a in class order, u before v, then the first b
+                i, k, j = np.unravel_index(np.argmax(miss), miss.shape)
+                return VIOLATION, [("a", int(a[i, 0])), ("b", int(arr[j]))], \
+                    s.note(f"no unit {laws[k]} although aR = bR and Ra = Rb")
+        pairs += len(arr) ** 2
     return PASS, [], s.note(
         f"{pairs} ordered pairs across {len(classes)} ideal classes, "
         f"unit group of order {len(units)}")

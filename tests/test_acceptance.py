@@ -87,7 +87,8 @@ def test_c03_parametrization_matches_scan_for_every_witness(
         for a in regular_elements(ring):
             # one verdict per witness: a0 + {t - f*t*e : t in R} = I(a)
             inner = inner_inverses(a).indices()
-            verdicts = inner_inverses_param_batch(idempotent_frames(a, inner))
+            verdicts = inner_inverses_param_batch(
+                idempotent_frames(ring, a.index, inner), len(inner))
             assert verdicts.shape == inner.shape and verdicts.all(), a
             # and, built in full for the first witness, the scan's set
             t, a0 = ring.all_indices(), int(inner[0])

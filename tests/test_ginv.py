@@ -16,8 +16,11 @@ from ginvlab import (BudgetExceeded, ElemSet, NotInnerInverse,
                      principal_right_ideal, ref_decomposition,
                      reflexive_inverses, right_annihilator,
                      singleton_conjugate_batch, sumset)
-from ginvlab import ginv, rings
+from ginvlab import ginv, rings, theoremlab
 from ginvlab.ginv import _pairwise
+
+from conftest import (iann_per_element, param_per_element,
+                      ref_rows_per_element, singleton_per_element)
 
 
 def _brute(n, a):
@@ -118,10 +121,10 @@ def _assert_coset_verdicts(a):
     _coset_verdicts."""
     a0s = inner_inverses(a).indices()
     param, translate = _coset_verdicts(a, a0s)
-    frames = idempotent_frames(a, a0s)
-    got = inner_inverses_param_batch(frames)
+    frames = idempotent_frames(a.ring, a.index, a0s)
+    got = inner_inverses_param_batch(frames, len(a0s))
     assert got.dtype == bool and got.tolist() == param, a
-    got = iann_decomposition_batch(frames).translate_ok
+    got = iann_decomposition_batch(frames, len(a0s)).translate_ok
     assert got.dtype == bool and got.tolist() == translate, a
 
 
@@ -147,7 +150,7 @@ def test_param_rejects_non_inverse(z6):
     three = z6.from_index(3)
     two = z6.from_index(2)
     with pytest.raises(NotInnerInverse):
-        idempotent_frames(three, [two.index])
+        idempotent_frames(z6, three.index, [two.index])
 
 
 def test_idempotent_frame_invariants(z6, m2gf2, example):
@@ -157,9 +160,10 @@ def test_idempotent_frame_invariants(z6, m2gf2, example):
              else parse_element(ring, "e11" if ring is m2gf2 else "a"))
         one = ring.one()
         inner = inner_inverses(a)
-        frames = idempotent_frames(a, inner.indices())
-        assert frames.a is a
+        frames = idempotent_frames(ring, a.index, inner.indices())
+        assert frames.ring is ring and (frames.a == a.index).all()
         assert np.array_equal(frames.witnesses, inner.indices())
+        assert (frames.frame_a == a.index).all()
         for pos, a0 in enumerate(inner):
             k = frames.of[pos]
             e = ring.from_index(int(frames.e[k]))
@@ -183,10 +187,10 @@ def _assert_iann_sums(a):
     """Iann(a) = l(a) + r(a), and = R*e_c + f_c*R for every witness."""
     iann = inner_annihilator(a)
     a0s = inner_inverses(a).indices()
-    frames = idempotent_frames(a, a0s)
-    sums = iann_decomposition_batch(frames)
-    assert sums.ann_mismatch is None and sums.frame_ok.all(), a
-    assert sums.frame_ok.shape == a0s.shape
+    frames = idempotent_frames(a.ring, a.index, a0s)
+    sums = iann_decomposition_batch(frames, len(a0s))
+    assert (sums.ann_mismatch == -1).all() and sums.frame_ok.all(), a
+    assert sums.frame_ok.shape == sums.ann_mismatch.shape == a0s.shape
     assert sumset(left_annihilator(a), right_annihilator(a)) == iann
     # R*e_c and f_c*R depend on a0 only through its frame
     for r_ec, fc_r in _frame_ideals(a, frames):
@@ -203,8 +207,10 @@ def test_iann_decomposition_verdicts(z6, m2gf2):
 def test_iann_decomposition_example(example):
     a = parse_element(example, "a")
     x = parse_element(example, "x")
-    sums = iann_decomposition_batch(idempotent_frames(a, [x.index]))
-    assert sums.ann_mismatch is None and sums.frame_ok.tolist() == [True]
+    sums = iann_decomposition_batch(
+        idempotent_frames(example, a.index, [x.index]), 512)
+    assert sums.ann_mismatch.tolist() == [-1]
+    assert sums.frame_ok.tolist() == sums.translate_ok.tolist() == [True]
     one = example.one()
     r_ec = principal_left_ideal(one - a * x)
     fc_r = principal_right_ideal(one - x * a)
@@ -213,14 +219,21 @@ def test_iann_decomposition_example(example):
     assert len(sumset(r_ec, fc_r)) == 512
 
 
+def _ref_verdicts(a, a0s, size):
+    return ref_decomposition(idempotent_frames(a.ring, a.index, a0s), size)
+
+
 def test_ref_decomposition_matches_scan(z6, z4, m2gf2):
+    # the family is Ref(a) for every reflexive witness, and the counting
+    # verdict turns false when |Ref(a)| is miscounted either way
     for ring in (z6, z4, m2gf2):
         for a in ring.elements():
             refl = reflexive_inverses(a).indices()
-            rows = ref_decomposition(idempotent_frames(a, refl))
-            assert rows.shape == (len(refl), ring.size)
-            for row in rows:
-                assert np.array_equal(np.flatnonzero(row), refl), a
+            for size, want in ((len(refl), True), (len(refl) + 1, False),
+                               (len(refl) - 1, False)):
+                ok = _ref_verdicts(a, refl, size)
+                assert ok.dtype == bool and ok.shape == refl.shape
+                assert (ok == want).all(), (a, size)
 
 
 def _defining_family(a, a0):
@@ -253,13 +266,15 @@ def _reflexive_pairs(ring):
 
 
 def _assert_rows_match_defining_family(a):
-    """Every row of ref_decomposition, against the family."""
+    """The factored rows and the verdict of ref_decomposition, against
+    the family and Ref(a)."""
     refl = reflexive_inverses(a).indices()
-    rows = ref_decomposition(idempotent_frames(a, refl))
-    assert rows.shape == (len(refl), a.ring.size)
-    for row, a0 in zip(rows, refl.tolist()):
+    rows = ref_rows_per_element(a, refl)
+    ok = _ref_verdicts(a, refl, len(refl))
+    for row, a0, verdict in zip(rows, refl.tolist(), ok.tolist()):
         want = _defining_family(a, a.ring.from_index(a0))
         assert np.array_equal(np.flatnonzero(row), want), (a, a0)
+        assert verdict == np.array_equal(want, refl), (a, a0)
 
 
 @pytest.mark.parametrize("name", ["z6", "z30", "m2gf2", "m2gf3", "gf3t3"])
@@ -283,17 +298,18 @@ def test_ref_decomposition_rows_above_table_cap():
     regular = [a for a in map(ring.from_index, picks) if is_regular(a)][:5]
     assert len(regular) == 5
     for a in regular:
-        refl = reflexive_inverses(a)
-        rows = ref_decomposition(idempotent_frames(a, refl.indices()))
-        assert rows.shape == (len(refl), ring.size)
-        for row in rows:
-            assert np.array_equal(np.flatnonzero(row), refl.indices()), a
+        refl = reflexive_inverses(a).indices()
+        assert _ref_verdicts(a, refl, len(refl)).all(), a
+        for row in ref_rows_per_element(a, refl):
+            assert np.array_equal(np.flatnonzero(row), refl), a
 
 
 def test_ref_decomposition_example(example):
     a = parse_element(example, "a")
     x = parse_element(example, "x")
-    (row,) = ref_decomposition(idempotent_frames(a, [x.index]))
+    assert len(reflexive_inverses(a)) == 16
+    assert _ref_verdicts(a, [x.index], 16).tolist() == [True]
+    (row,) = ref_rows_per_element(a, [x.index])
     assert np.array_equal(np.flatnonzero(row), reflexive_inverses(a).indices())
 
 
@@ -304,7 +320,7 @@ def test_ref_decomposition_rejects_non_reflexive(z6):
     assert three * one * three == three
     assert one * three * one != one
     with pytest.raises(NotReflexiveInverse):
-        ref_decomposition(idempotent_frames(three, [one.index]))
+        _ref_verdicts(three, [one.index], 1)
 
 
 def _witness_array_case(ring):
@@ -324,7 +340,7 @@ def test_ref_decomposition_array_names_the_first_bad_witness(m2gf2):
     assert x * a * x != x and zero * a * zero == zero and a * zero * a != a
 
     def ref_rows(a0s):
-        return ref_decomposition(idempotent_frames(a, a0s))
+        return _ref_verdicts(a, a0s, len(refl))
 
     with pytest.raises(NotReflexiveInverse) as exc:
         ref_rows(head + [inner_only] + tail)
@@ -409,8 +425,8 @@ def test_singleton_conjugate_matches_bruteforce(z6):
         a = z6.from_index(ai)
         inner = inner_inverses(a)
         for a0 in inner:
-            flags = singleton_conjugate_batch(
-                z6.all_indices(), idempotent_frames(a, [a0.index]))
+            (flags,) = singleton_conjugate_batch(
+                z6.all_indices(), idempotent_frames(z6, ai, [a0.index]))
             for b, flag in zip(z6.elements(), flags.tolist()):
                 conj = {(b * x * b).index for x in inner}
                 assert flag == (len(conj) == 1)
@@ -430,8 +446,8 @@ def test_singleton_conjugate_example_witness(example):
     # this element multiplies everything to zero, so the set collapses
     w = parse_element(example, "xa + xb")
     zero = example.zero()
-    frames = idempotent_frames(zero, [zero.index])
-    assert singleton_conjugate_batch([w.index], frames).tolist() == [True]
+    frames = idempotent_frames(example, zero.index, [zero.index])
+    assert singleton_conjugate_batch([w.index], frames).tolist() == [[True]]
     # I(0) is all of R, and the one value of w*x*w is 0
     everything = example.all_indices()
     assert not example.idx_mul(example.idx_mul(w.index, everything),
@@ -527,9 +543,11 @@ def test_batched_forms_match_the_scan(request, name):
         _assert_coset_verdicts(a)
         _assert_iann_sums(a)
         want = _singleton_by_gather(ring, a)
-        for a0 in (a0s[0], a0s[-1]):
-            flags = singleton_conjugate_batch(bs, idempotent_frames(a, [a0]))
-            assert np.array_equal(flags, want), (a, int(a0))
+        flags = singleton_conjugate_batch(
+            bs, idempotent_frames(ring, a.index, [a0s[0], a0s[-1]]))
+        assert flags.shape == (2, ring.size)
+        for row in flags:
+            assert np.array_equal(row, want), a
         assert inner_products(a, a0s, a0s) == reflexive_inverses(a)
 
 
@@ -544,7 +562,8 @@ def test_counting_rule_agrees_with_the_sumset(request, name):
         if not len(a0s):
             continue
         left, right = left_annihilator(a), right_annihilator(a)
-        pairs = [(left, right)] + _frame_ideals(a, idempotent_frames(a, a0s))
+        pairs = [(left, right)] + _frame_ideals(
+            a, idempotent_frames(ring, a.index, a0s))
         targets = [inner_annihilator(a), left, right,
                    ElemSet(ring, ring.all_indices())]
         for u, w in pairs:
@@ -562,7 +581,7 @@ def test_frames_match_reflexive_inverses(request, name):
         inner = inner_inverses(a).indices()
         if not len(inner):
             continue
-        frames = idempotent_frames(a, inner)
+        frames = idempotent_frames(ring, a.index, inner)
         reps = [inner[frames.of == k][0] for k in range(len(frames.f))]
         image = {int(ring.idx_mul(ring.idx_mul(g, a.index), g)) for g in reps}
         assert sorted(image) == reflexive_inverses(a).indices().tolist()
@@ -571,27 +590,94 @@ def test_frames_match_reflexive_inverses(request, name):
 
 def test_frames_sort_by_frame_past_2_31_elements():
     # M_2(GF(257)) has 257^4 > 2^31 elements, so f*|R| + e passes 2^63 for
-    # about half of these frames; the sort key must not wrap
+    # about half of these frames, and (a*|R| + f)*|R| + e for nearly all;
+    # grouping pairs of several elements by (a, f, e) must not wrap
     ring = build_matrix_ring(2, 257)
-    a = ring.element([[200, 1], [35, 58]])  # a rank-one idempotent
-    assert a * a == a and ring.size >= 1 << 31
-    g0 = a  # an idempotent is its own inner inverse
-    f0, e0 = g0 * a, a * g0
     rng = random.Random(3)
-    ts = [ring.element([[rng.randrange(257) for _ in range(2)]
-                        for _ in range(2)]) for _ in range(9)]
-    a0s = [(g0 + t - f0 * t * e0).index for t in ts]
-    a0s += [a0s[0], a0s[4], a0s[4]]  # repeated witnesses
-    frames = idempotent_frames(a, a0s)
-    keys = list(zip(frames.f.tolist(), frames.e.tolist()))
-    assert keys == sorted(set(keys))
-    assert max(f for f, _ in keys) * ring.size >= 1 << 63
-    for pos, w in enumerate(a0s):
-        a0 = ring.from_index(w)
-        assert frames.f[frames.of[pos]] == (a0 * a).index
-        assert frames.e[frames.of[pos]] == (a * a0).index
-    assert frames.of[9] == frames.of[0]
-    assert frames.of[10] == frames.of[11] == frames.of[4]
+
+    def random_matrix():
+        return ring.element([[rng.randrange(257) for _ in range(2)]
+                             for _ in range(2)])
+
+    a = ring.element([[200, 1], [35, 58]])  # a rank-one idempotent
+    b = ring.one() - a  # another one
+    u = ring.element([[3, 1], [1, 1]])  # a unit: I(u) = {u^-1}
+    assert a * a == a and b * b == b and ring.size >= 1 << 31
+    pairs = []
+    for g0 in (a, b):  # an idempotent is its own inner inverse
+        f0, e0 = g0 * g0, g0 * g0
+        pairs += [(g0.index, (g0 + t - f0 * t * e0).index)
+                  for t in (random_matrix() for _ in range(6))]
+    u_inv = ring.element([[129, 128], [128, 130]])
+    assert u * u_inv == u_inv * u == ring.one()
+    pairs += [(u.index, u_inv.index)]
+    pairs += [pairs[0], pairs[4], pairs[4], pairs[8]]  # repeated witnesses
+    order = rng.sample(range(len(pairs)), len(pairs))  # interleave elements
+    elems = [pairs[k][0] for k in order]
+    a0s = [pairs[k][1] for k in order]
+    frames = idempotent_frames(ring, elems, a0s)
+    keys = list(zip(frames.frame_a.tolist(), frames.f.tolist(),
+                    frames.e.tolist()))
+    assert keys == sorted(set(keys)) and len(keys) == 6 + 6 + 1
+    assert max(f for _, f, _ in keys) * ring.size >= 1 << 63
+    assert max((x * ring.size + f) * ring.size + e
+               for x, f, e in keys) >= 1 << 63
+    for pos, (x, w) in enumerate(zip(elems, a0s)):
+        e, a0 = ring.from_index(x), ring.from_index(w)
+        k = frames.of[pos]
+        assert (frames.a[pos], frames.witnesses[pos]) == (x, w)
+        assert frames.frame_a[k] == x
+        assert frames.f[k] == (a0 * e).index
+        assert frames.e[k] == (e * a0).index
+    for k, j in ((0, 13), (4, 14), (4, 15), (8, 16)):
+        assert frames.of[order.index(k)] == frames.of[order.index(j)]
+
+
+@pytest.mark.parametrize("name,sampled", [
+    ("z30", False), ("m2gf3", False), ("gf3t3", False), ("example", False),
+    ("z30", True)])
+def test_pair_array_kernels_match_the_per_element_forms(
+        request, monkeypatch, name, sampled):
+    # the four kernels, fed a suite scan's ring-wide pair arrays, against
+    # their per-element forms (tests/conftest.py) on every regular element
+    # of the domain; sampled, the scan keeps the first witness of each
+    ring = request.getfixturevalue(name)
+    if sampled:
+        monkeypatch.setattr(theoremlab, "TABLE_CAP", 0)  # samples all of z30
+    scan = theoremlab._Scan(ring)
+    assert scan.sampled == sampled
+    frames = scan.inner_frames
+    param = inner_inverses_param_batch(frames, scan.inner_size(frames.a))
+    sums = iann_decomposition_batch(frames, scan.inner_size(frames.a))
+    refl = idempotent_frames(ring, *scan.ref_pairs)
+    ref_ok = ref_decomposition(refl, scan.ref_size(refl.a))
+    regs, firsts = scan.first_witnesses
+    bs = ring.all_indices()
+    singleton = singleton_conjugate_batch(
+        bs, idempotent_frames(ring, regs, firsts))
+    want_regs = [a.index for a in map(ring.from_index, scan.sample.tolist())
+                 if is_regular(a) is not None]
+    assert regs.tolist() == want_regs and len(regs) == len(set(frames.a))
+    for k, x in enumerate(regs.tolist()):
+        a = ring.from_index(x)
+        inner = inner_inverses(a).indices()
+        mine = frames.a == x
+        a0s = frames.witnesses[mine]
+        assert np.array_equal(a0s, inner[:1] if sampled else inner), x
+        assert np.array_equal(param[mine], param_per_element(a, a0s)), x
+        mismatch, frame_ok, translate_ok = iann_per_element(a, a0s)
+        assert (sums.ann_mismatch[mine]
+                == (-1 if mismatch is None else mismatch)).all(), x
+        assert np.array_equal(sums.frame_ok[mine], frame_ok), x
+        assert np.array_equal(sums.translate_ok[mine], translate_ok), x
+        ref = refl.a == x
+        refs = reflexive_inverses(a).indices()
+        assert np.array_equal(refl.witnesses[ref], refs), x
+        want = [np.array_equal(np.flatnonzero(row), refs)
+                for row in ref_rows_per_element(a, refs)]
+        assert ref_ok[ref].tolist() == want, x
+        assert np.array_equal(singleton[k],
+                              singleton_per_element(bs, a, firsts[k])), x
 
 
 def test_batched_forms_reject_non_inverses(z6):
@@ -601,7 +687,7 @@ def test_batched_forms_reject_non_inverses(z6):
     three = z6.from_index(3)
     for a0s in ([1, 2, 3], [2]):
         with pytest.raises(NotInnerInverse, match="^2 is not an inner"):
-            idempotent_frames(three, a0s)
+            idempotent_frames(z6, three.index, a0s)
 
 
 def test_batched_forms_name_the_first_non_witness(m2gf2):
@@ -614,7 +700,8 @@ def test_batched_forms_name_the_first_non_witness(m2gf2):
     low, high = outside[0], outside[-1]
     assert low < high and len(inner) > 2
     with pytest.raises(NotInnerInverse) as exc:
-        idempotent_frames(a, inner[:1] + [high] + inner[1:] + [low])
+        idempotent_frames(m2gf2, a.index,
+                          inner[:1] + [high] + inner[1:] + [low])
     assert str(exc.value) == (f"{m2gf2.from_index(high)} is not an "
                               f"inner inverse of {a}")
 
@@ -640,13 +727,17 @@ def test_frames_refuse_indices_outside_the_ring(name, elem, past, tables):
     for i in past:
         for a0s in ([i], inner[:1] + [i] + inner[1:]):
             with pytest.raises(NotInnerInverse) as exc:
-                idempotent_frames(a, a0s)
+                idempotent_frames(ring, a.index, a0s)
             assert str(exc.value) == (
                 f"index {i}, outside the ring, is not an inner inverse of {a}")
     # the first bad witness in array order is named, in range or not
     low = next(x for x in range(ring.size) if x not in inner)
     with pytest.raises(NotInnerInverse) as exc:
-        idempotent_frames(a, inner[:1] + [low, past[0]])
+        idempotent_frames(ring, a.index, inner[:1] + [low, past[0]])
     assert str(exc.value) == (
         f"{ring.from_index(low)} is not an inner inverse of {a}")
-    assert len(idempotent_frames(a, inner).witnesses) == len(inner)
+    assert len(idempotent_frames(ring, a.index, inner).witnesses) == len(inner)
+    # the element of each pair is an index too, refused past the ring
+    for i in past:
+        with pytest.raises(IndexError, match=f"^index {i} is outside"):
+            idempotent_frames(ring, [a.index, i], inner[:2])

@@ -209,12 +209,10 @@ def test_decomposition_checks_every_reflexive_witness(m2gf2, monkeypatch):
     a, a0 = [(a, ref.indices()[-1]) for a in m2gf2.elements()
              for ref in [reflexive_inverses(a)] if len(ref) > 1][-1]
 
-    def dropping_one(frames):
-        rows = ref_decomposition(frames)
-        if frames.a.index == a.index:
-            k = int(np.flatnonzero(frames.witnesses == a0)[0])
-            rows[k, np.argmax(rows[k])] = False  # drop the row's first member
-        return rows
+    def dropping_one(frames, sizes):
+        ok = ref_decomposition(frames, sizes)
+        ok[(frames.a == a.index) & (frames.witnesses == a0)] = False
+        return ok
 
     monkeypatch.setattr(theoremlab, "ref_decomposition", dropping_one)
     verdict = check_decomposition(m2gf2)
@@ -245,13 +243,12 @@ def _witnesses(verdict):
 
 
 def _corrupt(name, a, change):
-    """Wrap the ginv kernel name: change(result, witnesses) for a only."""
+    """Wrap the ginv kernel name: change(result, pairs) on the pairs of a,
+    a bool mask per pair, witnesses beside it."""
     real = getattr(ginvlab.ginv, name)
 
-    def corrupted(frames):
-        got = real(frames)
-        return (change(got, frames.witnesses) if frames.a.index == a
-                else got)
+    def corrupted(frames, sizes):
+        return change(real(frames, sizes), frames.a == a, frames.witnesses)
     return corrupted
 
 
@@ -263,7 +260,8 @@ def _corrupt_sums(a, change):
 def test_inner_param_checks_the_batched_parametrization(m2gf2, monkeypatch):
     a, a0 = _last_with_several(m2gf2, inner_inverses)
     monkeypatch.setattr(theoremlab, "inner_inverses_param_batch", _corrupt(
-        "inner_inverses_param_batch", a, lambda got, a0s: got & (a0s != a0)))
+        "inner_inverses_param_batch", a,
+        lambda got, mine, a0s: got & ~(mine & (a0s == a0))))
     verdict = check_inner_param(m2gf2)
     assert verdict.status == "violation"
     assert _witnesses(verdict) == [("a", a), ("a0", a0)]
@@ -273,8 +271,8 @@ def test_inner_param_checks_the_batched_parametrization(m2gf2, monkeypatch):
 def test_decomposition_checks_the_batched_translate(m2gf2, monkeypatch):
     a, a0 = _last_with_several(m2gf2, inner_inverses)
     monkeypatch.setattr(theoremlab, "iann_decomposition_batch", _corrupt_sums(
-        a, lambda got, a0s: got._replace(
-            translate_ok=got.translate_ok & (a0s != a0))))
+        a, lambda got, mine, a0s: got._replace(
+            translate_ok=got.translate_ok & ~(mine & (a0s == a0)))))
     verdict = check_decomposition(m2gf2)
     assert verdict.status == "violation"
     assert _witnesses(verdict) == [("a", a), ("a0", a0)]
@@ -285,7 +283,8 @@ def test_decomposition_checks_the_batched_annihilator_sum(m2gf2, monkeypatch):
     a, _ = _last_with_several(m2gf2, inner_inverses)
     x = _outside(m2gf2, inner_annihilator(m2gf2.from_index(a)).indices())
     monkeypatch.setattr(theoremlab, "iann_decomposition_batch", _corrupt_sums(
-        a, lambda got, a0s: got._replace(ann_mismatch=x)))
+        a, lambda got, mine, a0s: got._replace(
+            ann_mismatch=np.where(mine, x, got.ann_mismatch))))
     verdict = check_decomposition(m2gf2)
     assert verdict.status == "violation"
     assert _witnesses(verdict) == [("a", a), ("x", x)]
@@ -295,11 +294,50 @@ def test_decomposition_checks_the_batched_annihilator_sum(m2gf2, monkeypatch):
 def test_decomposition_checks_the_batched_frame_sum(m2gf2, monkeypatch):
     a, a0 = _last_with_several(m2gf2, inner_inverses)
     monkeypatch.setattr(theoremlab, "iann_decomposition_batch", _corrupt_sums(
-        a, lambda got, a0s: got._replace(frame_ok=got.frame_ok & (a0s != a0))))
+        a, lambda got, mine, a0s: got._replace(
+            frame_ok=got.frame_ok & ~(mine & (a0s == a0)))))
     verdict = check_decomposition(m2gf2)
     assert verdict.status == "violation"
     assert _witnesses(verdict) == [("a", a), ("a0", a0)]
     assert verdict.note == "Re'+f'R differs from Iann(a)"
+
+
+@pytest.mark.parametrize("sampled", [False, True],
+                         ids=["exhaustive", "sampled"])
+def test_decomposition_names_the_first_element_then_item_then_witness(
+        z30, monkeypatch, sampled):
+    # failures planted at two elements, and at two items of the earlier
+    # one: the check names the earlier element, its earlier item (i') and
+    # that item's first failing witness, although item (ii) fails at an
+    # earlier witness and the later element fails item (i) as well
+    if sampled:
+        monkeypatch.setattr(theoremlab, "TABLE_CAP", 0)  # all 30 sampled
+    frames = theoremlab._Scan(z30).inner_frames
+    counts = np.bincount(frames.a)
+    several = np.flatnonzero(counts > (0 if sampled else 1))
+    early, late = int(several[1]), int(several[-1])
+    first, last = (frames.witnesses[frames.a == early][k] for k in (0, -1))
+    assert sampled == (first == last)
+    x = _outside(z30, inner_annihilator(z30.from_index(late)).indices())
+    real = ginvlab.ginv.iann_decomposition_batch
+
+    def planted(frames, sizes):
+        got = real(frames, sizes)
+
+        def at(a, a0=None):
+            return (frames.a == a) & ((frames.witnesses == a0)
+                                      if a0 is not None else True)
+        return got._replace(
+            ann_mismatch=np.where(at(late), x, got.ann_mismatch),
+            frame_ok=got.frame_ok & ~at(early, last) & ~at(late),
+            translate_ok=got.translate_ok & ~at(early, first))
+
+    monkeypatch.setattr(theoremlab, "iann_decomposition_batch", planted)
+    verdict = check_decomposition(z30)
+    assert verdict.status == "violation"
+    assert _witnesses(verdict) == [("a", early), ("a0", int(last))]
+    assert verdict.note == ("sampled: " if sampled else "") + \
+        "Re'+f'R differs from Iann(a)"
 
 
 def test_invariance_checks_the_batched_singleton_test(m2gf2, monkeypatch):
@@ -310,8 +348,8 @@ def test_invariance_checks_the_batched_singleton_test(m2gf2, monkeypatch):
     real = ginvlab.ginv.singleton_conjugate_batch
 
     def flipped(bs, frames):
-        got = real(bs, frames).copy()
-        got[np.asarray(bs) == b] ^= frames.a.index == a
+        got = real(bs, frames)
+        got[np.ix_(frames.a == a, np.asarray(bs) == b)] ^= True
         return got
 
     monkeypatch.setattr(theoremlab, "singleton_conjugate_batch", flipped)
@@ -337,36 +375,77 @@ def test_refl_map_checks_the_batched_product_law(m2gf2, monkeypatch):
     monkeypatch.setattr(theoremlab, "TABLE_CAP", 0)  # op tables stay
     assert theoremlab._Scan(m2gf2).sampled
     sampled = check_refl_map(m2gf2)
-    for verdict in (exhaustive, sampled):
+    for verdict, prefix in ((exhaustive, ""), (sampled, "sampled: ")):
         assert verdict.status == "violation"
         assert _witnesses(verdict) == [("a", a), ("x", x)]
         assert verdict.note == \
-            "the product set I(a)*a*I(a) differs from Ref(a)"
+            prefix + "the product set I(a)*a*I(a) differs from Ref(a)"
 
 
-@pytest.mark.parametrize("name,cap", [("m2gf3", TABLE_CAP), ("z30", 0)])
-def test_suite_builds_each_elements_frames_at_most_twice(
-        request, monkeypatch, name, cap):
-    # the witness kernels take an element's frames, so a suite validates
-    # and groups each regular element's witnesses once per frame set it
-    # keeps: I(a) and Ref(a) exhaustive, I(a) and its first member sampled
-    ring = request.getfixturevalue(name)
-    monkeypatch.setattr(theoremlab, "TABLE_CAP", cap)  # 0: sampled
-    calls = []
-    real = ginvlab.ginv.idempotent_frames
+def test_refl_map_names_the_first_element_with_a_failing_property(m2gf2):
+    # refl_map decides its first three properties on the scan's pair
+    # arrays: dropping a member from the later element's Ref(a) breaks the
+    # image there, and merging the earlier element's frames breaks the
+    # fibers there; the earlier element is named, with its first clash
+    several = [a.index for a in m2gf2.elements()
+               if len(reflexive_inverses(a)) > 1]
+    early, late = several[0], several[-1]
+    scan = theoremlab._Scan(m2gf2)
+    a, x = scan._domain
+    dropped = int(scan.refset(late)[-1])
+    outer = scan._outer.copy()
+    outer[np.flatnonzero((a == late) & (x == dropped))] = False
+    scan._outer = outer
+    status, witnesses, note = theoremlab._check_refl_map(scan)
+    assert (status, witnesses, note) == (
+        "violation", [("a", late), ("x", dropped)],
+        "image of x -> x*a*x over I(a) differs from Ref(a)")
+    frames = scan.frames
+    mine = np.flatnonzero(frames.a == early)
+    merged = frames.of.copy()
+    merged[mine] = frames.of[mine[0]]
+    scan.frames = frames._replace(of=merged)
+    ia = frames.witnesses[mine]
+    phi = [(m2gf2.from_index(int(w)) * m2gf2.from_index(early)
+            * m2gf2.from_index(int(w))).index for w in ia]
+    y = next(w for w, v in zip(ia.tolist(), phi) if v != phi[0])
+    assert theoremlab._check_refl_map(scan) == (
+        "violation", [("a", early), ("x", int(ia[0])), ("y", y)],
+        "(x*a, a*x) = (y*a, a*y) but x*a*x != y*a*y")
 
-    def counted(a, a0s):
-        calls.append(a.index)
-        return real(a, a0s)
 
-    for module in (ginvlab.ginv, theoremlab):
-        monkeypatch.setattr(module, "idempotent_frames", counted)
-    report = run_suite(ring)
-    assert _by_name(report, "inner_param").note.startswith(
-        "sampled: " if cap == 0 else "all ")
-    regular = [a.index for a in ring.elements() if is_regular(a) is not None]
-    assert set(calls) == set(regular)
-    assert len(calls) <= 2 * len(regular)
+WITNESS_KERNELS = ("inner_inverses_param_batch", "iann_decomposition_batch",
+                   "ref_decomposition", "singleton_conjugate_batch")
+
+
+@pytest.mark.parametrize("blocks", [1, 5])
+def test_suite_calls_each_witness_kernel_once_per_domain_row_block(
+        m2gf3, monkeypatch, blocks):
+    # the scan hands each kernel ring-wide pair arrays, so an exhaustive
+    # suite calls it once per row block of its domain at most (the
+    # singleton test takes one block of elements per call), not once per
+    # element; M_2(GF(3)) is one block, or five blocks of 20 elements
+    if blocks > 1:
+        monkeypatch.setattr(rings, "_CHUNK", 81 * 20)
+    calls = {name: 0 for name in WITNESS_KERNELS}
+
+    def counted(name):
+        real = getattr(ginvlab.ginv, name)
+
+        def kernel(*args):
+            calls[name] += 1
+            return real(*args)
+        return kernel
+
+    for name in WITNESS_KERNELS:
+        monkeypatch.setattr(theoremlab, name, counted(name))
+    report = run_suite(m2gf3)
+    assert report.summary() == {"pass": 10, "violation": 0, "skipped": 1}
+    # M_2(GF(3)) is von Neumann regular: the domain is every element
+    assert len(list(rings._row_blocks(m2gf3.size, m2gf3.size))) == blocks
+    assert calls == {"inner_inverses_param_batch": 1,
+                     "iann_decomposition_batch": 1, "ref_decomposition": 1,
+                     "singleton_conjugate_batch": blocks}
 
 
 # _Scan's ideal questions (trivial_meet, member, ideal_key) must give the
@@ -435,7 +514,7 @@ def test_ideal_store_answers_do_not_depend_on_query_order(
                 grown.member(side, order[0], a)
             assert np.count_nonzero(grown._ideals[side].ids >= 0) == k + 1
         grown.regular_at(a)
-        assert np.count_nonzero(grown._regular >= 0) == k + 1
+        assert np.count_nonzero(grown._where[1] >= 0) == k + 1
     oneshot = theoremlab._Scan(ring)
     elems = [ring.from_index(int(i)) for i in pts]
     b, d = pts[:, None], pts[None, :]
@@ -530,7 +609,7 @@ def test_invariance_reads_the_ideal_kernels(z30, monkeypatch, note_prefix):
     verdict = check_invariance(z30)
     assert verdict.status == "violation"
     assert _witnesses(verdict) == [("a", 1), ("b", 6)]
-    assert verdict.note == "singleton without ideal membership"
+    assert verdict.note == note_prefix + "singleton without ideal membership"
 
 
 def test_subset_criterion_reads_the_ideal_kernels(z30, monkeypatch,
