@@ -2,29 +2,25 @@
 
 Each check scans a ring and returns pass, violation, or skipped together
 with witness elements and a note.  Every set a check reads (I(a),
-Ref(a), Iann(a), l(a), r(a), aR, Ra) comes from a ginv kernel, and
-regularity is read from I(a): a is regular exactly when I(a) is not
-empty.  The identities that inner_param, decomposition, invariance and
-refl_map verify come from the ginv functions that state them, in their
-batched forms; no check computes its own copy.  Each takes ring-wide
-pair arrays (a, a0), grouped as a ginv.Frames, and answers once per
-pair, so a check makes one call per ring (invariance one per row block
-of elements) instead of one per element.  The pairs run by ascending a,
-so a check names the first element with any failing item, then that
-element's first failing item, then that item's first failing witness in
-array order.
+Ref(a), Iann(a), l(a), r(a), aR, Ra) comes from a ginv kernel or from
+_Scan's pair arrays, and a is regular exactly when I(a) is not empty.
+The identities that inner_param, decomposition, invariance and refl_map
+verify come from the batched ginv functions that state them.  Every
+check is ring-wide: it reads the pair arrays (a, a0) of the whole
+domain, grouped as a ginv.Frames for the kernels, or gathers over pairs
+of elements in row blocks (rings._row_blocks); none loops in Python
+over elements.  The pairs run by ascending a, so a check names the first
+element (or pair) with any failing item, then its first failing item,
+then that item's first failing witness.
 
-_Scan alone decides between exhaustive and sampled quantification.
-Rings of at most TABLE_CAP elements quantify over every element and
-every witness; larger (but still budget-sized) rings over a
-deterministic evenly-spaced sample (pairs over a smaller subsample), the
-first inner inverse of each element and no reflexive witness, and
-_Scan.note marks "sampled" the notes of every verdict they quantify,
-violations included.  Both modes run one kernel path; only the pair
-arrays differ.  _Scan is also the only reader of how principal ideals
-are stored: one store per side, filled from the batched kernel
-ginv.principal_ideal_rows in both modes, so jain_prasad,
-subset_criterion, invariance and hartwig run one body.
+_Scan alone decides between exhaustive and sampled quantification, and
+alone reads how I(a) and the principal ideals are stored.  Rings of at
+most TABLE_CAP elements quantify over every element and every witness;
+larger (but still budget-sized) rings over a deterministic evenly-spaced
+sample (pairs over a smaller subsample), the first inner inverse of each
+element and no reflexive witness, and _Scan.note marks "sampled" the
+notes of every verdict they quantify, violations included.  Both modes
+run one code path; only the pair arrays differ.
 
 Checks on rings whose hypotheses fail are never asserted silently: they
 either skip with an observational note or report the counterexample and
@@ -36,7 +32,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -45,9 +41,8 @@ from .errors import BudgetExceeded, UnknownCheck, WrongRing
 from .ginv import (Frames, _first_difference, _group, additive_span,
                    iann_decomposition_batch, idempotent_frames,
                    inner_inverse_pairs, inner_inverses_param_batch,
-                   inner_products, left_annihilator, principal_ideal_rows,
-                   ref_decomposition, right_annihilator,
-                   singleton_conjugate_batch)
+                   left_annihilator, principal_ideal_rows, ref_decomposition,
+                   right_annihilator, singleton_conjugate_batch)
 from .rings import TABLE_CAP, Elem, Ring, _distinct, _row_blocks
 
 PASS = "pass"
@@ -94,6 +89,18 @@ def _render(ring: Ring, i: int) -> str:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _segments(start: np.ndarray, counts: np.ndarray) -> tuple:
+    """(run k, start[k] + place in it) for runs of the given lengths."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) + (start - np.cumsum(counts) + counts)[run]
+
+
+def _within(keys: np.ndarray, of: np.ndarray) -> tuple:
+    """(k, j) for each keys[k] == of[j], of sorted; by k, then j."""
+    lo, hi = (np.searchsorted(of, keys, side) for side in ("left", "right"))
+    return _segments(lo, hi - lo)
 
 
 class _Ideals:
@@ -146,30 +153,25 @@ class _Scan:
     the regular sample points, and `note`, `inner_scope` and `pair_scope`
     word the notes of sampled runs.
 
-    I(a) is scanned ring-wide, not one element at a time: one
-    ginv.inner_inverse_pairs call over the domain, in row blocks, gives
-    every pair (a, a0) with a0 in I(a).  They are kept as one read-only
-    array of witnesses, `_a0s`, with each element's start and count
-    (|I(a)|, -1 before its scan) in `_where` and a mask of the reflexive
-    ones (a0*a*a0 = a0) in `_outer`.  `iset(a)`, `refset(a)`,
-    `inner_size`, `ref_size` and `regular_at` (I(a) not empty) read
-    these arrays; an element outside the domain is scanned on first use,
-    in one batch per question, and appended.  The witness kernels take
-    ginv.Frames of these pairs, each built once per run: `frames` (all of
-    I(a), which refl_map reads in both modes), `inner_frames` (every
-    witness, or the first inner inverse of each element when sampled),
-    `reflexive_frames` (every Ref(a), None when sampled) and, for the
-    singleton test, `first_witnesses`.  Only these O(sum |I(a)|) arrays
-    are kept; every |R|-wide row lives for one row block.
+    One ginv.inner_inverse_pairs call over the domain, in row blocks,
+    gives every pair (a, a0) with a0 in I(a), kept as one read-only array
+    of witnesses, `_a0s`, with each element's start and |I(a)| (-1 before
+    its scan) in `_where` and a mask of the reflexive ones in `_outer`.
+    The checks read them ring-wide: `_domain` and `ref_pairs` (every
+    (a, a0), and every (a, x) with x in Ref(a)), `witnesses_of(a)`, and
+    ginv.Frames built once per run (`frames`, all of I(a) in both modes;
+    `inner_frames`, the first inner inverse of each element when sampled;
+    `reflexive_frames`, None when sampled).  `iset`, `refset`,
+    `inner_size`, `ref_size` and `regular_at` read single elements or
+    index arrays; an element outside the domain is scanned on first use,
+    in one batch per question.  Only these O(sum |I(a)|) arrays are kept.
 
     Principal ideals answer three questions, each broadcast over index
-    arrays: `ideal_key(a)` (the pair of ideal ids, equal exactly when
-    aR = bR and Ra = Rb), `trivial_meet(side, b, d)` (bR and dR, or Rb
-    and Rd, meet only in 0) and `member(side, x, s)` (x in sR, or x in
-    Rs).  One _Ideals store per side answers them the same way in both
-    modes: each element's ideal comes from one ginv.principal_ideal_rows
-    call, made on first use, and the first use interns the whole sample,
-    so an exhaustive run makes one kernel call per side.
+    arrays: `ideal_key(a)` (ideal ids, equal exactly when aR = bR and
+    Ra = Rb), `trivial_meet(side, b, d)` (bR and dR, or Rb and Rd, meet
+    only in 0) and `member(side, x, s)` (x in sR, or in Rs).  One _Ideals
+    store per side answers them in both modes, from principal_ideal_rows
+    calls made on first use; the first interns the whole sample.
 
     `idx`, the first thing every scan reads, also builds the ring's op
     tables (rings.Ring.build_tables) within the enumeration budget: a
@@ -254,6 +256,11 @@ class _Scan:
         ia = self.iset(a)
         start = self._where[0, a]
         return ia[self._outer[start:start + len(ia)]]
+
+    def witnesses_of(self, a) -> tuple:
+        """(k, x) for every x in I(a[k]), each a scanned already."""
+        k, at = _segments(*self._where[:, a])
+        return k, self._a0s[at]
 
     def inner_size(self, a) -> np.ndarray:
         """|I(a)| for each index in a, every one scanned already."""
@@ -389,64 +396,73 @@ def _classes(a: np.ndarray, *keys: np.ndarray) -> tuple:
     return np.unique(a[first], return_counts=True)
 
 
-def _refl_map_failures(s: _Scan, frames: Frames, phi: np.ndarray) -> list:
-    """The elements at which each of the first three properties fails,
-    in the order refl_map states them."""
-    ring = s.ring
-    a = frames.a
-    ref_a, ref_x = s.ref_pairs
-    # the image: a pair (a, x) of the image or of Ref(a) with no partner
-    image, _ = _group(a, phi)
-    both_a = np.concatenate([a[image], ref_a])
-    first, of = _group(both_a, np.concatenate([phi[image], ref_x]))
-    unmatched = both_a[first[np.bincount(of) == 1]]
-    fixed = ring.idx_mul(ring.idx_mul(ref_x, ref_a), ref_x)
-    # x*a*x = y*a*y iff (x*a, a*x) = (y*a, a*y) on I(a) iff the partitions
-    # of I(a) by frame, by x*a*x and by both have equally many classes
-    elems, by_frame = _classes(a, frames.of)
-    by_phi, by_both = _classes(a, phi)[1], _classes(a, frames.of, phi)[1]
-    clash = elems[(by_frame != by_phi) | (by_frame != by_both)]
-    return [unmatched, ref_a[fixed != ref_x], clash]
+def _unmatched(a, x, b, y) -> np.ndarray:
+    """The elements at which the pairs (a, x) and (b, y), each side
+    distinct, differ as sets."""
+    both = np.concatenate([a, b])
+    first, of = _group(both, np.concatenate([x, y]))
+    return both[first[np.bincount(of) == 1]]
+
+
+def _ref_products(frames: Frames) -> tuple:
+    """(a, v) for every v in I(a)*a*I(a), every element of frames, sorted
+    by a, then v: one x per distinct (a, x*a) times one y per distinct
+    (a, a*y), sum |I(a)*a|*|a*I(a)| = sum |Ref(a)| products, one idx_mul."""
+    ring, a, w = frames.ring, frames.a, frames.witnesses
+    xa = ring.idx_mul(w, a)
+    left, _ = _group(a, xa)
+    right, _ = _group(a, ring.idx_mul(a, w))
+    k, j = _within(a[left], a[right])
+    prods = ring.idx_mul(xa[left][k], w[right][j])
+    first, _ = _group(a[left][k], prods)
+    return a[left][k][first], prods[first]
 
 
 def _check_refl_map(s: _Scan):
-    ring = s.ring
-    frames = s.frames
-    phi = ring.idx_mul(ring.idx_mul(frames.witnesses, frames.a),
-                       frames.witnesses)
-    failures = _refl_map_failures(s, frames, phi)
-    stop = min((int(bad.min()) for bad in failures if len(bad)), default=-1)
-    for a in (int(v) for v in s.regulars):
-        ref = s.refset(a)
-        if a == stop:
-            mine = frames.a == a
-            if a in failures[0]:
-                w = _first_difference(_distinct(ring, [phi[mine]]), ref)
-                return VIOLATION, [("a", a), ("x", w)], s.note(
-                    "image of x -> x*a*x over I(a) differs from Ref(a)")
-            if a in failures[1]:
-                fixed = ring.idx_mul(ring.idx_mul(ref, a), ref)
-                x = int(ref[np.nonzero(fixed != ref)[0][0]])
-                return VIOLATION, [("a", a), ("x", x)], s.note(
-                    "x in Ref(a) is not a fixed point of x -> x*a*x")
-            # the first y to break either direction is named, the first
-            # direction on ties
-            ia, of, vals = frames.witnesses[mine], frames.of[mine], phi[mine]
-            y, k, x = min((clash[1], k, clash[0]) for k, clash in enumerate(
-                (_first_clash(vals, of), _first_clash(of, vals)))
-                if clash is not None)
-            return VIOLATION, \
-                [("a", a), ("x", int(ia[x])), ("y", int(ia[y]))], s.note((
-                    "x*a*x = y*a*y but (x*a, a*x) != (y*a, a*y)",
-                    "(x*a, a*x) = (y*a, a*y) but x*a*x != y*a*y")[k])
-        ia = s.iset(a)
-        prods = inner_products(Elem(ring, a), ia, ia).indices()
-        if not np.array_equal(prods, ref):
-            w = _first_difference(prods, ref)
-            return VIOLATION, [("a", a), ("x", w)], \
-                s.note("the product set I(a)*a*I(a) differs from Ref(a)")
-    return PASS, [], s.note(
-        f"all four properties on {len(s.regulars)} regular elements")
+    ring, frames = s.ring, s.frames
+    pair_a, ws = frames.a, frames.witnesses
+    phi = ring.idx_mul(ring.idx_mul(ws, pair_a), ws)
+    ref_a, ref_x = s.ref_pairs
+    image, _ = _group(pair_a, phi)
+    # the image and the products, by property, as sorted (a, value) pairs
+    sets = {0: (pair_a[image], phi[image]), 3: _ref_products(frames)}
+    fixed = ring.idx_mul(ring.idx_mul(ref_x, ref_a), ref_x)
+    # x*a*x = y*a*y iff (x*a, a*x) = (y*a, a*y) on I(a) iff the partitions
+    # of I(a) by frame, by x*a*x and by both have equally many classes
+    elems, by_frame = _classes(pair_a, frames.of)
+    by_phi = _classes(pair_a, phi)[1]
+    by_both = _classes(pair_a, frames.of, phi)[1]
+    # the elements at which each property fails, in the order stated
+    failures = [_unmatched(*sets[0], ref_a, ref_x), ref_a[fixed != ref_x],
+                elems[(by_frame != by_phi) | (by_frame != by_both)],
+                _unmatched(*sets[3], ref_a, ref_x)]
+    if not any(len(bad) for bad in failures):
+        return PASS, [], s.note(
+            f"all four properties on {len(s.regulars)} regular elements")
+    # the first element with any failure, then its first failing property
+    a = min(int(bad.min()) for bad in failures if len(bad))
+    k = next(k for k, bad in enumerate(failures) if a in bad)
+    if k == 2:
+        # the first y to break either direction is named, the first
+        # direction on ties
+        mine = pair_a == a
+        ia, of, vals = ws[mine], frames.of[mine], phi[mine]
+        y, k, x = min((clash[1], k, clash[0]) for k, clash in enumerate(
+            (_first_clash(vals, of), _first_clash(of, vals)))
+            if clash is not None)
+        return VIOLATION, \
+            [("a", a), ("x", int(ia[x])), ("y", int(ia[y]))], s.note((
+                "x*a*x = y*a*y but (x*a, a*x) != (y*a, a*y)",
+                "(x*a, a*x) = (y*a, a*y) but x*a*x != y*a*y")[k])
+    if k == 1:
+        x = int(ref_x[(ref_a == a) & (fixed != ref_x)][0])
+    else:
+        got_a, got = sets[k]
+        x = _first_difference(got[got_a == a], s.refset(a))
+    return VIOLATION, [("a", a), ("x", x)], s.note((
+        "image of x -> x*a*x over I(a) differs from Ref(a)",
+        "x in Ref(a) is not a fixed point of x -> x*a*x", "",
+        "the product set I(a)*a*I(a) differs from Ref(a)")[k])
 
 
 def _check_decomposition(s: _Scan):
@@ -530,104 +546,116 @@ def _check_invariance(s: _Scan):
 
 
 def _check_jain_prasad(s: _Scan):
-    ring = s.ring
-    pts = s.pair_points
-    checked = 0
-    for b in (int(v) for v in pts):
-        srow = ring.idx_add(b, pts)
+    ring, pts = s.ring, s.pair_points
+    for rows in _row_blocks(len(pts), len(pts)):
+        int_r = s.trivial_meet("right", pts[rows, None], pts[None, :])
+        int_l = s.trivial_meet("left", pts[rows, None], pts[None, :])
+        # c1 = c2 = c3 = False unless bR, dR or Rb, Rd meet only in 0
+        i, j = np.nonzero(int_r | int_l)
+        b = pts[rows][i]
+        srow = ring.idx_add(b, pts[j])
         ok = s.regular_at(srow)
-        int_r = s.trivial_meet("right", b, pts)
-        int_l = s.trivial_meet("left", b, pts)
-        c1 = int_r & s.member("right", b, srow)
-        c2 = int_l & s.member("left", b, srow)
-        c3 = int_r & int_l
-        eq = (c1 == c2) & (c2 == c3)
-        bad = ok & ~eq
-        if bad.any():
-            j = int(np.argmax(bad))
-            return VIOLATION, [("b", b), ("d", int(pts[j]))], s.note(
-                f"conditions evaluated as ({bool(c1[j])}, {bool(c2[j])}, "
-                f"{bool(c3[j])})")
-        checked += int(ok.sum())
+        i, j, b, srow = i[ok], j[ok], b[ok], srow[ok]
+        c1 = int_r[i, j] & s.member("right", b, srow)
+        c2 = int_l[i, j] & s.member("left", b, srow)
+        c3 = int_r[i, j] & int_l[i, j]
+        bad = np.flatnonzero((c1 != c2) | (c2 != c3))
+        if len(bad):
+            k = bad[0]  # the first b, then the first d
+            return VIOLATION, [("b", int(b[k])), ("d", int(pts[j[k]]))], \
+                s.note(f"conditions evaluated as ({bool(c1[k])}, "
+                       f"{bool(c2[k])}, {bool(c3[k])})")
+    # exhaustive: d -> b+d is a bijection of R
+    checked = (int(s.regular_at(ring.idx_add(pts[:, None], pts)).sum())
+               if s.sampled else len(pts) * len(s.regulars))
     return PASS, [], s.pair_scope(checked, "ordered pairs with b+d regular")
 
 
 def _check_subset_criterion(s: _Scan):
-    ring = s.ring
-    semi = s.semi
+    ring, semi = s.ring, s.semi
     if not semi.semiprime:
         return SKIPPED, [], (
             "stated for semiprime rings only; this ring has witness "
             f"{_render(ring, semi.witness.index)} with a*R*a = 0")
     regs = s.pair_points[s.regular_at(s.pair_points)]
-    masks = np.zeros((len(regs), ring.size), dtype=bool)
-    for j, b in enumerate(int(v) for v in regs):
-        masks[j, s.iset(b)] = True
-    verified_subsets = 0
-    for a in (int(v) for v in regs):
-        ia = s.iset(a)
-        subs = masks[:, ia].all(axis=1)
-        drow = ring.idx_sub(a, regs)
-        crit = (s.trivial_meet("right", regs, drow)
-                & s.trivial_meet("left", regs, drow))
-        mism = subs != crit
-        if mism.any():
-            j = int(np.nonzero(mism)[0][0])
-            b, d = int(regs[j]), int(drow[j])
+    # I(a) in I(b) iff no x in I(a) has outside[x, b]; bits packs outside
+    run, xs = s.witnesses_of(regs)
+    outside = np.ones((ring.size, len(regs)), dtype=bool)
+    outside[xs, run] = False
+    bits = np.packbits(outside, axis=1)
+    start = np.searchsorted(run, np.arange(len(regs) + 1))
+    verified = 0
+    for rows in _row_blocks(len(regs), len(regs)):
+        at = start[rows.start:rows.stop + 1]
+        hit = np.bitwise_or.reduceat(bits[xs[at[0]:at[-1]]], at[:-1] - at[0])
+        subs = np.unpackbits(hit, axis=1, count=len(regs)) == 0
+        d = ring.idx_sub(regs[rows, None], regs[None, :])
+        crit = (s.trivial_meet("right", regs[None, :], d)
+                & s.trivial_meet("left", regs[None, :], d))
+        i, j = np.nonzero(subs)
+        a = regs[rows][i]
+        failure = _first_proof_failure(s, a, regs[j], d[i, j])
+        mism = np.flatnonzero((subs != crit).any(axis=1))
+        # the first a with either failure; there a mismatch wins
+        if len(mism) and (failure is None or mism[0] <= i[failure[0]]):
+            r = mism[0]
+            k = int(np.argmax(subs[r] != crit[r]))
             side = ("I(a) is contained in I(b) but the annihilation "
-                    "criterion fails" if subs[j] else
+                    "criterion fails" if subs[r, k] else
                     "the annihilation criterion holds without the subset")
-            return VIOLATION, [("a", a), ("b", b), ("d", d)], s.note(side)
-        js = np.flatnonzero(subs)
-        failure = _proof_identity_failure(ring, ia, regs[js], drow[js])
+            return VIOLATION, [("a", int(regs[rows][r])), ("b", int(regs[k])),
+                               ("d", int(d[r, k]))], s.note(side)
         if failure is not None:
-            j, which, w = failure
-            b, d = int(regs[js[j]]), int(drow[js[j]])
-            return VIOLATION, [("a", a), ("b", b), ("d", d), ("x", w)], \
+            p, which, x = failure
+            return VIOLATION, [("a", int(a[p])), ("b", int(regs[j[p]])),
+                               ("d", int(d[i[p], j[p]])), ("x", x)], \
                 s.note(f"proof identity {which} fails")
-        verified_subsets += len(js)
+        verified += len(i)
     return PASS, [], s.note(
         f"biconditional on {len(regs)}^2 ordered regular pairs; proof "
-        f"identities on the {verified_subsets} pairs with I(a) in I(b)")
+        f"identities on the {verified} pairs with I(a) in I(b)")
 
 
 _PROOF_IDENTITIES = ("b*x*d = 0", "d*x*b = 0", "d*x*d = d")
 
 
-def _proof_identity_failure(ring, ia, bs, ds):
+def _first_proof_failure(s: _Scan, a, bs, ds):
     """The first failure of b*x*d = 0, d*x*b = 0, d*x*d = d over x in I(a)
-    and the pairs (b, d) = (bs[j], ds[j]), as (j, identity, x), or None.
-
-    Each identity is one (pairs x |I(a)|) gather.  Failures are ordered
-    by pair, then identity, then x in I(a) order.
-    """
-    bs = np.asarray(bs, dtype=np.int64)[:, None]
-    ds = np.asarray(ds, dtype=np.int64)[:, None]
-    bad = np.stack([ring.idx_mul(ring.idx_mul(left, ia), right) != want
-                    for left, right, want in ((bs, ds, 0), (ds, bs, 0),
-                                              (ds, ds, ds))], axis=1)
+    and the triples (a, b, d) = (a[p], bs[p], ds[p]), as (p, identity, x),
+    or None: by triple, then identity, then x in I(a) order.  One gather
+    per identity covers every (triple, x)."""
+    p, x = s.witnesses_of(a)
+    b, d = np.asarray(bs)[p], np.asarray(ds)[p]
+    bad = np.stack([s.ring.idx_mul(s.ring.idx_mul(u, x), v) != want
+                    for u, v, want in ((b, d, 0), (d, b, 0), (d, d, d))])
     if not bad.any():
         return None
-    j, which, x = np.unravel_index(np.argmax(bad), bad.shape)
-    return int(j), _PROOF_IDENTITIES[which], int(ia[x])
+    first = p[np.argmax(bad.any(axis=0))]
+    mine = p == first
+    which = int(np.argmax(bad[:, mine].any(axis=1)))
+    return int(first), _PROOF_IDENTITIES[which], \
+        int(x[mine][np.argmax(bad[which, mine])])
 
 
-def _collisions(s: _Scan, setter: Callable[[int], np.ndarray]):
-    """Group regular elements by their set; yield stats and first collision."""
-    first_of: dict[bytes, int] = {}
-    groups: dict[bytes, list] = {}
-    first_pair = None
-    npairs = 0
-    for a in (int(v) for v in s.regulars):
-        key = setter(a).tobytes()
-        if key in first_of:
-            npairs += len(groups[key])
-            if first_pair is None:
-                first_pair = (first_of[key], a)
-        else:
-            first_of[key] = a
-        groups.setdefault(key, []).append(a)
-    return groups, first_pair, npairs
+def _collisions(a: np.ndarray, x: np.ndarray) -> tuple:
+    """Group the elements of the pairs (a, x), sorted by a, then x, by
+    their set of x, each size class by np.unique over its rows as opaque
+    values: (elements, the first member of each one's group, the first
+    pair (first member, later member) or None, the colliding pairs)."""
+    elems, start, size = np.unique(a, return_index=True, return_counts=True)
+    label = np.empty(len(elems), dtype=np.int64)
+    for k in np.unique(size).tolist():
+        mine = np.flatnonzero(size == k)
+        rows = np.ascontiguousarray(x[start[mine, None] + np.arange(k)])
+        label[mine] = np.unique(rows.view(np.dtype((np.void, 8 * k))),
+                                return_inverse=True)[1].reshape(-1)
+    first, of = _group(size, label)  # stable: first holds the least member
+    lead = elems[first[of]]
+    later = np.flatnonzero(lead != elems)
+    count = np.bincount(of)
+    return elems, lead, \
+        (int(lead[later[0]]), int(elems[later[0]])) if len(later) else None, \
+        int((count * (count - 1) // 2).sum())
 
 
 def _theorem_verdict(s: _Scan, which: str, first_pair, npairs: int, extra=""):
@@ -651,26 +679,22 @@ def _theorem_verdict(s: _Scan, which: str, first_pair, npairs: int, extra=""):
 
 
 def _check_theorem_inner(s: _Scan):
-    _, first_pair, npairs = _collisions(s, s.iset)
-    return _theorem_verdict(s, "I", first_pair, npairs)
+    return _theorem_verdict(s, "I", *_collisions(*s._domain)[2:])
 
 
 def _check_nielsen(s: _Scan):
-    ring = s.ring
-    groups, _, npairs = _collisions(s, s.iset)
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        arr = np.asarray(members, dtype=np.int64)
-        diffs = ring.idx_sub(arr[:, None], arr[None, :])
-        reg = s.regular_at(diffs)
-        np.fill_diagonal(reg, False)
-        if reg.any():
-            i, j = (int(v[0]) for v in np.nonzero(reg))
-            return VIOLATION, \
-                [("a", int(arr[i])), ("b", int(arr[j])),
-                 ("d", int(diffs[i, j]))], \
-                s.note("I(a) = I(b) with a-b regular but a != b")
+    elems, lead, _, npairs = _collisions(*s._domain)
+    # every ordered pair within a group, groups by first member, then a, b
+    order = np.lexsort((elems, lead))
+    members, lead = elems[order], lead[order]
+    a, b = (members[v] for v in _within(lead, lead))
+    diffs = s.ring.idx_sub(a, b)
+    bad = np.flatnonzero(s.regular_at(diffs) & (a != b))
+    if len(bad):
+        k = bad[0]
+        return VIOLATION, [("a", int(a[k])), ("b", int(b[k])),
+                           ("d", int(diffs[k]))], \
+            s.note("I(a) = I(b) with a-b regular but a != b")
     if npairs:
         return PASS, [], s.note(
             f"{npairs} pairs of distinct regular elements share I-sets; "
@@ -679,11 +703,9 @@ def _check_nielsen(s: _Scan):
 
 
 def _check_theorem_reflexive(s: _Scan):
-    zero_ref = s.refset(0)
-    if not np.array_equal(zero_ref, np.asarray([0])):
+    if not np.array_equal(s.refset(0), [0]):
         return VIOLATION, [("a", 0)], "Ref(0) is not {0}"
-    _, first_pair, npairs = _collisions(s, s.refset)
-    return _theorem_verdict(s, "Ref", first_pair, npairs,
+    return _theorem_verdict(s, "Ref", *_collisions(*s.ref_pairs)[2:],
                             extra="; Ref(0) = {0} verified first")
 
 
@@ -693,14 +715,11 @@ def _check_hartwig(s: _Scan):
         units = s.unit_idx
     except BudgetExceeded as exc:
         return SKIPPED, [], f"unit enumeration is not feasible here: {exc}"
-    classes: dict = {}
-    right, left = s.ideal_key(s.regulars)
-    for a, key in zip(s.regulars.tolist(), zip(right.tolist(), left.tolist())):
-        classes.setdefault(key, []).append(a)
+    first, of = _group(*s.ideal_key(s.regulars))
     laws = ("u with b = a*u", "v with b = v*a")
     pairs = 0
-    for members in classes.values():
-        arr = np.asarray(members, dtype=np.int64)
+    for g in np.argsort(first).tolist():  # the classes by first member
+        arr = s.regulars[of == g]
         # mark the orbits a*U and U*a of a block of the class, one gather
         # each, and read which members of the class they miss
         for rows in _row_blocks(len(arr), max(len(units), ring.size)):
@@ -718,7 +737,7 @@ def _check_hartwig(s: _Scan):
                     s.note(f"no unit {laws[k]} although aR = bR and Ra = Rb")
         pairs += len(arr) ** 2
     return PASS, [], s.note(
-        f"{pairs} ordered pairs across {len(classes)} ideal classes, "
+        f"{pairs} ordered pairs across {len(first)} ideal classes, "
         f"unit group of order {len(units)}")
 
 

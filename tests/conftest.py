@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ginvlab import (build_example_ring, build_matrix_ring, build_table_algebra,
-                     build_zmod, ginv)
+                     build_zmod, ginv, theoremlab)
 
 
 def squarefree(n: int) -> bool:
@@ -148,3 +148,205 @@ def singleton_per_element(bs, a, a0):
     diff = ring.idx_sub(gens, ring.idx_mul(ring.idx_mul(f, gens), e))
     bs = np.asarray(bs, dtype=np.int64)[:, None]
     return (ring.idx_mul(ring.idx_mul(bs, diff[None, :]), bs) == 0).all(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Per-element forms of the checks that ginvlab.theoremlab runs ring-wide:
+# refl_map's product law, jain_prasad, subset_criterion and the three
+# collision checks.  Each takes a theoremlab._Scan, loops in Python over
+# its elements as the checks once did, and returns (status, witnesses,
+# note), the references the ring-wide checks are checked against.
+
+
+def refl_map_per_element(s):
+    """refl_map with the product law I(a)*a*I(a) = Ref(a) decided one
+    element at a time, by ginv.inner_products."""
+    tl = theoremlab
+    ring, frames = s.ring, s.frames
+    a_of = frames.a
+    phi = ring.idx_mul(ring.idx_mul(frames.witnesses, a_of), frames.witnesses)
+    ref_a, ref_x = s.ref_pairs
+    image, _ = ginv._group(a_of, phi)
+    both_a = np.concatenate([a_of[image], ref_a])
+    first, of = ginv._group(both_a, np.concatenate([phi[image], ref_x]))
+    unmatched = both_a[first[np.bincount(of) == 1]]
+    fixed = ring.idx_mul(ring.idx_mul(ref_x, ref_a), ref_x)
+    elems, by_frame = tl._classes(a_of, frames.of)
+    by_phi = tl._classes(a_of, phi)[1]
+    by_both = tl._classes(a_of, frames.of, phi)[1]
+    failures = [unmatched, ref_a[fixed != ref_x],
+                elems[(by_frame != by_phi) | (by_frame != by_both)]]
+    stop = min((int(bad.min()) for bad in failures if len(bad)), default=-1)
+    for a in (int(v) for v in s.regulars):
+        ref = s.refset(a)
+        if a == stop:
+            mine = a_of == a
+            if a in failures[0]:
+                w = ginv._first_difference(np.unique(phi[mine]), ref)
+                return tl.VIOLATION, [("a", a), ("x", w)], s.note(
+                    "image of x -> x*a*x over I(a) differs from Ref(a)")
+            if a in failures[1]:
+                fixed = ring.idx_mul(ring.idx_mul(ref, a), ref)
+                x = int(ref[np.nonzero(fixed != ref)[0][0]])
+                return tl.VIOLATION, [("a", a), ("x", x)], s.note(
+                    "x in Ref(a) is not a fixed point of x -> x*a*x")
+            ia, of, vals = frames.witnesses[mine], frames.of[mine], phi[mine]
+            y, k, x = min((clash[1], k, clash[0]) for k, clash in enumerate(
+                (tl._first_clash(vals, of), tl._first_clash(of, vals)))
+                if clash is not None)
+            return tl.VIOLATION, \
+                [("a", a), ("x", int(ia[x])), ("y", int(ia[y]))], s.note((
+                    "x*a*x = y*a*y but (x*a, a*x) != (y*a, a*y)",
+                    "(x*a, a*x) = (y*a, a*y) but x*a*x != y*a*y")[k])
+        ia = s.iset(a)
+        prods = ginv.inner_products(ring.from_index(a), ia, ia).indices()
+        if not np.array_equal(prods, ref):
+            w = ginv._first_difference(prods, ref)
+            return tl.VIOLATION, [("a", a), ("x", w)], \
+                s.note("the product set I(a)*a*I(a) differs from Ref(a)")
+    return tl.PASS, [], s.note(
+        f"all four properties on {len(s.regulars)} regular elements")
+
+
+def jain_prasad_per_element(s):
+    """jain_prasad, one b at a time over every pair point d."""
+    ring = s.ring
+    pts = s.pair_points
+    checked = 0
+    for b in (int(v) for v in pts):
+        srow = ring.idx_add(b, pts)
+        ok = s.regular_at(srow)
+        int_r = s.trivial_meet("right", b, pts)
+        int_l = s.trivial_meet("left", b, pts)
+        c1 = int_r & s.member("right", b, srow)
+        c2 = int_l & s.member("left", b, srow)
+        c3 = int_r & int_l
+        bad = ok & ~((c1 == c2) & (c2 == c3))
+        if bad.any():
+            j = int(np.argmax(bad))
+            return theoremlab.VIOLATION, [("b", b), ("d", int(pts[j]))], \
+                s.note(f"conditions evaluated as ({bool(c1[j])}, "
+                       f"{bool(c2[j])}, {bool(c3[j])})")
+        checked += int(ok.sum())
+    return theoremlab.PASS, [], s.pair_scope(
+        checked, "ordered pairs with b+d regular")
+
+
+PROOF_IDENTITIES = ("b*x*d = 0", "d*x*b = 0", "d*x*d = d")
+
+
+def proof_identity_failure(ring, ia, bs, ds):
+    """The first failure of b*x*d = 0, d*x*b = 0, d*x*d = d over x in I(a)
+    = ia and the pairs (bs[j], ds[j]), as (j, identity, x), or None: by
+    pair, then identity, then x in I(a) order."""
+    bs = np.asarray(bs, dtype=np.int64)[:, None]
+    ds = np.asarray(ds, dtype=np.int64)[:, None]
+    bad = np.stack([ring.idx_mul(ring.idx_mul(left, ia), right) != want
+                    for left, right, want in ((bs, ds, 0), (ds, bs, 0),
+                                              (ds, ds, ds))], axis=1)
+    if not bad.any():
+        return None
+    j, which, x = np.unravel_index(np.argmax(bad), bad.shape)
+    return int(j), PROOF_IDENTITIES[which], int(ia[x])
+
+
+def subset_criterion_per_element(s):
+    """subset_criterion, one a at a time over every regular pair point b."""
+    tl = theoremlab
+    ring, semi = s.ring, s.semi
+    if not semi.semiprime:
+        return tl.SKIPPED, [], (
+            "stated for semiprime rings only; this ring has witness "
+            f"{tl._render(ring, semi.witness.index)} with a*R*a = 0")
+    regs = s.pair_points[s.regular_at(s.pair_points)]
+    masks = np.zeros((len(regs), ring.size), dtype=bool)
+    for j, b in enumerate(int(v) for v in regs):
+        masks[j, s.iset(b)] = True
+    verified = 0
+    for a in (int(v) for v in regs):
+        ia = s.iset(a)
+        subs = masks[:, ia].all(axis=1)
+        drow = ring.idx_sub(a, regs)
+        crit = (s.trivial_meet("right", regs, drow)
+                & s.trivial_meet("left", regs, drow))
+        mism = subs != crit
+        if mism.any():
+            j = int(np.nonzero(mism)[0][0])
+            side = ("I(a) is contained in I(b) but the annihilation "
+                    "criterion fails" if subs[j] else
+                    "the annihilation criterion holds without the subset")
+            return tl.VIOLATION, [("a", a), ("b", int(regs[j])),
+                                  ("d", int(drow[j]))], s.note(side)
+        js = np.flatnonzero(subs)
+        failure = proof_identity_failure(ring, ia, regs[js], drow[js])
+        if failure is not None:
+            j, which, w = failure
+            return tl.VIOLATION, \
+                [("a", a), ("b", int(regs[js[j]])), ("d", int(drow[js[j]])),
+                 ("x", w)], s.note(f"proof identity {which} fails")
+        verified += len(js)
+    return tl.PASS, [], s.note(
+        f"biconditional on {len(regs)}^2 ordered regular pairs; proof "
+        f"identities on the {verified} pairs with I(a) in I(b)")
+
+
+def collisions_per_element(s, setter):
+    """Group the regular elements by setter(a), keyed by its bytes:
+    (groups in order of first member, first pair, colliding pairs)."""
+    first_of, groups = {}, {}
+    first_pair, npairs = None, 0
+    for a in (int(v) for v in s.regulars):
+        key = setter(a).tobytes()
+        if key in first_of:
+            npairs += len(groups[key])
+            if first_pair is None:
+                first_pair = (first_of[key], a)
+        else:
+            first_of[key] = a
+        groups.setdefault(key, []).append(a)
+    return list(groups.values()), first_pair, npairs
+
+
+def theorem_inner_per_element(s):
+    _, first_pair, npairs = collisions_per_element(s, s.iset)
+    return theoremlab._theorem_verdict(s, "I", first_pair, npairs)
+
+
+def theorem_reflexive_per_element(s):
+    if not np.array_equal(s.refset(0), [0]):
+        return theoremlab.VIOLATION, [("a", 0)], "Ref(0) is not {0}"
+    _, first_pair, npairs = collisions_per_element(s, s.refset)
+    return theoremlab._theorem_verdict(s, "Ref", first_pair, npairs,
+                                       extra="; Ref(0) = {0} verified first")
+
+
+def nielsen_per_element(s):
+    ring = s.ring
+    groups, _, npairs = collisions_per_element(s, s.iset)
+    for members in groups:
+        arr = np.asarray(members, dtype=np.int64)
+        diffs = ring.idx_sub(arr[:, None], arr[None, :])
+        reg = s.regular_at(diffs)
+        np.fill_diagonal(reg, False)
+        if reg.any():
+            i, j = (int(v[0]) for v in np.nonzero(reg))
+            return theoremlab.VIOLATION, \
+                [("a", int(arr[i])), ("b", int(arr[j])),
+                 ("d", int(diffs[i, j]))], \
+                s.note("I(a) = I(b) with a-b regular but a != b")
+    if npairs:
+        return theoremlab.PASS, [], s.note(
+            f"{npairs} pairs of distinct regular elements share I-sets; "
+            "every such difference is non-regular")
+    return theoremlab.PASS, [], s.note(
+        "no I-set collisions among regular elements")
+
+
+CHECK_ORACLES = {
+    "refl_map": refl_map_per_element,
+    "jain_prasad": jain_prasad_per_element,
+    "subset_criterion": subset_criterion_per_element,
+    "theorem_inner": theorem_inner_per_element,
+    "nielsen": nielsen_per_element,
+    "theorem_reflexive": theorem_reflexive_per_element,
+}

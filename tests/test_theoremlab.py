@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ginvlab
-from ginvlab import (CHECK_NAMES, TABLE_CAP, ElemSet, UnknownCheck, WrongRing,
+from ginvlab import (CHECK_NAMES, TABLE_CAP, UnknownCheck, WrongRing,
                      ZmodRing, build_matrix_ring, build_table_algebra,
                      check_decomposition, check_example_claims,
                      check_hartwig, check_inner_param, check_invariance,
@@ -18,6 +18,8 @@ from ginvlab import (CHECK_NAMES, TABLE_CAP, ElemSet, UnknownCheck, WrongRing,
                      principal_right_ideal, ref_decomposition,
                      reflexive_inverses, rings, run_suite, theoremlab)
 from ginvlab.fixture import BASIS
+
+from conftest import CHECK_ORACLES
 
 
 @pytest.fixture(scope="module")
@@ -359,17 +361,20 @@ def test_invariance_checks_the_batched_singleton_test(m2gf2, monkeypatch):
     assert verdict.note == "ideal membership without singleton"
 
 
+def _dropping_products(a, x):
+    """Wrap theoremlab._ref_products: the product x*a*y = x of a is lost."""
+    real = theoremlab._ref_products
+
+    def dropping(frames):
+        got_a, got = real(frames)
+        keep = (got_a != a) | (got != x)
+        return got_a[keep], got[keep]
+    return dropping
+
+
 def test_refl_map_checks_the_batched_product_law(m2gf2, monkeypatch):
     a, x = _last_with_several(m2gf2, reflexive_inverses)
-    real = ginvlab.ginv.inner_products
-
-    def dropping(e, xs, ys):
-        got = real(e, xs, ys)
-        if e.index == a:
-            return ElemSet(m2gf2, got.indices()[got.indices() != x])
-        return got
-
-    monkeypatch.setattr(theoremlab, "inner_products", dropping)
+    monkeypatch.setattr(theoremlab, "_ref_products", _dropping_products(a, x))
     exhaustive = check_refl_map(m2gf2)
     # sampled mode runs the same product law over every factor pair
     monkeypatch.setattr(theoremlab, "TABLE_CAP", 0)  # op tables stay
@@ -624,20 +629,23 @@ def test_subset_criterion_reads_the_ideal_kernels(z30, monkeypatch,
         note_prefix + "the annihilation criterion holds without the subset")
 
 
-# subset_criterion evaluates its proof identities for every b with
-# I(a) in I(b) in one gather per identity; the per-pair loop it replaced
-# is the reference, failures included.
+# subset_criterion evaluates its proof identities for every triple
+# (a, b, d) of a row block of a, over every x in I(a), in one gather per
+# identity; the per-pair loop it replaced is the reference, failures
+# included.
 
 
-def _proof_identities_per_pair(ring, ia, bs, ds):
-    """The first (pair, identity, x) that fails, one pair at a time."""
-    for j, (b, d) in enumerate(zip(bs, ds)):
+def _proof_identities_per_pair(ring, inner, triples):
+    """The first (triple, identity, x) that fails, one triple at a time,
+    with inner[a] = I(a)."""
+    for p, (a, b, d) in enumerate(triples):
+        ia = inner[a]
         for which, left, right, want in (("b*x*d = 0", b, d, 0),
                                          ("d*x*b = 0", d, b, 0),
                                          ("d*x*d = d", d, d, d)):
             bad = np.asarray(ring.idx_mul(ring.idx_mul(left, ia), right))
             if (bad != want).any():
-                return j, which, int(ia[np.argmax(bad != want)])
+                return p, which, int(ia[np.argmax(bad != want)])
     return None
 
 
@@ -650,18 +658,213 @@ def test_batched_proof_identities_match_the_per_pair_loop(request, name):
     masks = np.zeros((len(regs), ring.size), dtype=bool)
     for j, b in enumerate(regs):
         masks[j, inner[b]] = True
-    outcomes = {"fails": 0, "holds": 0}
+    scan = theoremlab._Scan(ring)
+    assert scan.regular_at(regs).all()  # scans I(a) for every a
+    helper = theoremlab._first_proof_failure
+    triples = []
     for a in regs:
-        ia = inner[a]
-        subsets = [regs[j] for j in np.flatnonzero(masks[:, ia].all(axis=1))]
+        subsets = [regs[j] for j in
+                   np.flatnonzero(masks[:, inner[a]].all(axis=1))]
         bs = rng.sample(subsets, min(3, len(subsets))) + rng.sample(regs, 4)
-        rng.shuffle(bs)
-        ds = [int(ring.idx_sub(a, b)) for b in bs]
-        helper = theoremlab._proof_identity_failure
-        assert helper(ring, ia, bs, ds) == \
-            _proof_identities_per_pair(ring, ia, bs, ds), a
-        for b, d in zip(bs, ds):
-            want = _proof_identities_per_pair(ring, ia, [b], [d])
-            assert helper(ring, ia, [b], [d]) == want, (a, b)
-            outcomes["holds" if want is None else "fails"] += 1
+        triples += [(a, b, int(ring.idx_sub(a, b))) for b in bs]
+    rng.shuffle(triples)
+    outcomes = {"fails": 0, "holds": 0}
+    for lo in range(0, len(triples), 9):
+        block = triples[lo:lo + 9]
+        a, b, d = (np.asarray(v) for v in zip(*block))
+        assert helper(scan, a, b, d) == \
+            _proof_identities_per_pair(ring, inner, block), block
+    for triple in triples:
+        a, b, d = (np.asarray([v]) for v in triple)
+        want = _proof_identities_per_pair(ring, inner, [triple])
+        assert helper(scan, a, b, d) == want, triple
+        outcomes["holds" if want is None else "fails"] += 1
     assert outcomes["fails"] and outcomes["holds"], outcomes
+
+
+# The ring-wide checks against their per-element oracles (tests/conftest):
+# the full verdict, status, witnesses and note, in both modes.
+
+RING_WIDE = tuple(CHECK_ORACLES)
+
+
+def _verdicts(ring, names, oracle=False):
+    """Each check's (status, witnesses, note) on its own fresh scan."""
+    checks = CHECK_ORACLES if oracle else theoremlab._CHECKS
+    return {name: checks[name](theoremlab._Scan(ring)) for name in names}
+
+
+@pytest.mark.parametrize("name,sampled,chunk", [
+    ("z30", False, None), ("m2gf3", False, None), ("gf3t3", False, None),
+    ("example", False, None), ("z30", True, None), ("m2gf3", False, 200)],
+    ids=["z30", "m2gf3", "gf3t3", "example10", "z30-sampled",
+         "m2gf3-small-blocks"])
+def test_ring_wide_checks_match_their_per_element_oracles(
+        request, monkeypatch, name, sampled, chunk):
+    ring = request.getfixturevalue(name)
+    if sampled:
+        monkeypatch.setattr(theoremlab, "TABLE_CAP", 0)  # op tables stay
+    if chunk:  # row blocks of a few pair points each
+        monkeypatch.setattr(rings, "_CHUNK", chunk)
+    assert theoremlab._Scan(ring).sampled == sampled
+    assert _verdicts(ring, RING_WIDE) == _verdicts(ring, RING_WIDE, True)
+
+
+# Witness order: with two failures planted, each ring-wide check names the
+# one its per-element form met first.
+
+
+def test_jain_prasad_names_the_first_b_then_the_first_d(
+        z30, monkeypatch, note_prefix):
+    # 6 + 25 = 1 and 10 + 3 = 13, each pair meeting only in 0: without 6
+    # in 1R and 10 in 13R both pairs fail c1; b = 6 comes first, although
+    # d = 3 comes before d = 25
+    early, late = _dropping(("right",), 1, 6), _dropping(("right",), 13, 10)
+    monkeypatch.setattr(theoremlab, "principal_ideal_rows",
+                        lambda *args: early(*args) & late(*args))
+    for oracle in (False, True):
+        status, witnesses, note = _verdicts(z30, ["jain_prasad"],
+                                            oracle)["jain_prasad"]
+        assert (status, witnesses) == ("violation", [("b", 6), ("d", 25)])
+        assert note == \
+            note_prefix + "conditions evaluated as (False, True, True)"
+    # alone, the later failure is named
+    monkeypatch.setattr(theoremlab, "principal_ideal_rows", late)
+    assert _witnesses(check_jain_prasad(z30)) == [("b", 10), ("d", 3)]
+
+
+def test_jain_prasad_evaluates_pairs_meeting_trivially_on_one_side(
+        z30, monkeypatch, note_prefix):
+    # with R*6 emptied to {0}, 1R and 6R still share 6R but R1 and R6 meet
+    # only in 0, and 1 lies in R*7 = R: c2 holds alone at (1, 6)
+    def emptied(ring, side, s):
+        rows = principal_ideal_rows(ring, side, s)
+        if side == "left":
+            rows[np.asarray(s).reshape(-1) == 6, 1:] = False
+        return rows
+
+    monkeypatch.setattr(theoremlab, "principal_ideal_rows", emptied)
+    want = ("violation", [("b", 1), ("d", 6)],
+            note_prefix + "conditions evaluated as (False, True, False)")
+    for oracle in (False, True):
+        assert _verdicts(z30, ["jain_prasad"], oracle)["jain_prasad"] == want
+
+
+def _planted_proof_failure(a, b, which):
+    """Wrap theoremlab._first_proof_failure: the triple (a, b, d) fails the
+    identity named which, at the first x in I(a)."""
+    real = theoremlab._first_proof_failure
+
+    def planted(s, a_, bs, ds):
+        at = np.flatnonzero((np.asarray(a_) == a) & (np.asarray(bs) == b))
+        if len(at):
+            return int(at[0]), which, int(s.iset(a)[0])
+        return real(s, a_, bs, ds)
+    return planted
+
+
+@pytest.mark.parametrize("early", [1, 2])
+def test_subset_criterion_names_the_first_a_then_a_mismatch(
+        z30, monkeypatch, note_prefix, early):
+    # a criterion mismatch at a = 2 (5R and 27R lose their common 15) and
+    # a proof identity failing at a = early, at its first subset pair
+    # b = 0 (I(0) = R): an earlier a wins; at the same a the mismatch
+    # wins, although its pair b = 5 comes later
+    monkeypatch.setattr(theoremlab, "principal_ideal_rows",
+                        _dropping(("right", "left"), 5, 15))
+    monkeypatch.setattr(theoremlab, "_first_proof_failure",
+                        _planted_proof_failure(early, 0, "d*x*b = 0"))
+    verdict = check_subset_criterion(z30)
+    assert verdict.status == "violation"
+    if early == 1:
+        x = int(inner_inverses(z30.from_index(1)).indices()[0])
+        assert _witnesses(verdict) == [("a", 1), ("b", 0), ("d", 1),
+                                       ("x", x)]
+        assert verdict.note == note_prefix + "proof identity d*x*b = 0 fails"
+    else:
+        assert _witnesses(verdict) == [("a", 2), ("b", 5), ("d", 27)]
+        assert verdict.note == note_prefix + \
+            "the annihilation criterion holds without the subset"
+
+
+@pytest.mark.parametrize("same", [False, True], ids=["earlier", "same"])
+def test_refl_map_names_the_first_element_then_a_property(
+        m2gf2, monkeypatch, same):
+    # the later element loses a member of Ref(a), so its image fails; the
+    # product law fails at the earlier element (or at the later one too):
+    # an earlier product-law failure wins, a property wins at the same a
+    several = [a.index for a in m2gf2.elements()
+               if len(reflexive_inverses(a)) > 1]
+    early, late = several[0], several[-1]
+    lost = late if same else early
+    x = int(reflexive_inverses(m2gf2.from_index(lost)).indices()[0])
+    monkeypatch.setattr(theoremlab, "_ref_products",
+                        _dropping_products(lost, x))
+    scan = theoremlab._Scan(m2gf2)
+    a, a0s = scan._domain
+    dropped = int(scan.refset(late)[-1])
+    outer = scan._outer.copy()
+    outer[np.flatnonzero((a == late) & (a0s == dropped))] = False
+    scan._outer = outer
+    if same:
+        assert theoremlab._check_refl_map(scan) == (
+            "violation", [("a", late), ("x", dropped)],
+            "image of x -> x*a*x over I(a) differs from Ref(a)")
+    else:
+        assert theoremlab._check_refl_map(scan) == (
+            "violation", [("a", early), ("x", x)],
+            "the product set I(a)*a*I(a) differs from Ref(a)")
+
+
+def _planted_sets(ring, copies):
+    """A scan of ring in which each target of copies has the I(a) and
+    Ref(a) of its source."""
+    scan = theoremlab._Scan(ring)
+    a, x = scan._domain
+    outer = scan._outer[:len(x)]
+    keep = ~np.isin(a, list(copies))
+    parts = [(a[keep], x[keep], outer[keep])]
+    for target, source in copies.items():
+        mine = a == source
+        parts.append((np.full(mine.sum(), target), x[mine], outer[mine]))
+    a, x, outer = (np.concatenate(p) for p in zip(*parts))
+    order = np.lexsort((x, a))
+    a, x, outer = a[order], x[order], outer[order]
+    counts = np.bincount(a, minlength=ring.size)
+    scan._a0s, scan._outer, scan._domain = x, outer, (a, x)
+    scan._where = np.stack([np.cumsum(counts) - counts, counts])
+    return scan
+
+
+def test_collision_checks_name_the_first_colliding_pair(z30, note_prefix):
+    # I(20) := I(5) and I(25) := I(2), with their Ref-sets: the first pair
+    # is the one whose later member comes first, (5, 20), and nielsen
+    # names the group whose first member comes first, (2, 25)
+    copies = {20: 5, 25: 2}
+    for name, want in (
+            ("theorem_inner", [("a", 5), ("b", 20)]),
+            ("theorem_reflexive", [("a", 5), ("b", 20)]),
+            ("nielsen", [("a", 2), ("b", 25), ("d", 7)])):
+        got = theoremlab._CHECKS[name](_planted_sets(z30, copies))
+        assert got == CHECK_ORACLES[name](_planted_sets(z30, copies))
+        assert got[:2] == ("violation", want)
+        assert got[2].startswith(note_prefix)
+        if name != "nielsen":
+            assert "(2 colliding pairs; 30 regular elements" in got[2]
+
+
+def test_ideal_stores_grow_rarely_on_a_sampled_ring(monkeypatch):
+    # Z/5005: b+d in jain_prasad and a-b in subset_criterion leave the
+    # interned sample; each check interns them in one call per side, and
+    # reads the ideal ids before it indexes the grown store
+    calls = {"right": 0, "left": 0}
+    real = theoremlab._Ideals.intern
+
+    def counted(store, s):
+        calls[store.side] += 1
+        return real(store, s)
+
+    monkeypatch.setattr(theoremlab._Ideals, "intern", counted)
+    report = run_suite(ZmodRing(5005))
+    assert report.summary() == {"pass": 10, "violation": 0, "skipped": 1}
+    assert 1 < calls["right"] <= 4 and 1 < calls["left"] <= 4, calls
