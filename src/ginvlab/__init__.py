@@ -11,10 +11,9 @@ from .fixture import build_example_ring, is_example_ring
 from .ginv import (Frames, IannDecompositions, additive_span,
                    iann_decomposition_batch, idempotent_frames,
                    inner_annihilator, inner_inverse_pairs, inner_inverses,
-                   inner_inverses_param_batch, inner_products,
-                   left_annihilator, outer_inverses, principal_ideal_rows,
-                   principal_left_ideal, principal_right_ideal,
-                   ref_decomposition,
+                   inner_inverses_param_batch, left_annihilator,
+                   outer_inverses, principal_ideal_rows, principal_left_ideal,
+                   principal_right_ideal, ref_decomposition,
                    reflexive_inverses, right_annihilator,
                    singleton_conjugate_batch, sumset)
 from .parsing import parse_element, render_elem

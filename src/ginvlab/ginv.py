@@ -20,9 +20,10 @@ counting: a coset that lies in I(a) equals it iff it has |I(a)|
 elements, and a family that lies in Ref(a) equals it iff it has |Ref(a)|
 distinct members, so no translate or family row is built; the caller
 passes the counts it holds.  inner_inverse_pairs scans I(a) for many a
-at once and gives the pairs.  inner_products and ref_decomposition build
-Ref(a) = I(a)*a*I(a) in factored form, from I(a)*a and a*I(a), whose
-sizes multiply to |Ref(a)|.
+at once and gives the pairs.  ref_decomposition builds Ref(a) in the
+paper's factored form, from W_a = r(a)*a and V_a = a*l(a), whose sizes
+multiply to |Ref(a)|.  The kernels read whole-ring rows a*R and R*a with
+Ring.mul_rows.
 """
 
 from __future__ import annotations
@@ -81,25 +82,21 @@ def _pairwise(ring: Ring, op, left: np.ndarray,
 
 
 def inner_inverses(a: Elem) -> ElemSet:
-    """I(a) = {x : a*x*a = a}."""
-    ring = a.ring
-    idx = _scan_indices(ring)
-    axa = ring.idx_mul(ring.idx_mul(a.index, idx), a.index)
-    return ElemSet(ring, np.flatnonzero(axa == a.index))
+    """I(a) = {x : a*x*a = a}: one row of inner_inverse_pairs."""
+    return ElemSet(a.ring, inner_inverse_pairs(a.ring, a.index)[1])
 
 
 def inner_inverse_pairs(ring: Ring, a) -> tuple[np.ndarray, np.ndarray]:
     """I(a_k) for every index a_k of the array a, as the pairs (k, x) with
     a_k*x*a_k = a_k: two int64 arrays, sorted by k, then x.
 
-    One row of a*x*a per a_k, in row blocks (rings._row_blocks), so only
-    the pairs outlive a block.
+    One row of a*x*a per a_k, the row a_k*R (Ring.mul_rows) times a_k,
+    in row blocks (rings._row_blocks), so only the pairs outlive a block.
     """
-    idx = _scan_indices(ring)[None, :]
     a = np.asarray(a, dtype=np.int64).reshape(-1, 1)
     pos, xs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for rows in _row_blocks(len(a), ring.size):
-        axa = ring.idx_mul(ring.idx_mul(a[rows], idx), a[rows])
+        axa = ring.idx_mul(ring.mul_rows(a[rows], "right"), a[rows])
         k, x = np.nonzero(axa == a[rows])
         pos.append(k + rows.start)
         xs.append(x)
@@ -124,64 +121,42 @@ def reflexive_inverses(a: Elem) -> ElemSet:
     return ElemSet(ring, np.flatnonzero(inner_mask & outer_mask))
 
 
-def inner_products(a: Elem, xs, ys) -> ElemSet:
-    """{x*a*y : x in xs, y in ys}, over every factor pair at once.
-
-    x*a*y depends on x only through x*a and on y only through a*y, so
-    one x per distinct x*a and one y per distinct a*y are paired.  With
-    xs = ys = I(a) this is I(a)*a*I(a) = Ref(a), and since
-    |I(a)*a|*|a*I(a)| = |Ref(a)| it costs at most |Ref(a)| products.
-    """
-    ring = a.ring
-    ring.ensure_enumerable()
-    ys = np.asarray(ys, dtype=np.int64)
-    ay = ring.idx_mul(a.index, ys)
-    rep = np.empty(ring.size, dtype=np.int64)
-    rep[ay] = ys  # one y for each a*y
-    left = ring.idx_mul(np.asarray(xs, dtype=np.int64), a.index)
-    return ElemSet(ring, _pairwise(ring, ring.idx_mul, left,
-                                   rep[_distinct(ring, [ay])]))
-
-
 # ---------------------------------------------------------------------------
 # annihilators and ideals
 
 
 def left_annihilator(a: Elem) -> ElemSet:
     """l(a) = {x : x*a = 0}."""
-    ring = a.ring
-    idx = _scan_indices(ring)
-    return ElemSet(ring, np.flatnonzero(ring.idx_mul(idx, a.index) == 0))
+    return ElemSet(a.ring,
+                   np.flatnonzero(a.ring.mul_rows(a.index, "left") == 0))
 
 
 def right_annihilator(a: Elem) -> ElemSet:
     """r(a) = {x : a*x = 0}."""
-    ring = a.ring
-    idx = _scan_indices(ring)
-    return ElemSet(ring, np.flatnonzero(ring.idx_mul(a.index, idx) == 0))
+    return ElemSet(a.ring,
+                   np.flatnonzero(a.ring.mul_rows(a.index, "right") == 0))
 
 
 def inner_annihilator(a: Elem) -> ElemSet:
     """Iann(a) = {x : a*x*a = 0}."""
     ring = a.ring
-    idx = _scan_indices(ring)
-    axa = ring.idx_mul(ring.idx_mul(a.index, idx), a.index)
+    axa = ring.idx_mul(ring.mul_rows(a.index, "right"), a.index)
     return ElemSet(ring, np.flatnonzero(axa == 0))
 
 
 def principal_ideal_rows(ring: Ring, side: str, s) -> np.ndarray:
     """Membership rows of sR (side "right") or Rs (side "left"), one per s.
 
-    A (len(s), |R|) bool array, built in row blocks (rings._row_blocks).
+    A (len(s), |R|) bool array, built in row blocks (rings._row_blocks):
+    each block's rows s*R or R*s (Ring.mul_rows) mark out by flat index.
     """
-    idx = _scan_indices(ring)[None, :]
-    s = np.asarray(s, dtype=np.int64).reshape(-1, 1)
+    s = np.asarray(s, dtype=np.int64).reshape(-1)
     out = np.zeros((len(s), ring.size), dtype=bool)
+    start = np.arange(len(s))[:, None] * ring.size  # of row k in out, flat
     for rows in _row_blocks(len(s), ring.size):
-        block = out[rows]  # a view: marking it marks out
-        prods = (ring.idx_mul(s[rows], idx) if side == "right"
-                 else ring.idx_mul(idx, s[rows]))
-        block[np.arange(len(block))[:, None], prods] = True
+        prods = ring.mul_rows(s[rows], side)
+        prods += start[rows]
+        out.reshape(-1)[prods] = True  # out is C-ordered: a view
     return out
 
 
@@ -273,10 +248,10 @@ def inner_inverses_param_batch(frames: Frames, inner_size) -> np.ndarray:
     base = ring.idx_sub(gens, ring.idx_mul(ring.idx_mul(f, gens), e))
     inside = (ring.idx_mul(ring.idx_mul(a, base), a) == 0).all(axis=1)
     first, fe_of = _group(frames.f, frames.e)
-    f, e = frames.f[first, None], frames.e[first, None]
+    f, e = frames.f[first], frames.e[first, None]
     fixed = np.empty(len(first), dtype=np.int64)
     for rows in _row_blocks(len(fixed), ring.size):
-        fte = ring.idx_mul(ring.idx_mul(f[rows], idx[None, :]), e[rows])
+        fte = ring.idx_mul(ring.mul_rows(f[rows], "right"), e[rows])
         fixed[rows] = np.count_nonzero(fte == idx, axis=1)
     size = _per_frame(frames, inner_size)
     return (inside & (fixed[fe_of] * size == ring.size))[frames.of]
@@ -340,9 +315,9 @@ def iann_decomposition_batch(frames: Frames, inner_size) -> IannDecompositions:
     mismatch = np.full(len(elems), -1, dtype=np.int64)
     iann_size = np.empty(len(elems), dtype=np.int64)
     for rows in _row_blocks(len(elems), ring.size):
-        ax = ring.idx_mul(elems[rows, None], idx)
+        ax = ring.mul_rows(elems[rows], "right")
         iann = ring.idx_mul(ax, elems[rows, None]) == 0
-        left = ring.idx_mul(idx, elems[rows, None]) == 0
+        left = ring.mul_rows(elems[rows], "left") == 0
         right = ax == 0
         iann_size[rows] = np.count_nonzero(iann, axis=1)
         for k in np.flatnonzero(~_sums_to(left, right, iann)):
@@ -373,17 +348,16 @@ def iann_decomposition_batch(frames: Frames, inner_size) -> IannDecompositions:
 def _factor_sets(ring: Ring, elems: np.ndarray):
     """W_a = r(a)*a and V_a = a*l(a) for each index in elems, each as
     (members, start, count): members concatenated in elems order."""
-    idx = _scan_indices(ring)
     members = ([np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)])
     counts = ([np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)])
     for rows in _row_blocks(len(elems), ring.size):
-        ax = ring.idx_mul(elems[rows, None], idx)
-        xa = ring.idx_mul(idx, elems[rows, None])
-        # W_a marks x*a where a*x = 0, V_a marks a*x where x*a = 0
+        ax = ring.mul_rows(elems[rows], "right")
+        xa = ring.mul_rows(elems[rows], "left")
+        # W_a marks x*a where a*x = 0, V_a a*x where x*a = 0; at = k*|R| + x
         for side, (zero, value) in enumerate(((ax, xa), (xa, ax))):
             mark = np.zeros(ax.shape, dtype=bool)
-            k, x = np.nonzero(zero == 0)
-            mark[k, value[k, x]] = True
+            at = np.flatnonzero(zero == 0)
+            mark.reshape(-1)[at // ring.size * ring.size + value.take(at)] = True
             members[side].append(np.nonzero(mark)[1])
             counts[side].append(np.count_nonzero(mark, axis=1))
     out = []

@@ -11,15 +11,14 @@ Arithmetic is exposed two ways: Elem objects with operator overloading,
 and vectorized numpy operations on index arrays for scan-heavy set
 computations.  Index arithmetic runs on per-backend vectorized formulas
 (raw arithmetic), chunked to bound memory, until build_tables() builds
-full |R|^2 op tables, which then answer by fancy indexing.  The tables
-pay only for quadratic work, so only the two quadratic consumers build
-them, theoremlab's _Scan and regular_elements, and only on rings of at
-most TABLE_CAP elements; Z/n never builds them, since a residue product
-is one numpy op.  Single queries (inverse sets, the semiprime header,
-parsing) run raw.  Either way idx_mul, idx_add, idx_neg and idx_sub
-accept operands of any integer dtype and return int64 of the broadcast
-shape: the tables are uint16 storage that only this module reads, cast
-at the gather.
+full |R|^2 op tables, which then answer by one flat take on the raveled
+table, key I*|R| + J.  The tables pay only for quadratic work, so only
+theoremlab's _Scan and regular_elements build them, and only on rings of
+at most TABLE_CAP elements; Z/n never does, since a residue product is
+one numpy op, reduced by floor division.  Single queries run raw.  The
+set kernels read whole-ring rows a*R and R*a from mul_rows: rows or
+columns of the mul table, or one broadcast raw product.  idx_*() and
+mul_rows take any integer dtype and return int64 (uint16 tables stay here).
 
 Z/n computes in int64, so it refuses a modulus whose residue products
 could pass 2^63 (n > 3037000500) with InvalidModulus.
@@ -214,18 +213,32 @@ class Ring:
 
     def idx_mul(self, I, J):
         if self._mul_table is not None:
-            return self._mul_table[I, J].astype(np.int64)
+            return _gather(self._mul_table, I, J)
         return self._raw_mul(I, J)
 
     def idx_add(self, I, J):
         if self._add_table is not None:
-            return self._add_table[I, J].astype(np.int64)
+            return _gather(self._add_table, I, J)
         return self._raw_add(I, J)
 
     def idx_neg(self, I):
         if self._neg_table is not None:
-            return self._neg_table[I].astype(np.int64)
+            return self._neg_table.take(I).astype(np.int64)
         return self._raw_neg(I)
+
+    def mul_rows(self, a, side: str) -> np.ndarray:
+        """Row k is a_k*R (side "right") or R*a_k (side "left"): a fresh,
+        C-ordered int64 (len(a), |R|) array.  The rows span the ring, so
+        past the enumeration budget this raises BudgetExceeded.  With op
+        tables they are rows or columns of the mul table, read whole."""
+        self.ensure_enumerable()
+        a, table = np.asarray(a, dtype=np.int64).reshape(-1), self._mul_table
+        if table is not None:
+            rows = table[a] if side == "right" else table.take(a, axis=1).T
+            return rows.astype(np.int64, order="C")
+        idx = self.all_indices()[None, :]
+        return (self._raw_mul(a[:, None], idx) if side == "right"
+                else self._raw_mul(idx, a[:, None]))
 
     def idx_sub(self, I, J):
         return self.idx_add(I, self.idx_neg(J))
@@ -268,10 +281,9 @@ class Ring:
     def unit_indices(self) -> np.ndarray:
         """Indices of all units, by one row-blocked scan of x·y = 1; cached.
 
-        The scan is quadratic, so rings above TABLE_CAP raise
-        TableCapExceeded.  It gathers from the op tables if they are
-        built and runs raw otherwise; it builds none.  Subclasses may
-        avoid the scan.
+        The scan is quadratic: rings above TABLE_CAP raise TableCapExceeded,
+        rings past the budget BudgetExceeded.  It reads op tables if built,
+        else runs raw, and builds none.  Subclasses may avoid the scan.
         """
         if self._units is None:
             if self.size > TABLE_CAP:
@@ -279,7 +291,7 @@ class Ring:
             idx, one = self.all_indices(), self._one_index
             cand, rinv = [], []
             for rows in _row_blocks(self.size, self.size):
-                hit = self.idx_mul(idx[rows, None], idx[None, :]) == one
+                hit = self.mul_rows(idx[rows], "right") == one
                 has_right = hit.any(axis=1)
                 cand.append(idx[rows][has_right])
                 rinv.append(np.argmax(hit[has_right], axis=1))
@@ -287,6 +299,25 @@ class Ring:
             # in a finite ring a one-sided inverse is two-sided; verify anyway
             self._units = cand[self.idx_mul(rinv, cand) == one]
         return self._units
+
+
+def _gather(table: np.ndarray, I, J) -> np.ndarray:
+    """table[I, J] as int64, by one take on the raveled table.  The flat
+    key I*|R| + J is formed in int64, so uint16 operands cannot wrap, in
+    the result's buffer, which the gathered entries then overwrite."""
+    key = np.empty(np.broadcast_shapes(np.shape(I), np.shape(J)), np.int64)
+    np.multiply(I, len(table), out=key, dtype=np.int64)
+    key += J
+    key[...] = table.take(key)
+    return key
+
+
+def _mod(x, n: int, scratch=None):
+    """x mod n, in place on the fresh int64 x, as x - (x // n)*n beats x % n."""
+    q = np.floor_divide(x, n, out=scratch)
+    q *= n
+    x -= q
+    return x
 
 
 def _row_blocks(count: int, width: int) -> Iterator[slice]:
@@ -461,14 +492,14 @@ class ZmodRing(Ring):
 
     def _raw_mul(self, I, J):
         I, J = np.asarray(I, dtype=np.int64), np.asarray(J, dtype=np.int64)
-        return I * J % self.n
+        return _mod(I * J, self.n)
 
     def _raw_add(self, I, J):
         I, J = np.asarray(I, dtype=np.int64), np.asarray(J, dtype=np.int64)
-        return (I + J) % self.n
+        return _mod(I + J, self.n)
 
     def _raw_neg(self, I):
-        return -np.asarray(I, dtype=np.int64) % self.n
+        return _mod(-np.asarray(I, dtype=np.int64), self.n)
 
     def additive_generator_indices(self):
         return np.asarray([self._one_index], dtype=np.int64)
@@ -477,8 +508,8 @@ class ZmodRing(Ring):
         return (c * i) % self.n
 
     def build_tables(self):
-        """Nothing: a residue product is one numpy op, no slower than a
-        table gather, so Z/n always runs raw."""
+        """Nothing: a residue product, one multiply and a floor division
+        by n, is faster than a flat table take, so Z/n always runs raw."""
 
     def unit_indices(self):
         idx = self.all_indices()
@@ -547,16 +578,10 @@ class _DigitRing(Ring):
         return out
 
     def _fold(self, out, digit, scratch):
-        """out = out·q + digit mod q, in place; clobbers digit and scratch.
-
-        numpy divides by a scalar several times faster than it takes %,
-        and writing into buffers avoids fresh allocations.
-        """
-        np.floor_divide(digit, self.char, out=scratch)
-        scratch *= self.char
-        digit -= scratch
+        """out = out·q + digit mod q, in place; clobbers digit and scratch,
+        as writing into buffers avoids fresh allocations."""
         out *= self.char
-        out += digit
+        out += _mod(digit, self.char, scratch)
 
     def _int_digits(self, i) -> list:
         """The digits of a 0-d index as Python ints, most significant first."""
@@ -927,7 +952,7 @@ def regular_elements(ring: Ring) -> ElemSet:
     mask = np.empty(ring.size, dtype=bool)
     for rows in _row_blocks(ring.size, ring.size):
         a = idx[rows, None]
-        axa = ring.idx_mul(ring.idx_mul(a, idx[None, :]), a)
+        axa = ring.idx_mul(ring.mul_rows(idx[rows], "right"), a)
         mask[rows] = (axa == a).any(axis=1)
     return ElemSet(ring, np.flatnonzero(mask))
 

@@ -37,7 +37,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import __version__, fixture, parsing, rings
-from .errors import BudgetExceeded, UnknownCheck, WrongRing
+from .errors import BudgetExceeded, TableCapExceeded, UnknownCheck, WrongRing
 from .ginv import (Frames, _first_difference, _group, additive_span,
                    iann_decomposition_batch, idempotent_frames,
                    inner_inverse_pairs, inner_inverses_param_batch,
@@ -124,10 +124,11 @@ class _Ideals:
     def ids_of(self, s) -> np.ndarray:
         """The id of each s's ideal, computing those not seen yet."""
         s = np.asarray(s, dtype=np.int64)
-        unseen = s[self.ids[s] < 0]
-        if len(unseen):
-            self.intern(_distinct(self.ring, [unseen]))
-        return self.ids[s]
+        ids = self.ids[s]
+        if (ids < 0).any():
+            self.intern(_distinct(self.ring, [s[ids < 0]]))
+            ids = self.ids[s]
+        return ids
 
     def intern(self, s: np.ndarray) -> None:
         """Give each index in s its ideal's id, from one kernel call."""
@@ -348,13 +349,13 @@ class _Scan:
         """Whether bR and dR (or Rb and Rd) meet only in 0."""
         store = self._store(side)
         ib, jd = store.ids_of(b), store.ids_of(d)
-        return store.meets[ib, jd]
+        return store.meets.take(ib * len(store.meets) + jd)  # meets[ib, jd]
 
     def member(self, side: str, x, s) -> np.ndarray:
         """Whether x lies in sR (or in Rs)."""
         store = self._store(side)
         at = store.ids_of(s)  # may grow store.rows
-        return store.rows[at, x]
+        return store.rows.take(at * self.ring.size + x)  # rows[at, x]
 
     def _store(self, side: str) -> _Ideals:
         if side not in self._ideals:
@@ -713,7 +714,7 @@ def _check_hartwig(s: _Scan):
     ring = s.ring
     try:
         units = s.unit_idx
-    except BudgetExceeded as exc:
+    except TableCapExceeded as exc:  # past the budget, _run_one skips
         return SKIPPED, [], f"unit enumeration is not feasible here: {exc}"
     first, of = _group(*s.ideal_key(s.regulars))
     laws = ("u with b = a*u", "v with b = v*a")
@@ -728,7 +729,8 @@ def _check_hartwig(s: _Scan):
             for k, orbit in enumerate((ring.idx_mul(a, units),
                                        ring.idx_mul(units, a))):
                 marks = np.zeros((len(a), ring.size), dtype=bool)
-                marks[np.arange(len(a))[:, None], orbit] = True
+                marks.reshape(-1)[orbit + np.arange(len(a))[:, None]
+                                  * ring.size] = True
                 miss[:, k] = ~marks[:, arr]
             if miss.any():
                 # the first a in class order, u before v, then the first b

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ginvlab import (build_example_ring, build_matrix_ring, build_table_algebra,
-                     build_zmod, ginv, theoremlab)
+from ginvlab import (ElemSet, build_example_ring, build_matrix_ring,
+                     build_table_algebra, build_zmod, ginv, theoremlab)
+from ginvlab.rings import _distinct
 
 
 def squarefree(n: int) -> bool:
@@ -15,6 +16,26 @@ def squarefree(n: int) -> bool:
             n //= d
         d += 1
     return True
+
+
+def inner_products(a, xs, ys):
+    """{x*a*y : x in xs, y in ys}, over every factor pair at once.
+
+    x*a*y depends on x only through x*a and on y only through a*y, so
+    one x per distinct x*a and one y per distinct a*y are paired.  With
+    xs = ys = I(a) this is I(a)*a*I(a) = Ref(a), and since
+    |I(a)*a|*|a*I(a)| = |Ref(a)| it costs at most |Ref(a)| products.
+    The per-element reference for refl_map's product law.
+    """
+    ring = a.ring
+    ring.ensure_enumerable()
+    ys = np.asarray(ys, dtype=np.int64)
+    ay = ring.idx_mul(a.index, ys)
+    rep = np.empty(ring.size, dtype=np.int64)
+    rep[ay] = ys  # one y for each a*y
+    left = ring.idx_mul(np.asarray(xs, dtype=np.int64), a.index)
+    return ElemSet(ring, ginv._pairwise(ring, ring.idx_mul, left,
+                                        rep[_distinct(ring, [ay])]))
 
 
 def truncated_polynomials(p, dim):
@@ -160,7 +181,7 @@ def singleton_per_element(bs, a, a0):
 
 def refl_map_per_element(s):
     """refl_map with the product law I(a)*a*I(a) = Ref(a) decided one
-    element at a time, by ginv.inner_products."""
+    element at a time, by inner_products."""
     tl = theoremlab
     ring, frames = s.ring, s.frames
     a_of = frames.a
@@ -199,7 +220,7 @@ def refl_map_per_element(s):
                     "x*a*x = y*a*y but (x*a, a*x) != (y*a, a*y)",
                     "(x*a, a*x) = (y*a, a*y) but x*a*x != y*a*y")[k])
         ia = s.iset(a)
-        prods = ginv.inner_products(ring.from_index(a), ia, ia).indices()
+        prods = inner_products(ring.from_index(a), ia, ia).indices()
         if not np.array_equal(prods, ref):
             w = ginv._first_difference(prods, ref)
             return tl.VIOLATION, [("a", a), ("x", w)], \

@@ -10,7 +10,7 @@ from ginvlab import (BudgetExceeded, ElemSet, NotInnerInverse,
                      additive_span, build_matrix_ring, build_zmod,
                      iann_decomposition_batch, idempotent_frames,
                      inner_annihilator, inner_inverses,
-                     inner_inverses_param_batch, inner_products, is_regular,
+                     inner_inverses_param_batch, is_regular,
                      left_annihilator, outer_inverses, parse_element,
                      principal_ideal_rows, principal_left_ideal,
                      principal_right_ideal, ref_decomposition,
@@ -19,7 +19,7 @@ from ginvlab import (BudgetExceeded, ElemSet, NotInnerInverse,
 from ginvlab import ginv, rings, theoremlab
 from ginvlab.ginv import _pairwise
 
-from conftest import (iann_per_element, param_per_element,
+from conftest import (iann_per_element, inner_products, param_per_element,
                       ref_rows_per_element, singleton_per_element)
 
 

@@ -5,6 +5,8 @@ idx_mul, idx_add, idx_neg and idx_sub take operands of any integer dtype
 the operands' broadcast shape, on every backend, with or without op
 tables (the `-tables` cases call build_tables(), which leaves Z/n raw).
 Results are compared with Python-int arithmetic on the decoded payloads.
+mul_rows(a, side) gives the whole-ring rows a*R or R*a, equal to the
+broadcast idx_mul, as fresh int64 arrays within the enumeration budget.
 """
 
 import random
@@ -12,7 +14,8 @@ import random
 import numpy as np
 import pytest
 
-from ginvlab import build_example_ring, build_matrix_ring, build_zmod
+from ginvlab import (BudgetExceeded, build_example_ring, build_matrix_ring,
+                     build_zmod)
 
 from conftest import truncated_polynomials
 
@@ -53,10 +56,10 @@ def _ref_mul(ring, i, j):
         k = ring.k
         return _encode(ring, [sum(x[r * k + m] * y[m * k + c] for m in range(k))
                               for r in range(k) for c in range(k)])
-    c = ring.tensor.tolist()
-    dim = ring.dim
-    return _encode(ring, [sum(x[a] * y[b] * c[a][b][o] for a in range(dim)
-                              for b in range(dim)) for o in range(dim)])
+    digits = [0] * ring.dim
+    for a, b, o in zip(*np.nonzero(ring.tensor)):
+        digits[o] += x[a] * y[b] * int(ring.tensor[a, b, o])
+    return _encode(ring, digits)
 
 
 def _ref_add(ring, i, j):
@@ -74,12 +77,23 @@ def _ref_neg(ring, i):
 
 def _operands(size):
     """(I, J) pairs: Python ints, 0-d arrays, int64, uint16 and 2-D arrays,
-    always including the largest indices, where uint16 products wrap."""
+    always including the largest indices, where uint16 products wrap.
+
+    Up to 1024 elements they include the shapes of the kernels' whole-ring
+    rows: a (2, |R|) block times a (2, 1) column and the reverse, which a
+    key I*|R| + J with I and J swapped gets wrong on a noncommutative ring.
+    """
     rng = random.Random(size)
     top = [size - 1, size - 5]
     vals = top + [rng.randrange(size) for _ in range(10)]
     col = np.asarray(vals[:6], dtype=np.int64)[:, None]
-    return [
+    if size <= 1024:
+        block = np.arange(size)[::-1] * np.ones((2, 1), dtype=np.int64)
+        pair = np.asarray(vals[:2], dtype=np.uint16)[:, None]
+        rows = [(block, pair), (pair, block)]
+    else:
+        rows = []
+    return rows + [
         (size - 5, size - 5),
         (np.asarray(size - 1), np.asarray(size - 5)),
         (size - 1, np.asarray(vals, dtype=np.int64)),
@@ -136,3 +150,26 @@ def test_op_tables_stay_uint16():
         else:
             assert all(t.dtype == np.uint16 for t in ring._tables())
 
+
+
+@pytest.mark.parametrize("name,tables", CASES,
+                         ids=[f"{n}-{'tables' if t else 'raw'}"
+                              for n, t in CASES])
+def test_mul_rows_are_fresh_int64_rows_of_the_broadcast_idx_mul(name, tables):
+    ring = RINGS[name]()
+    if tables:
+        ring.build_tables()
+    idx = ring.all_indices()
+    a = np.asarray([ring.size - 1, 0, ring.size // 3, ring.size - 1],
+                   dtype=np.uint16)
+    for side, want in (("right", ring.idx_mul(a[:, None], idx[None, :])),
+                       ("left", ring.idx_mul(idx[None, :], a[:, None]))):
+        got = ring.mul_rows(a, side)
+        _assert_int64(got, want, (len(a), ring.size))
+        assert got.flags.c_contiguous
+        assert not np.may_share_memory(got, ring._mul_table)
+        assert ring.mul_rows(a[:0], side).shape == (0, ring.size)
+    ring.enumeration_budget = ring.size - 1
+    for side in ("right", "left"):
+        with pytest.raises(BudgetExceeded):
+            ring.mul_rows(a[:1], side)

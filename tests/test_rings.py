@@ -15,7 +15,7 @@ from ginvlab import (BadTensorShape, BudgetExceeded, Elem, ElemSet,
 from ginvlab import gfmatrix, ginv, rings
 from ginvlab.rings import TABLE_CAP
 
-from conftest import squarefree
+from conftest import inner_products, squarefree
 
 
 def test_zmod_basics(z6):
@@ -372,7 +372,7 @@ def test_dedup_past_the_budget_raises():
         a = ring.from_index(1)
         s = ElemSet(ring, np.asarray([1, 2], dtype=np.int64))
         calls = [lambda: ElemSet.from_indices(ring, [2, 1, 2]),
-                 lambda: ginv.inner_products(a, [1, 2], [2, 3]),
+                 lambda: inner_products(a, [1, 2], [2, 3]),
                  lambda: ginv.sumset(s, s)]
         for call in calls:
             with pytest.raises(BudgetExceeded):

@@ -205,6 +205,15 @@ def test_hartwig_skip_names_the_table_cap():
                             "8192 elements, op-table cap is 4096")
 
 
+def test_hartwig_past_the_budget_skips_like_every_other_check():
+    # M_2(GF(3)) is below TABLE_CAP, so only the budget stops the unit
+    # scan: hartwig skips with the budget's own note, as the others do
+    ring = build_matrix_ring(2, 3, enumeration_budget=10)
+    for verdict in (check_hartwig(ring), check_nielsen(ring)):
+        assert verdict.status == "skipped"
+        assert verdict.note == "ring has 81 elements, enumeration budget is 10"
+
+
 def test_decomposition_checks_every_reflexive_witness(m2gf2, monkeypatch):
     # break the kernel for one (a, a0) only: the last reflexive witness of
     # the last element that has several, so every earlier witness passes
