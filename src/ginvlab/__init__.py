@@ -15,7 +15,7 @@ from .ginv import (Frames, IannDecompositions, additive_span,
                    outer_inverses, principal_ideal_rows, principal_left_ideal,
                    principal_right_ideal, ref_decomposition,
                    reflexive_inverses, right_annihilator,
-                   singleton_conjugate_batch, sumset)
+                   singleton_conjugate_batch)
 from .parsing import parse_element, render_elem
 from .rings import (DEFAULT_BUDGET, TABLE_CAP, Elem, ElemSet, MatrixRing, Ring,
                     TableRing, ZmodRing, build_matrix_ring, build_table_algebra,

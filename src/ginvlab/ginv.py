@@ -19,11 +19,11 @@ its block.  Most are named *_batch.  Each identity is decided by
 counting: a coset that lies in I(a) equals it iff it has |I(a)|
 elements, and a family that lies in Ref(a) equals it iff it has |Ref(a)|
 distinct members, so no translate or family row is built; the caller
-passes the counts it holds.  inner_inverse_pairs scans I(a) for many a
-at once and gives the pairs.  ref_decomposition builds Ref(a) in the
-paper's factored form, from W_a = r(a)*a and V_a = a*l(a), whose sizes
-multiply to |Ref(a)|.  The kernels read whole-ring rows a*R and R*a with
-Ring.mul_rows.
+passes the counts it holds.  inner_inverse_pairs reads I(a) for many a
+at once off rings._inner_rows, and reflexive_inverses keeps its x with
+x*a*x = x.  ref_decomposition builds Ref(a) in the paper's factored
+form, from W_a = r(a)*a and V_a = a*l(a), whose sizes multiply to
+|Ref(a)|.  The kernels read whole-ring rows a*R and R*a with Ring.mul_rows.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import NotInnerInverse, NotReflexiveInverse, RingMismatch
-from .rings import Elem, ElemSet, Ring, _distinct, _row_blocks
+from .errors import NotInnerInverse, NotReflexiveInverse
+from .rings import Elem, ElemSet, Ring, _distinct, _inner_rows, _row_blocks
 
 
 def _scan_indices(ring: Ring) -> np.ndarray:
@@ -66,17 +66,6 @@ def _first_difference(got: np.ndarray, want: np.ndarray) -> int:
     return int((diff if len(diff) else np.setdiff1d(want, got))[0])
 
 
-def _pairwise(ring: Ring, op, left: np.ndarray,
-              right: np.ndarray) -> np.ndarray:
-    """Deduplicated op(l, r) over the full cross product, chunked."""
-    left = _distinct(ring, [np.asarray(left, dtype=np.int64)])
-    right = _distinct(ring, [np.asarray(right, dtype=np.int64)])
-    if len(left) == 0 or len(right) == 0:
-        return np.empty(0, dtype=np.int64)
-    return _distinct(ring, (op(left[rows, None], right[None, :])
-                            for rows in _row_blocks(len(left), len(right))))
-
-
 # ---------------------------------------------------------------------------
 # the basic sets
 
@@ -90,14 +79,12 @@ def inner_inverse_pairs(ring: Ring, a) -> tuple[np.ndarray, np.ndarray]:
     """I(a_k) for every index a_k of the array a, as the pairs (k, x) with
     a_k*x*a_k = a_k: two int64 arrays, sorted by k, then x.
 
-    One row of a*x*a per a_k, the row a_k*R (Ring.mul_rows) times a_k,
-    in row blocks (rings._row_blocks), so only the pairs outlive a block.
+    The hits of the row blocks of rings._inner_rows, so only the pairs
+    outlive a block.
     """
-    a = np.asarray(a, dtype=np.int64).reshape(-1, 1)
     pos, xs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for rows in _row_blocks(len(a), ring.size):
-        axa = ring.idx_mul(ring.mul_rows(a[rows], "right"), a[rows])
-        k, x = np.nonzero(axa == a[rows])
+    for rows, hit in _inner_rows(ring, a):
+        k, x = np.nonzero(hit)
         pos.append(k + rows.start)
         xs.append(x)
     return np.concatenate(pos), np.concatenate(xs)
@@ -112,13 +99,10 @@ def outer_inverses(a: Elem) -> ElemSet:
 
 
 def reflexive_inverses(a: Elem) -> ElemSet:
-    """Ref(a): the x that are both inner and outer inverses of a."""
+    """Ref(a): the members x of I(a) (inner_inverse_pairs) with x*a*x = x."""
     ring = a.ring
-    idx = _scan_indices(ring)
-    ax = ring.idx_mul(a.index, idx)
-    inner_mask = ring.idx_mul(ax, a.index) == a.index
-    outer_mask = ring.idx_mul(ring.idx_mul(idx, a.index), idx) == idx
-    return ElemSet(ring, np.flatnonzero(inner_mask & outer_mask))
+    xs = inner_inverse_pairs(ring, a.index)[1]
+    return ElemSet(ring, xs[ring.idx_mul(ring.idx_mul(xs, a.index), xs) == xs])
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +207,7 @@ def idempotent_frames(ring: Ring, a, a0s) -> Frames:
 
 
 def _per_frame(frames: Frames, per_pair) -> np.ndarray:
-    """A count given per pair (or one for all), read per frame."""
+    """A value given per pair (or one for all), read per frame (its last)."""
     out = np.empty(len(frames.f), dtype=np.int64)
     out[frames.of] = per_pair
     return out
@@ -321,8 +305,10 @@ def iann_decomposition_batch(frames: Frames, inner_size) -> IannDecompositions:
         right = ax == 0
         iann_size[rows] = np.count_nonzero(iann, axis=1)
         for k in np.flatnonzero(~_sums_to(left, right, iann)):
-            mismatch[rows.start + k] = _first_difference(_pairwise(
-                ring, ring.idx_add, idx[left[k]], idx[right[k]]), idx[iann[k]])
+            u, w = idx[left[k]], idx[right[k]]  # both hold 0: never empty
+            sums = _distinct(ring, (ring.idx_add(u[part, None], w)
+                                    for part in _row_blocks(len(u), len(w))))
+            mismatch[rows.start + k] = _first_difference(sums, idx[iann[k]])
     pair, fe_of = _group(frames.f, frames.e)
     e_c = ring.idx_sub(one, frames.e[pair])
     f_c = ring.idx_sub(one, frames.f[pair])
@@ -462,15 +448,6 @@ def singleton_conjugate_batch(bs, frames: Frames) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # set plumbing
-
-
-def sumset(s: ElemSet, t: ElemSet) -> ElemSet:
-    """{x + y : x in s, y in t}."""
-    if s.ring != t.ring:
-        raise RingMismatch("sets belong to different rings")
-    ring = s.ring
-    return ElemSet(ring, _pairwise(ring, ring.idx_add, s.indices(),
-                                   t.indices()))
 
 
 def additive_span(ring: Ring, gens: Iterable[Elem]) -> ElemSet:

@@ -19,6 +19,7 @@ one numpy op, reduced by floor division.  Single queries run raw.  The
 set kernels read whole-ring rows a*R and R*a from mul_rows: rows or
 columns of the mul table, or one broadcast raw product.  idx_*() and
 mul_rows take any integer dtype and return int64 (uint16 tables stay here).
+_inner_rows, the one scan of a*x*a = a over R, gives I(a), Reg(R), Ref(a).
 
 Z/n computes in int64, so it refuses a modulus whose residue products
 could pass 2^63 (n > 3037000500) with InvalidModulus.
@@ -326,6 +327,18 @@ def _row_blocks(count: int, width: int) -> Iterator[slice]:
     max(_CHUNK, width) entries."""
     step = max(1, _CHUNK // width)
     return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
+def _inner_rows(ring: Ring, a) -> Iterator[tuple[slice, np.ndarray]]:
+    """The one scan of a*x*a = a over R: per row block of the index array a
+    (_row_blocks), (rows, hit) with hit[k, x] whether a_k*x*a_k = a_k for
+    a_k = a[rows][k], read off a_k*R (mul_rows) times a_k."""
+    a = np.asarray(a, dtype=np.int64).reshape(-1, 1)
+    for rows in _row_blocks(len(a), ring.size):
+        # kept until the next block: freed sooner, its pages go back to the
+        # system, and the next block pays to fault them in again
+        axa = ring.idx_mul(ring.mul_rows(a[rows], "right"), a[rows])
+        yield rows, axa == a[rows]
 
 
 def _distinct(ring: Ring, blocks) -> np.ndarray:
@@ -918,29 +931,23 @@ def is_regular(a: Elem) -> Optional[Elem]:
     """Some a0 with a·a0·a = a, or None.
 
     Matrix rings get a constructive witness (one row reduction) with no
-    enumeration; other backends scan in canonical order.
+    enumeration; other backends take the first hit of one _inner_rows row.
     """
     ring = a.ring
     if ring.kind == "matrix":
         g = gfmatrix.inner_inverse_matrix(ring.matrix_of(a), ring.q)
         return ring.element(g)
-    ring.ensure_enumerable()
-    idx = ring.all_indices()
-    ax = ring.idx_mul(a.index, idx)
-    axa = ring.idx_mul(ax, a.index)
-    hits = np.nonzero(axa == a.index)[0]
-    if len(hits) == 0:
-        return None
-    return Elem(ring, int(hits[0]))
+    hits = np.flatnonzero(next(_inner_rows(ring, a.index))[1])
+    return Elem(ring, int(hits[0])) if len(hits) else None
 
 
 def regular_elements(ring: Ring) -> ElemSet:
     """Reg(R) = {a : a x a = a for some x}.
 
     Matrix rings need no scan: every matrix over a field is regular.
-    Other rings of at most TABLE_CAP elements run one row-blocked scan of
-    a·x·a = a over every pair, after build_tables(): on op tables, or raw
-    on Z/n.  Larger ones raise TableCapExceeded, as the scan is quadratic.
+    Other rings of at most TABLE_CAP elements mark the rows of _inner_rows
+    with a hit, after build_tables(): on op tables, or raw on Z/n.  Larger
+    ones raise TableCapExceeded, as the scan is quadratic.
     """
     ring.ensure_enumerable()
     if ring.kind == "matrix":
@@ -948,12 +955,9 @@ def regular_elements(ring: Ring) -> ElemSet:
     if ring.size > TABLE_CAP:
         raise TableCapExceeded(ring.size, TABLE_CAP)
     ring.build_tables()
-    idx = ring.all_indices()
     mask = np.empty(ring.size, dtype=bool)
-    for rows in _row_blocks(ring.size, ring.size):
-        a = idx[rows, None]
-        axa = ring.idx_mul(ring.mul_rows(idx[rows], "right"), a)
-        mask[rows] = (axa == a).any(axis=1)
+    for rows, hit in _inner_rows(ring, ring.all_indices()):
+        mask[rows] = hit.any(axis=1)
     return ElemSet(ring, np.flatnonzero(mask))
 
 

@@ -38,8 +38,8 @@ import numpy as np
 
 from . import __version__, fixture, parsing, rings
 from .errors import BudgetExceeded, TableCapExceeded, UnknownCheck, WrongRing
-from .ginv import (Frames, _first_difference, _group, additive_span,
-                   iann_decomposition_batch, idempotent_frames,
+from .ginv import (Frames, _first_difference, _group, _per_frame,
+                   additive_span, iann_decomposition_batch, idempotent_frames,
                    inner_inverse_pairs, inner_inverses_param_batch,
                    left_annihilator, principal_ideal_rows, ref_decomposition,
                    right_annihilator, singleton_conjugate_batch)
@@ -391,12 +391,6 @@ def _first_clash(keys: np.ndarray, vals: np.ndarray):
     return (int(earlier[bad[0]]), int(bad[0])) if len(bad) else None
 
 
-def _classes(a: np.ndarray, *keys: np.ndarray) -> tuple:
-    """(elements, how many classes keys splits each one's pairs into)."""
-    first, _ = _group(a, *keys)
-    return np.unique(a[first], return_counts=True)
-
-
 def _unmatched(a, x, b, y) -> np.ndarray:
     """The elements at which the pairs (a, x) and (b, y), each side
     distinct, differ as sets."""
@@ -428,14 +422,14 @@ def _check_refl_map(s: _Scan):
     # the image and the products, by property, as sorted (a, value) pairs
     sets = {0: (pair_a[image], phi[image]), 3: _ref_products(frames)}
     fixed = ring.idx_mul(ring.idx_mul(ref_x, ref_a), ref_x)
-    # x*a*x = y*a*y iff (x*a, a*x) = (y*a, a*y) on I(a) iff the partitions
-    # of I(a) by frame, by x*a*x and by both have equally many classes
-    elems, by_frame = _classes(pair_a, frames.of)
-    by_phi = _classes(pair_a, phi)[1]
-    by_both = _classes(pair_a, frames.of, phi)[1]
+    # x*a*x = y*a*y iff (x*a, a*x) = (y*a, a*y) on I(a) iff x*a*x is
+    # constant on each frame and each element has as many frames as values
+    elems, by_frame = np.unique(frames.frame_a, return_counts=True)
+    by_phi = np.unique(pair_a[image], return_counts=True)[1]
+    split = pair_a[_per_frame(frames, phi)[frames.of] != phi]
     # the elements at which each property fails, in the order stated
     failures = [_unmatched(*sets[0], ref_a, ref_x), ref_a[fixed != ref_x],
-                elems[(by_frame != by_phi) | (by_frame != by_both)],
+                np.union1d(elems[by_frame != by_phi], split),
                 _unmatched(*sets[3], ref_a, ref_x)]
     if not any(len(bad) for bad in failures):
         return PASS, [], s.note(

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ginvlab import (ElemSet, build_example_ring, build_matrix_ring,
-                     build_table_algebra, build_zmod, ginv, theoremlab)
-from ginvlab.rings import _distinct
+from ginvlab import (ElemSet, RingMismatch, build_example_ring,
+                     build_matrix_ring, build_table_algebra, build_zmod, ginv,
+                     theoremlab)
+from ginvlab.rings import _distinct, _row_blocks
 
 
 def squarefree(n: int) -> bool:
@@ -16,6 +17,26 @@ def squarefree(n: int) -> bool:
             n //= d
         d += 1
     return True
+
+
+def _pairwise(ring, op, left, right):
+    """Deduplicated op(l, r) over the full cross product, chunked."""
+    left = _distinct(ring, [np.asarray(left, dtype=np.int64)])
+    right = _distinct(ring, [np.asarray(right, dtype=np.int64)])
+    if len(left) == 0 or len(right) == 0:
+        return np.empty(0, dtype=np.int64)
+    return _distinct(ring, (op(left[rows, None], right[None, :])
+                            for rows in _row_blocks(len(left), len(right))))
+
+
+def sumset(s, t):
+    """{x + y : x in s, y in t}, the materialised reference for the subgroup
+    counts that decide sum identities in ginvlab.ginv."""
+    if s.ring != t.ring:
+        raise RingMismatch("sets belong to different rings")
+    ring = s.ring
+    return ElemSet(ring, _pairwise(ring, ring.idx_add, s.indices(),
+                                   t.indices()))
 
 
 def inner_products(a, xs, ys):
@@ -34,8 +55,8 @@ def inner_products(a, xs, ys):
     rep = np.empty(ring.size, dtype=np.int64)
     rep[ay] = ys  # one y for each a*y
     left = ring.idx_mul(np.asarray(xs, dtype=np.int64), a.index)
-    return ElemSet(ring, ginv._pairwise(ring, ring.idx_mul, left,
-                                        rep[_distinct(ring, [ay])]))
+    return ElemSet(ring, _pairwise(ring, ring.idx_mul, left,
+                                   rep[_distinct(ring, [ay])]))
 
 
 def truncated_polynomials(p, dim):
@@ -129,7 +150,7 @@ def iann_per_element(a, a0s):
     right = ax == 0
     mismatch = None
     if not ginv._sums_to(left, right, iann):
-        mismatch = ginv._first_difference(ginv._pairwise(
+        mismatch = ginv._first_difference(_pairwise(
             ring, ring.idx_add, idx[left], idx[right]), idx[iann])
     f, e, of = _element_frames(a, a0s)
     one = ring.one().index
@@ -179,6 +200,13 @@ def singleton_per_element(bs, a, a0):
 # note), the references the ring-wide checks are checked against.
 
 
+def _class_counts(a, *keys):
+    """(elements, how many classes the key tuples split each one's pairs
+    into), by np.unique over the stacked columns."""
+    distinct = np.unique(np.stack([a, *keys]), axis=1)
+    return np.unique(distinct[0], return_counts=True)
+
+
 def refl_map_per_element(s):
     """refl_map with the product law I(a)*a*I(a) = Ref(a) decided one
     element at a time, by inner_products."""
@@ -192,9 +220,9 @@ def refl_map_per_element(s):
     first, of = ginv._group(both_a, np.concatenate([phi[image], ref_x]))
     unmatched = both_a[first[np.bincount(of) == 1]]
     fixed = ring.idx_mul(ring.idx_mul(ref_x, ref_a), ref_x)
-    elems, by_frame = tl._classes(a_of, frames.of)
-    by_phi = tl._classes(a_of, phi)[1]
-    by_both = tl._classes(a_of, frames.of, phi)[1]
+    elems, by_frame = _class_counts(a_of, frames.of)
+    by_phi = _class_counts(a_of, phi)[1]
+    by_both = _class_counts(a_of, frames.of, phi)[1]
     failures = [unmatched, ref_a[fixed != ref_x],
                 elems[(by_frame != by_phi) | (by_frame != by_both)]]
     stop = min((int(bad.min()) for bad in failures if len(bad)), default=-1)

@@ -15,12 +15,12 @@ from ginvlab import (BudgetExceeded, ElemSet, NotInnerInverse,
                      principal_ideal_rows, principal_left_ideal,
                      principal_right_ideal, ref_decomposition,
                      reflexive_inverses, right_annihilator,
-                     singleton_conjugate_batch, sumset)
+                     singleton_conjugate_batch)
 from ginvlab import ginv, rings, theoremlab
-from ginvlab.ginv import _pairwise
 
-from conftest import (iann_per_element, inner_products, param_per_element,
-                      ref_rows_per_element, singleton_per_element)
+from conftest import (_pairwise, iann_per_element, inner_products,
+                      param_per_element, ref_rows_per_element,
+                      singleton_per_element, sumset)
 
 
 def _brute(n, a):
@@ -516,6 +516,35 @@ def test_cross_ring_rejected(z6, z4):
     x = z4.from_index(1)
     with pytest.raises(RingMismatch):
         sumset(inner_inverses(a), inner_inverses(x))
+
+
+def test_every_reader_of_i_of_a_runs_the_one_scan(monkeypatch):
+    # rings._inner_rows, wherever it is looked up, counts its calls and
+    # clears every hit: each reader must call it and so find no inverse
+    plain, calls = rings._inner_rows, []
+
+    def cleared(ring, a):
+        calls.append(a)
+        return ((rows, np.zeros_like(hit)) for rows, hit in plain(ring, a))
+
+    for module in (rings, ginv):
+        monkeypatch.setattr(module, "_inner_rows", cleared)
+    ring = build_zmod(30)
+    a, idx = ring.from_index(7), ring.all_indices()  # 7 is a unit
+    readers = {
+        "is_regular": lambda: is_regular(a) is None,
+        "regular_elements": lambda: len(rings.regular_elements(ring)) == 0,
+        "inner_inverses": lambda: len(inner_inverses(a)) == 0,
+        "inner_inverse_pairs": lambda: not any(
+            len(v) for v in ginv.inner_inverse_pairs(ring, idx)),
+        "reflexive_inverses": lambda: len(reflexive_inverses(a)) == 0,
+        "_Scan.regular_at": lambda: not theoremlab._Scan(
+            ring).regular_at(idx).any(),
+    }
+    for name, empty in readers.items():
+        calls.clear()
+        assert empty(), name
+        assert calls, name
 
 
 def test_budget_respected():

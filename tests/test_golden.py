@@ -90,10 +90,17 @@ QUERY_CASES = {
        for ring in ("example10", "z1155", "m2gf5", "gf2t13")},
     "inv-example10-inner": ("example10", ["inv"],
                             ["--elem", "a", "--kind", "inner", "--all"]),
+    # the paper's 16-member Ref(a)
+    "inv-example10-reflexive": ("example10", ["inv"],
+                                ["--elem", "a", "--kind", "reflexive",
+                                 "--all"]),
     "inv-m2gf5-reflexive": ("m2gf5", ["inv"],
                             ["--elem", "e11 + e12", "--kind", "reflexive"]),
     "inv-z1155-ideals": ("z1155", ["inv"], ["--elem", "35", "--kind", "ideals"]),
     "inv-gf2t13-iann": ("gf2t13", ["inv"], ["--elem", "t5", "--kind", "iann"]),
+    # above TABLE_CAP: the raw chunk-table arithmetic
+    "inv-gf2t13-reflexive": ("gf2t13", ["inv"],
+                             ["--elem", "1 + t5", "--kind", "reflexive"]),
 }
 
 

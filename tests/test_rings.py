@@ -12,10 +12,10 @@ from ginvlab import (BadTensorShape, BudgetExceeded, Elem, ElemSet,
                      InvalidModulus, NoUnity, NotAssociative, RingMismatch,
                      build_matrix_ring, build_table_algebra, build_zmod,
                      is_regular, is_semiprime, parse_element, regular_elements)
-from ginvlab import gfmatrix, ginv, rings
+from ginvlab import gfmatrix, rings
 from ginvlab.rings import TABLE_CAP
 
-from conftest import inner_products, squarefree
+from conftest import inner_products, squarefree, sumset
 
 
 def test_zmod_basics(z6):
@@ -373,7 +373,7 @@ def test_dedup_past_the_budget_raises():
         s = ElemSet(ring, np.asarray([1, 2], dtype=np.int64))
         calls = [lambda: ElemSet.from_indices(ring, [2, 1, 2]),
                  lambda: inner_products(a, [1, 2], [2, 3]),
-                 lambda: ginv.sumset(s, s)]
+                 lambda: sumset(s, s)]
         for call in calls:
             with pytest.raises(BudgetExceeded):
                 call()

@@ -428,6 +428,31 @@ def test_refl_map_names_the_first_element_with_a_failing_property(m2gf2):
         "(x*a, a*x) = (y*a, a*y) but x*a*x != y*a*y")
 
 
+def test_refl_map_names_a_value_shared_by_two_frames(m2gf2):
+    # the converse fiber failure: moving the last witness of a frame into a
+    # frame of its own leaves x*a*x constant on every frame, but gives the
+    # element more frames than values; the frame's first witness is named
+    # as x and the moved one as y
+    early = next(a.index for a in m2gf2.elements()
+                 if len(reflexive_inverses(a)) > 1)
+    scan = theoremlab._Scan(m2gf2)
+    frames = scan.frames
+    mine = np.flatnonzero(frames.a == early)
+    sizes = np.bincount(frames.of[mine])
+    frame = int(np.flatnonzero(sizes > 1)[0])
+    share = mine[frames.of[mine] == frame]
+    of = frames.of.copy()
+    of[share[-1]] = len(frames.f)
+    scan.frames = frames._replace(
+        of=of, frame_a=np.append(frames.frame_a, early),
+        f=np.append(frames.f, frames.f[frame]),
+        e=np.append(frames.e, frames.e[frame]))
+    assert theoremlab._check_refl_map(scan) == (
+        "violation", [("a", early), ("x", int(frames.witnesses[share[0]])),
+                      ("y", int(frames.witnesses[share[-1]]))],
+        "x*a*x = y*a*y but (x*a, a*x) != (y*a, a*y)")
+
+
 WITNESS_KERNELS = ("inner_inverses_param_batch", "iann_decomposition_batch",
                    "ref_decomposition", "singleton_conjugate_batch")
 
