@@ -42,7 +42,7 @@ class BudgetExceeded(GinvError):
 
 class TableCapExceeded(BudgetExceeded):
     """Ring is above TABLE_CAP, the size up to which a scan over every
-    pair of elements (and an op table) is allowed."""
+    pair of elements (and a product table) is allowed."""
 
     limit = "op-table cap"
 

@@ -9,16 +9,18 @@ The index order is the canonical order used by sets and reports.
 
 Arithmetic is exposed two ways: Elem objects with operator overloading,
 and vectorized numpy operations on index arrays for scan-heavy set
-computations.  Index arithmetic runs on per-backend vectorized formulas
-(raw arithmetic), chunked to bound memory, until build_tables() builds
-full |R|^2 op tables, which then answer by one flat take on the raveled
-table, key I*|R| + J.  The tables pay only for quadratic work, so only
-theoremlab's _Scan and regular_elements build them, and only on rings of
-at most TABLE_CAP elements; Z/n never does, since a residue product is
-one numpy op, reduced by floor division.  Single queries run raw.  The
-set kernels read whole-ring rows a*R and R*a from mul_rows: rows or
-columns of the mul table, or one broadcast raw product.  idx_*() and
-mul_rows take any integer dtype and return int64 (uint16 tables stay here).
+computations.  Each backend has one vectorized kernel per operation
+(raw arithmetic), for arrays and 0-d operands alike.  Products run raw
+until build_tables() builds the |R|^2 product table, which then answers
+by one flat take on the raveled table, key I*|R| + J.  The table pays
+only for quadratic work, so only theoremlab's _Scan and regular_elements
+build it, and only on rings of at most TABLE_CAP elements; Z/n never
+does, since a residue product is one numpy op, reduced by floor
+division.  Sums and negations always run raw, and single queries too.
+The set kernels read whole-ring rows a*R and R*a from mul_rows: rows or
+columns of the product table, or one broadcast raw product.  idx_*() and
+mul_rows take any integer dtype and return int64 (the uint16 table stays
+here).
 _inner_rows, the one scan of a*x*a = a over R, gives I(a), Reg(R), Ref(a).
 
 Z/n computes in int64, so it refuses a modulus whose residue products
@@ -58,8 +60,8 @@ from .errors import (
 )
 
 DEFAULT_BUDGET = 1 << 20
-# Op tables (built by build_tables) and exhaustive pair quantification
-# up to this size.
+# The product table (built by build_tables) and exhaustive pair
+# quantification up to this size.
 TABLE_CAP = 4096
 _CHUNK = 1 << 16
 
@@ -117,8 +119,6 @@ class Ring:
         self.char = char
         self.enumeration_budget = enumeration_budget
         self._mul_table = None
-        self._add_table = None
-        self._neg_table = None
         self._all = None
         self._units = None
         self._semiprime = None
@@ -173,12 +173,14 @@ class Ring:
     # --- table management ----------------------------------------------
 
     def has_tables(self) -> bool:
-        """Whether this ring's op tables are built."""
+        """Whether this ring's product table is built."""
         return self._mul_table is not None
 
     def build_tables(self) -> None:
-        """Build the op tables once, if the ring has at most TABLE_CAP
-        elements; larger rings stay on raw arithmetic.
+        """Build the product table once, if the ring has at most TABLE_CAP
+        elements; larger rings stay on raw arithmetic.  Sums and
+        negations always run raw: a table of them costs about what it
+        saves.
 
         Building costs |R|^2 products, which only a quadratic scan earns
         back, so only _Scan and regular_elements call this.
@@ -186,20 +188,16 @@ class Ring:
         if self.size <= TABLE_CAP:
             self._tables()
 
-    def _tables(self):
+    def _tables(self) -> np.ndarray:
+        """The (|R|, |R|) product table, built on the first call."""
         if self._mul_table is None:
             n = self.size
             idx = self.all_indices()
-            dtype = np.uint16 if n <= 0xFFFF else np.int64
-            mul = np.empty((n, n), dtype=dtype)
-            add = np.empty((n, n), dtype=dtype)
+            mul = np.empty((n, n), dtype=np.uint16 if n <= 0xFFFF else np.int64)
             for rows in _row_blocks(n, n):
                 mul[rows] = self._raw_mul(idx[rows, None], idx[None, :])
-                add[rows] = self._raw_add(idx[rows, None], idx[None, :])
             self._mul_table = mul
-            self._add_table = add
-            self._neg_table = self._raw_neg(idx).astype(dtype)
-        return self._mul_table, self._add_table, self._neg_table
+        return self._mul_table
 
     def all_indices(self) -> np.ndarray:
         if self._all is None:
@@ -210,7 +208,8 @@ class Ring:
 
     # Every idx_* result is int64, of the operands' broadcast shape (an
     # int64 scalar or 0-d array for scalar operands), whatever the integer
-    # dtype of the operands; the uint16 op tables never leave this module.
+    # dtype of the operands; the uint16 product table never leaves this
+    # module.  Only idx_mul and mul_rows read it: sums and negations run raw.
 
     def idx_mul(self, I, J):
         if self._mul_table is not None:
@@ -218,20 +217,16 @@ class Ring:
         return self._raw_mul(I, J)
 
     def idx_add(self, I, J):
-        if self._add_table is not None:
-            return _gather(self._add_table, I, J)
         return self._raw_add(I, J)
 
     def idx_neg(self, I):
-        if self._neg_table is not None:
-            return self._neg_table.take(I).astype(np.int64)
         return self._raw_neg(I)
 
     def mul_rows(self, a, side: str) -> np.ndarray:
         """Row k is a_k*R (side "right") or R*a_k (side "left"): a fresh,
         C-ordered int64 (len(a), |R|) array.  The rows span the ring, so
-        past the enumeration budget this raises BudgetExceeded.  With op
-        tables they are rows or columns of the mul table, read whole."""
+        past the enumeration budget this raises BudgetExceeded.  With the
+        product table they are its rows or columns, read whole."""
         self.ensure_enumerable()
         a, table = np.asarray(a, dtype=np.int64).reshape(-1), self._mul_table
         if table is not None:
@@ -283,8 +278,9 @@ class Ring:
         """Indices of all units, by one row-blocked scan of x·y = 1; cached.
 
         The scan is quadratic: rings above TABLE_CAP raise TableCapExceeded,
-        rings past the budget BudgetExceeded.  It reads op tables if built,
-        else runs raw, and builds none.  Subclasses may avoid the scan.
+        rings past the budget BudgetExceeded.  It reads the product table
+        if built, else runs raw, and builds none.  Subclasses may avoid the
+        scan.
         """
         if self._units is None:
             if self.size > TABLE_CAP:
@@ -346,7 +342,7 @@ def _distinct(ring: Ring, blocks) -> np.ndarray:
 
     This is the one way ring indices are deduplicated: a boolean mask over
     range(|R|) collects every block, so the cost is linear in the input
-    plus |R|, no sort runs, and the op tables play no part.  The mask
+    plus |R|, no sort runs, and the product table plays no part.  The mask
     spans the ring, so the ring must be enumerable (BudgetExceeded
     otherwise).
     """
@@ -601,22 +597,14 @@ class _DigitRing(Ring):
         i = int(i)
         return [i // power % self.char for power in self._powers.tolist()]
 
-    def _int_index(self, sums) -> np.ndarray:
-        """The index whose digits are the given Python-int sums mod q."""
-        acc = 0
-        for s in sums:
-            acc = acc * self.char + s % self.char
-        return np.asarray(acc, dtype=np.int64)
-
-    # One product or sum of two elements (Elem arithmetic) runs on Python
-    # ints: the array kernel makes O(n + terms) numpy calls whatever the size.
+    def _int_index(self, sums) -> int:
+        """The index whose digits are the given Python-int sums mod q; it
+        reads _powers, so an element past int64 is refused here too."""
+        return sum(s % self.char * power
+                   for s, power in zip(sums, self._powers.tolist()))
 
     def _raw_mul(self, I, J):
         I, J = np.asarray(I, dtype=np.int64), np.asarray(J, dtype=np.int64)
-        if I.ndim == J.ndim == 0:
-            x, y = self._int_digits(I), self._int_digits(J)
-            return self._int_index(sum(c * x[i] * y[j] for i, j, c in terms)
-                                   for terms in self._terms)
         X, Y = self._digits(I), self._digits(J)
         out, acc, part = _buffers(I.shape, J.shape)
         for terms in self._terms:
@@ -631,9 +619,6 @@ class _DigitRing(Ring):
 
     def _raw_add(self, I, J):
         I, J = np.asarray(I, dtype=np.int64), np.asarray(J, dtype=np.int64)
-        if I.ndim == J.ndim == 0:
-            return self._int_index(x + y for x, y in
-                                   zip(self._int_digits(I), self._int_digits(J)))
         out, acc, part = _buffers(I.shape, J.shape)
         for x, y in zip(self._digits(I), self._digits(J)):
             np.add(x, y, out=acc)
@@ -642,8 +627,6 @@ class _DigitRing(Ring):
 
     def _raw_neg(self, I):
         I = np.asarray(I, dtype=np.int64)
-        if I.ndim == 0:
-            return self._int_index(-x for x in self._int_digits(I))
         out, acc, part = _buffers(I.shape)
         for x in self._digits(I):
             np.negative(x, out=acc)
@@ -654,7 +637,7 @@ class _DigitRing(Ring):
         return self._powers.copy()  # one digit set to 1: matrix units, basis
 
     def scale_index(self, c, i):
-        return int(self._int_index(c * d for d in self._int_digits(i)))
+        return self._int_index(c * d for d in self._int_digits(i))
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +674,7 @@ class MatrixRing(_DigitRing):
         arr = np.asarray(payload, dtype=np.int64) % self.q
         if arr.shape != (self.k, self.k):
             raise BadTensorShape(f"expected a {self.k}x{self.k} grid")
-        return int(self._int_index(arr.ravel().tolist()))
+        return self._int_index(arr.ravel().tolist())
 
     def matrix_of(self, e: Elem) -> np.ndarray:
         return np.reshape(self._int_digits(e.index), (self.k, self.k))
@@ -748,7 +731,7 @@ class TableRing(_DigitRing):
         vec = np.asarray(payload, dtype=np.int64) % self.p
         if vec.shape != (self.dim,):
             raise BadTensorShape(f"expected a coefficient vector of length {self.dim}")
-        return int(self._int_index(vec.tolist()))
+        return self._int_index(vec.tolist())
 
     def _chunk_tables(self):
         """GF(2) chunk-pair product tables; built on the first product.
@@ -946,8 +929,8 @@ def regular_elements(ring: Ring) -> ElemSet:
 
     Matrix rings need no scan: every matrix over a field is regular.
     Other rings of at most TABLE_CAP elements mark the rows of _inner_rows
-    with a hit, after build_tables(): on op tables, or raw on Z/n.  Larger
-    ones raise TableCapExceeded, as the scan is quadratic.
+    with a hit, after build_tables(): on the product table, or raw on
+    Z/n.  Larger ones raise TableCapExceeded, as the scan is quadratic.
     """
     ring.ensure_enumerable()
     if ring.kind == "matrix":
@@ -973,14 +956,15 @@ def is_semiprime(ring: Ring) -> SemiprimeVerdict:
     without a scan, as is_regular and regular_elements read their
     regularity constructively; past the enumeration budget they still
     raise BudgetExceeded, like every other ring.  Other rings run
-    _semiprime_scan, on raw arithmetic unless the op tables were already
-    built: it builds none, so a single query pays no |R|^2 table build.
+    _semiprime_scan, on raw arithmetic unless the product table was
+    already built: it builds none, so a single query pays no |R|^2 table
+    build.
 
     The first verdict's witness index is kept on the ring, as unit_indices
     keeps the units, so the suite and the report header share one scan.
     An index, not an Elem: an Elem would refer back to the ring, and that
-    cycle would keep every checked ring and its op tables alive until the
-    garbage collector next ran.
+    cycle would keep every checked ring and its product table alive until
+    the garbage collector next ran.
     """
     if ring._semiprime is None:
         ring.ensure_enumerable()

@@ -174,9 +174,9 @@ class _Scan:
     store per side answers them in both modes, from principal_ideal_rows
     calls made on first use; the first interns the whole sample.
 
-    `idx`, the first thing every scan reads, also builds the ring's op
-    tables (rings.Ring.build_tables) within the enumeration budget: a
-    suite's quadratic scans pay the build back, a single query would not.
+    `idx`, the first thing every scan reads, also builds the ring's
+    product table (rings.Ring.build_tables) within the enumeration budget:
+    a suite's quadratic scans pay the build back, a single query would not.
     """
 
     def __init__(self, ring: Ring):
@@ -363,10 +363,6 @@ class _Scan:
             self._ideals[side] = _Ideals(self.ring, side, self.sample)
         return self._ideals[side]
 
-    @cached_property
-    def unit_idx(self) -> np.ndarray:
-        return self.ring.unit_indices()
-
 
 # ---------------------------------------------------------------------------
 # individual checks: each returns (status, [(name, index)], note)
@@ -508,24 +504,18 @@ def _check_invariance(s: _Scan):
             bcols, idempotent_frames(ring, a, a0s[rows]))
         member = (s.member("right", bcols[None, :], a[:, None])
                   & s.member("left", bcols[None, :], a[:, None]))
-        only = (singleton & ~member, member & ~singleton)
-        if s.semi.semiprime:
+        for k, only in enumerate((singleton & ~member, member & ~singleton)):
+            if only.any() and firsts[k] is None:
+                i, j = np.unravel_index(np.argmax(only), only.shape)
+                firsts[k] = (int(a[i]), int(bcols[j]))
+            counts[k] += int(only.sum())
+    if s.semi.semiprime:
+        if any(counts):
             # the first a with either direction failing, the first
             # direction at that a, then the first b
-            row = np.flatnonzero((only[0] | only[1]).any(axis=1))
-            if len(row):
-                i = row[0]
-                k = 0 if only[0][i].any() else 1
-                b = int(bcols[np.argmax(only[k][i])])
-                return VIOLATION, [("a", int(a[i])), ("b", b)], \
-                    s.note(sides[k])
-            continue
-        for k in (0, 1):
-            if only[k].any() and firsts[k] is None:
-                i, j = np.unravel_index(np.argmax(only[k]), only[k].shape)
-                firsts[k] = (int(a[i]), int(bcols[j]))
-            counts[k] += int(only[k].sum())
-    if s.semi.semiprime:
+            k = min((first[0], k) for k, first in enumerate(firsts) if first)[1]
+            return VIOLATION, [("a", firsts[k][0]), ("b", firsts[k][1])], \
+                s.note(sides[k])
         return PASS, [], s.note(
             f"biconditional on {len(s.regulars) * len(bcols)} (a, b) pairs")
     clauses = [
@@ -707,7 +697,7 @@ def _check_theorem_reflexive(s: _Scan):
 def _check_hartwig(s: _Scan):
     ring = s.ring
     try:
-        units = s.unit_idx
+        units = ring.unit_indices()
     except TableCapExceeded as exc:  # past the budget, _run_one skips
         return SKIPPED, [], f"unit enumeration is not feasible here: {exc}"
     first, of = _group(*s.ideal_key(s.regulars))

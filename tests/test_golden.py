@@ -96,6 +96,11 @@ QUERY_CASES = {
                                  "--all"]),
     "inv-m2gf5-reflexive": ("m2gf5", ["inv"],
                             ["--elem", "e11 + e12", "--kind", "reflexive"]),
+    # parsing the element runs 0-d products and sums on the 9-digit,
+    # 27-term digit kernel
+    "inv-m3gf3-reflexive": ("m3gf3", ["inv"],
+                            ["--elem", "e11 + 2 e12 + e23", "--kind",
+                             "reflexive"]),
     "inv-z1155-ideals": ("z1155", ["inv"], ["--elem", "35", "--kind", "ideals"]),
     "inv-gf2t13-iann": ("gf2t13", ["inv"], ["--elem", "t5", "--kind", "iann"]),
     # above TABLE_CAP: the raw chunk-table arithmetic

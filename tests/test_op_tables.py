@@ -1,11 +1,11 @@
-"""Op tables only where they pay: who builds them, and that they change no
-answer.
+"""The product table only where it pays: who builds it, and that it
+changes no answer.
 
-A ring's |R|^2 op tables are built only by build_tables(), which only
+A ring's |R|^2 product table is built only by build_tables(), which only
 theoremlab's _Scan and regular_elements call, and which leaves Z/n raw.
-Single queries (every `inv` kind, every `matrix` op, the semiprime
-header) run on raw arithmetic.  Builds are counted at Ring._tables, the
-one place that fills the tables.
+Sums and negations always run raw.  Single queries (every `inv` kind,
+every `matrix` op, the semiprime header) run on raw arithmetic.  Builds
+are counted at Ring._tables, the one place that fills the table.
 """
 
 import json
@@ -143,6 +143,23 @@ def test_tables_change_no_answer(name):
     for i in [0, raw.one().index, *picks]:
         for kernel in KERNELS:
             assert kernel(raw.from_index(i)) == kernel(tabled.from_index(i))
+
+
+@pytest.mark.parametrize("name", ["m2gf3", "example"])
+def test_sums_and_negations_run_raw_beside_the_product_table(
+        name, request, monkeypatch):
+    ring = request.getfixturevalue(name)
+    ring.build_tables()
+    assert ring.has_tables()
+    calls = []
+    for op in ("_raw_add", "_raw_neg"):
+        plain = getattr(ring, op)
+        monkeypatch.setattr(ring, op, lambda *args, op=op, plain=plain:
+                            calls.append(op) or plain(*args))
+    idx = ring.all_indices()
+    ring.idx_add(idx, idx[::-1])
+    ring.idx_neg(idx)
+    assert calls == ["_raw_add", "_raw_neg"]
 
 
 @pytest.mark.parametrize("k,q", [(2, 2), (2, 3), (3, 2), (2, 5)])

@@ -351,23 +351,50 @@ def test_decomposition_names_the_first_element_then_item_then_witness(
         "Re'+f'R differs from Iann(a)"
 
 
+def _flipping_singletons(flips):
+    """Wrap ginv.singleton_conjugate_batch: the verdict of each (a, b) in
+    flips is flipped."""
+    real = ginvlab.ginv.singleton_conjugate_batch
+
+    def flipped(bs, frames):
+        got = real(bs, frames)
+        for a, b in flips:
+            got[np.ix_(frames.a == a, np.asarray(bs) == b)] ^= True
+        return got
+    return flipped
+
+
 def test_invariance_checks_the_batched_singleton_test(m2gf2, monkeypatch):
     # m2gf2 is semiprime, so one flipped (a, b) verdict is a violation; b
     # lies in aR and Ra, so the flip drops a singleton that should be there
     a = m2gf2.size - 1
     b = int(principal_right_ideal(m2gf2.from_index(a)).indices()[-1])
-    real = ginvlab.ginv.singleton_conjugate_batch
-
-    def flipped(bs, frames):
-        got = real(bs, frames)
-        got[np.ix_(frames.a == a, np.asarray(bs) == b)] ^= True
-        return got
-
-    monkeypatch.setattr(theoremlab, "singleton_conjugate_batch", flipped)
+    monkeypatch.setattr(theoremlab, "singleton_conjugate_batch",
+                        _flipping_singletons([(a, b)]))
     verdict = check_invariance(m2gf2)
     assert verdict.status == "violation"
     assert _witnesses(verdict) == [("a", a), ("b", b)]
     assert verdict.note == "ideal membership without singleton"
+
+
+@pytest.mark.parametrize("early", [0, 1])
+def test_invariance_names_the_direction_failing_at_the_smaller_a(
+        m2gf2, monkeypatch, early):
+    # plant each direction of the biconditional at its own non-unit a:
+    # direction 0 at b = 1, outside aR, where b*I(a)*b = I(a) has several
+    # members; direction 1 at b = a, in aR and Ra, where a*I(a)*a = {a}
+    one, first, last = m2gf2.one().index, 1, m2gf2.size - 1
+    at = (first, last) if early == 0 else (last, first)
+    flips = [(at[0], one), (at[1], at[1])]
+    monkeypatch.setattr(theoremlab, "singleton_conjugate_batch",
+                        _flipping_singletons(flips))
+    verdict = check_invariance(m2gf2)
+    assert verdict.status == "violation"
+    a, b = flips[early]
+    assert a == first
+    assert _witnesses(verdict) == [("a", a), ("b", b)]
+    assert verdict.note == ("singleton without ideal membership",
+                            "ideal membership without singleton")[early]
 
 
 def _dropping_products(a, x):
