@@ -380,8 +380,7 @@ def ref_decomposition(frames: Frames, ref_size) -> np.ndarray:
     (|W_a|, |V_a|) and run in row blocks of that width, so no |R|-wide
     row is built per pair, and one call covers a whole ring.  The name
     has no _batch suffix because the benchmark's
-    ginv.ref_decomposition_* metrics time and count this function; the
-    checks now call it once per suite, not once per element.
+    ginv.ref_decomposition_* metrics time and count this function.
     """
     ring = frames.ring
     a, a0s = frames.a, frames.witnesses

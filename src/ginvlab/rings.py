@@ -340,11 +340,11 @@ def _inner_rows(ring: Ring, a) -> Iterator[tuple[slice, np.ndarray]]:
 def _distinct(ring: Ring, blocks) -> np.ndarray:
     """Sorted distinct int64 indices over an iterable of index blocks.
 
-    This is the one way ring indices are deduplicated: a boolean mask over
-    range(|R|) collects every block, so the cost is linear in the input
-    plus |R|, no sort runs, and the product table plays no part.  The mask
-    spans the ring, so the ring must be enumerable (BudgetExceeded
-    otherwise).
+    The one way ring indices are deduplicated without inverses or counts
+    (np.unique gives those): a boolean mask over range(|R|) collects every
+    block, so the cost is linear in the input plus |R|, no sort runs, and
+    the product table plays no part.  The mask spans the ring, so the ring
+    must be enumerable (BudgetExceeded otherwise).
     """
     ring.ensure_enumerable()
     mask = np.zeros(ring.size, dtype=bool)

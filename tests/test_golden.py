@@ -6,7 +6,9 @@ The files tests/golden/<ring>.json are the output of
 tests/golden/matrix/ that of `ginvlab matrix ... --format json`, and the
 files under tests/golden/query/ that of `ginvlab ring info` and
 `ginvlab inv` with --format json; a change that alters a report on
-purpose regenerates them and says why.
+purpose regenerates them and says why.  These tests are the only place
+the goldens are compared, so every .json file there must be a case's
+(tests/golden/ginverse.json belongs to tests/test_gfmatrix.py).
 """
 
 import json
@@ -117,3 +119,13 @@ def test_query_report_matches_golden(name, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out == (GOLDEN / "query" / f"{name}.json").read_text()
+
+
+def test_every_golden_file_is_a_case():
+    # a golden without a case would go unchecked; ginverse.json is read by
+    # tests/test_gfmatrix.py
+    def stems(sub):
+        return {path.stem for path in (GOLDEN / sub).glob("*.json")}
+    assert stems(".") == set(CASES) | {"ginverse"}
+    assert stems("matrix") == set(MATRIX_CASES)
+    assert stems("query") == set(QUERY_CASES)

@@ -182,7 +182,10 @@ def test_example_claims_skips_elsewhere(z6):
     assert "builtin example ring" in verdict.note
 
 
-@pytest.mark.parametrize("name", ["z30", "m2gf3", "example"])
+# gf3t3 runs the odd-p table algebra on the digit kernel, z4 is a Z/n that
+# is not semiprime
+@pytest.mark.parametrize("name", ["z30", "m2gf3", "example", "gf3t3", "z4",
+                                  "m2gf2"])
 def test_sampled_mode_agrees_with_exhaustive(request, monkeypatch, name):
     # TABLE_CAP = 0 samples every quantifier while the op tables stay
     ring = request.getfixturevalue(name)
