@@ -100,6 +100,14 @@ def _ring_header(ring: Ring):
     return obj, line
 
 
+def _entry(name: str, status: str, witnesses, note: str,
+           elapsed_ms: float = 0.0) -> dict:
+    """One report entry; witnesses are (name, rendered value) pairs."""
+    return {"name": name, "status": status,
+            "witnesses": [{"name": k, "value": v} for k, v in witnesses],
+            "note": note, "elapsed_ms": elapsed_ms}
+
+
 def _document(ring_obj: dict, checks: list) -> dict:
     summary = {theoremlab.PASS: 0, theoremlab.VIOLATION: 0,
                theoremlab.SKIPPED: 0}
@@ -140,18 +148,15 @@ def _set_entry(name: str, label: str, fn, a: Elem, cap: int):
     try:
         s = fn(a)
     except BudgetExceeded as exc:
-        entry = {"name": name, "status": theoremlab.SKIPPED, "witnesses": [],
-                 "note": str(exc), "elapsed_ms": 0.0}
-        return entry, [f"{label}: skipped ({exc})"]
+        return (_entry(name, theoremlab.SKIPPED, [], str(exc)),
+                [f"{label}: skipped ({exc})"])
     total = len(s)
     shown = [parsing.render_elem(Elem(s.ring, i))
              for i in s.indices()[:cap].tolist()]
     note = f"{total} members"
     if len(shown) < total:
         note += f", showing first {cap}"
-    entry = {"name": name, "status": theoremlab.PASS,
-             "witnesses": [{"name": "member", "value": m} for m in shown],
-             "note": note, "elapsed_ms": 0.0}
+    entry = _entry(name, theoremlab.PASS, [("member", m) for m in shown], note)
     lines = [f"{label}: {note}"] + [f"  {m}" for m in shown]
     if len(shown) < total:
         lines.append(f"  ... ({total - len(shown)} more; use --all)")
@@ -194,15 +199,12 @@ def cmd_check(args) -> int:
     checks = []
     lines = [header]
     for v in report.verdicts:
-        witnesses = [{"name": k, "value": parsing.render_elem(e)}
-                     for k, e in v.witnesses]
-        checks.append({"name": v.name, "status": v.status,
-                       "witnesses": witnesses, "note": v.note,
-                       "elapsed_ms": 0.0 if args.no_timing else v.elapsed_ms})
+        witnesses = [(k, parsing.render_elem(e)) for k, e in v.witnesses]
+        checks.append(_entry(v.name, v.status, witnesses, v.note,
+                             0.0 if args.no_timing else v.elapsed_ms))
         wtxt = ""
         if witnesses:
-            wtxt = "[" + ", ".join(f"{w['name']} = {w['value']}"
-                                   for w in witnesses) + "] "
+            wtxt = "[" + ", ".join(f"{k} = {w}" for k, w in witnesses) + "] "
         ttxt = "" if args.no_timing else f" ({v.elapsed_ms:.0f} ms)"
         lines.append(f"{v.name:20s} {v.status:10s} {wtxt}{v.note}{ttxt}")
     document = _document(ring_obj, checks)
@@ -232,31 +234,24 @@ def cmd_matrix(args) -> int:
     if args.op == "ginverse":
         g = gfmatrix.inner_inverse_matrix(mats[0], q)
         rendered = gfmatrix.render_matrix(g)
-        entry = {"name": "matrix_ginverse", "status": theoremlab.PASS,
-                 "witnesses": [{"name": "g", "value": rendered}],
-                 "note": "reflexive inner inverse (A*G*A = A, G*A*G = G)",
-                 "elapsed_ms": 0.0}
+        witnesses = [("g", rendered)]
+        note = "reflexive inner inverse (A*G*A = A, G*A*G = G)"
         lines.append(f"ginverse: {rendered}")
     elif args.op == "seteq":
         equal = gfmatrix.inner_set_equal_matrices(mats[0], mats[1], q)
-        entry = {"name": "matrix_seteq", "status": theoremlab.PASS,
-                 "witnesses": [{"name": "A", "value": args.matrices[0]},
-                               {"name": "B", "value": args.matrices[1]}],
-                 "note": "equal" if equal else "not equal",
-                 "elapsed_ms": 0.0}
+        witnesses = list(zip("AB", args.matrices))
+        note = "equal" if equal else "not equal"
         lines.append("inner inverse sets equal: " + ("yes" if equal else "no"))
     else:
         b, a = mats
         in_ar = gfmatrix.membership_aR(b, a, q)
         in_ra = gfmatrix.membership_Ra(b, a, q)
-        entry = {"name": "matrix_membership", "status": theoremlab.PASS,
-                 "witnesses": [{"name": "b", "value": args.matrices[0]},
-                               {"name": "a", "value": args.matrices[1]}],
-                 "note": f"b in aR: {str(in_ar).lower()}; "
-                         f"b in Ra: {str(in_ra).lower()}",
-                 "elapsed_ms": 0.0}
+        witnesses = list(zip("ba", args.matrices))
+        note = (f"b in aR: {str(in_ar).lower()}; "
+                f"b in Ra: {str(in_ra).lower()}")
         lines.append("b in aR: " + ("yes" if in_ar else "no"))
         lines.append("b in Ra: " + ("yes" if in_ra else "no"))
+    entry = _entry(f"matrix_{args.op}", theoremlab.PASS, witnesses, note)
     _emit(args, _document(ring_obj, [entry]), lines)
     return 0
 

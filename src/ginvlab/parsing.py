@@ -9,7 +9,10 @@ Juxtaposed atoms multiply left to right; "1" is the ring unity; a bare
 integer is a coefficient on the unity (so "3" works in Z/n and "0" is
 zero everywhere).  Whitespace separates atoms but is otherwise free.
 The renderer emits one canonical form per element and round-trips
-through the parser.
+through the parser: the residue in Z/n, and in every other ring the sum
+of its nonzero coefficients on the basis labels (the matrix units
+e{row}{col} of a matrix ring), a coefficient 1 left out and label "1"
+written as its coefficient.
 """
 
 from __future__ import annotations
@@ -82,31 +85,8 @@ def parse_element(ring, text: str):
 def render_elem(e) -> str:
     """Canonical text form; parse_element(ring, render_elem(e)) == e."""
     ring = e.ring
-    if ring.kind == "zmod":
+    if ring.kind == "zmod" or e.index == 0:
         return str(e.index)
-    if e.index == 0:
-        return "0"
-    if ring.kind == "matrix":
-        grid = e.payload
-        parts = []
-        for r in range(ring.k):
-            for c in range(ring.k):
-                v = grid[r][c]
-                if v == 0:
-                    continue
-                label = f"e{r + 1}{c + 1}"
-                parts.append(label if v == 1 else f"{v} {label}")
-        return " + ".join(parts)
-    if ring.kind == "table":
-        coeffs = e.payload
-        parts = []
-        for m, v in enumerate(coeffs):
-            if v == 0:
-                continue
-            label = ring.labels[m]
-            if label == "1":
-                parts.append(str(v))
-            else:
-                parts.append(label if v == 1 else f"{v} {label}")
-        return " + ".join(parts)
-    raise ValueError(f"cannot render elements of ring kind {ring.kind!r}")
+    return " + ".join(
+        str(v) if label == "1" else label if v == 1 else f"{v} {label}"
+        for label, v in zip(ring.labels, ring.digits(e.index)) if v)

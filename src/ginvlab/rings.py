@@ -1,11 +1,13 @@
 """Finite ring backends with exact arithmetic and canonical indexing.
 
-Three backends: integers mod n, k-by-k matrices over a prime field, and
-finite-dimensional structure-constant algebras over a prime field.
-Every element is identified with a canonical index in [0, |R|): the
-mixed-radix encoding of its reduced payload, most significant component
-first (residue value; row-major matrix entries; coefficient vector).
-The index order is the canonical order used by sets and reports.
+Two backends: integers mod n (ZmodRing), and finite-dimensional
+structure-constant algebras over a prime field (TableRing).  k-by-k
+matrices over GF(q) are the table algebra on the matrix units
+(MatrixRing, a thin TableRing subclass).  Every element is identified
+with a canonical index in [0, |R|): the mixed-radix encoding of its
+reduced payload, most significant component first (residue value;
+coefficient vector, for matrices the row-major entries).  The index
+order is the canonical order used by sets and reports.
 
 Arithmetic is exposed two ways: Elem objects with operator overloading,
 and vectorized numpy operations on index arrays for scan-heavy set
@@ -26,20 +28,18 @@ _inner_rows, the one scan of a*x*a = a over R, gives I(a), Reg(R), Ref(a).
 Z/n computes in int64, so it refuses a modulus whose residue products
 could pass 2^63 (n > 3037000500) with InvalidModulus.
 
-Matrix rings and odd-p table algebras share one digit kernel
-(_DigitRing): an index splits once into its base-q digits, digit o of a
-product is the sum of c·x_i·y_j over the ring's nonzero structure
-constants c = c[i][j][o] (the k^3 terms E_rj·E_jc = E_rc of M_k(GF(q))),
-reduced mod q once, and the digits are re-encoded with multiply-adds.
-It is exact while q^n <= 2^63 and no digit sum can pass 2^63; past that
-the ring still builds, and the first use of an element raises
-InvalidModulus.
+TableRing has one kernel per characteristic.  For odd p an index splits
+once into its base-p digits, digit o of a product is the sum of c·x_i·y_j
+over the ring's nonzero structure constants c = c[i][j][o] (the k^3 terms
+e_rj·e_jc = e_rc of M_k(GF(q))), reduced mod p once, and the digits are
+re-encoded with multiply-adds.  It is exact while p^dim <= 2^63 and no
+digit sum can pass 2^63; past that the ring still builds, and the first
+use of an element raises InvalidModulus.
 
-Over GF(2) a table algebra's index is a bitmask of basis coefficients, so
-addition is XOR, and a product is the XOR of a few lookups into
-precomputed products of bit chunks (TableRing._chunk_tables): 4 lookups
-into 512 KB of tables for dim 13, and at most 2 MB of tables for any
-dim <= 20.
+Over GF(2) the index is a bitmask of basis coefficients, so addition is
+XOR, and a product is the XOR of a few lookups into precomputed products
+of bit chunks (TableRing._chunk_tables): 4 lookups into 512 KB of tables
+for dim 13, and at most 2 MB of tables for any dim <= 20.
 """
 
 from __future__ import annotations
@@ -526,7 +526,7 @@ class ZmodRing(Ring):
 
 
 # ---------------------------------------------------------------------------
-# digit kernel, shared by the matrix and structure-constant backends
+# structure-constant backend, and matrix rings on it
 
 
 def _buffers(*shapes):
@@ -536,170 +536,19 @@ def _buffers(*shapes):
             np.empty(shape, dtype=np.int64))
 
 
-class _DigitRing(Ring):
-    """Elements as n digits in [0, q), indexed base q, most significant first.
-
-    terms[o] lists the (i, j, c) with c = c[i][j][o] != 0, so digit o of
-    x·y is sum(c·x_i·y_j) mod q.  The products sum in int64 and reduce
-    once, which is exact while q^n <= 2^63 (every index fits) and
-    max_o sum(c)·(q-1)^2 < 2^63; otherwise _powers, and with it every
-    use of an element, raises InvalidModulus.
-    """
-
-    def __init__(self, q: int, n: int, terms, one_digits,
-                 enumeration_budget: int):
-        super().__init__(q ** n, q, enumeration_budget)
-        self._ndigits = n
-        self._terms = terms
-        self._one_index = sum(int(d) * q ** (n - 1 - m)
-                              for m, d in enumerate(one_digits))
-        self._digit_powers = None
-
-    def _exactness_error(self) -> Optional[str]:
-        q, n = self.char, self._ndigits
-        if q ** n > 1 << 63:
-            return (f"{self.kind} ring has {q}^{n} elements; "
-                    f"indices must fit in int64 (at most 2^63)")
-        terms = max(sum(c for _, _, c in t) for t in self._terms)
-        if not _int64_exact(q, terms):
-            return (f"{self.kind} ring over GF({q}) sums digit products up to "
-                    f"{terms * (q - 1) ** 2}, past int64 (2^63)")
-        return None
-
-    @property
-    def _powers(self) -> np.ndarray:
-        """q^(n-1), ..., q, 1 as int64, once the arithmetic is known exact."""
-        if self._digit_powers is None:
-            error = self._exactness_error()
-            if error is not None:
-                raise InvalidModulus(error)
-            self._digit_powers = self.char ** np.arange(
-                self._ndigits - 1, -1, -1, dtype=np.int64)
-        return self._digit_powers
-
-    def _digits(self, I: np.ndarray) -> np.ndarray:
-        """(n,) + I.shape int64 array of I's digits, most significant first."""
-        powers = self._powers.tolist()
-        out = np.empty((len(powers),) + I.shape, dtype=np.int64)
-        for m, power in enumerate(powers):
-            np.floor_divide(I, power, out=out[m, ...])  # I // q^(n-1-m)
-        out[1:] -= self.char * out[:-1]
-        return out
-
-    def _fold(self, out, digit, scratch):
-        """out = out·q + digit mod q, in place; clobbers digit and scratch,
-        as writing into buffers avoids fresh allocations."""
-        out *= self.char
-        out += _mod(digit, self.char, scratch)
-
-    def _int_digits(self, i) -> list:
-        """The digits of a 0-d index as Python ints, most significant first."""
-        i = int(i)
-        return [i // power % self.char for power in self._powers.tolist()]
-
-    def _int_index(self, sums) -> int:
-        """The index whose digits are the given Python-int sums mod q; it
-        reads _powers, so an element past int64 is refused here too."""
-        return sum(s % self.char * power
-                   for s, power in zip(sums, self._powers.tolist()))
-
-    def _raw_mul(self, I, J):
-        I, J = np.asarray(I, dtype=np.int64), np.asarray(J, dtype=np.int64)
-        X, Y = self._digits(I), self._digits(J)
-        out, acc, part = _buffers(I.shape, J.shape)
-        for terms in self._terms:
-            acc[...] = 0
-            for i, j, c in terms:
-                np.multiply(X[i], Y[j], out=part)
-                if c != 1:
-                    part *= c
-                acc += part
-            self._fold(out, acc, part)
-        return out
-
-    def _raw_add(self, I, J):
-        I, J = np.asarray(I, dtype=np.int64), np.asarray(J, dtype=np.int64)
-        out, acc, part = _buffers(I.shape, J.shape)
-        for x, y in zip(self._digits(I), self._digits(J)):
-            np.add(x, y, out=acc)
-            self._fold(out, acc, part)
-        return out
-
-    def _raw_neg(self, I):
-        I = np.asarray(I, dtype=np.int64)
-        out, acc, part = _buffers(I.shape)
-        for x in self._digits(I):
-            np.negative(x, out=acc)
-            self._fold(out, acc, part)
-        return out
-
-    def additive_generator_indices(self):
-        return self._powers.copy()  # one digit set to 1: matrix units, basis
-
-    def scale_index(self, c, i):
-        return self._int_index(c * d for d in self._int_digits(i))
-
-
-# ---------------------------------------------------------------------------
-# matrix backend
-
-
-class MatrixRing(_DigitRing):
-    """k-by-k matrices over GF(q), q prime, on the digit kernel.
-
-    Digit r·k + c is entry (r, c), row-major.  A product has the k^3
-    terms E_rj·E_jc = E_rc, so it is exact while q^(k^2) <= 2^63 and
-    k·(q-1)^2 < 2^63; M_8(GF(2)) and M_1 over a 62-bit prime build but
-    refuse element use.
-    """
-
-    kind = "matrix"
-
-    def __init__(self, k: int, q: int, enumeration_budget: int = DEFAULT_BUDGET):
-        terms = [[(r * k + j, j * k + c, 1) for j in range(k)]
-                 for r in range(k) for c in range(k)]
-        eye = [int(r == c) for r in range(k) for c in range(k)]
-        super().__init__(q, k * k, terms, eye, enumeration_budget)
-        self.k = k
-        self.q = q
-
-    def descriptor(self):
-        return ("matrix", self.k, self.q)
-
-    def payload_of_index(self, i):
-        d, k = self._int_digits(i), self.k
-        return tuple(tuple(d[r * k:r * k + k]) for r in range(k))
-
-    def index_of_payload(self, payload):
-        arr = np.asarray(payload, dtype=np.int64) % self.q
-        if arr.shape != (self.k, self.k):
-            raise BadTensorShape(f"expected a {self.k}x{self.k} grid")
-        return self._int_index(arr.ravel().tolist())
-
-    def matrix_of(self, e: Elem) -> np.ndarray:
-        return np.reshape(self._int_digits(e.index), (self.k, self.k))
-
-    def generator_labels(self):
-        if self.k > 9:
-            return {}
-        k, powers = self.k, self._powers.tolist()
-        return {f"e{r + 1}{c + 1}": powers[r * k + c]
-                for r in range(k) for c in range(k)}
-
-
-# ---------------------------------------------------------------------------
-# structure-constant backend
-
-
-class TableRing(_DigitRing):
+class TableRing(Ring):
     """A GF(p)-algebra given by structure constants c[i][j][k].
 
-    Digit m is the coefficient of basis element m.  Over GF(2) products
-    go through chunk-pair product tables, built once per ring on the first
-    product, and addition is XOR.  Odd p uses the digit kernel with the
-    nonzero c[i][j][k] as terms, exact while p^dim <= 2^63 (checked when
-    the algebra is built) and max_k sum_ij c[i][j][k]·(p-1)^2 < 2^63
-    (checked on the first use of an element).
+    An element is dim digits in [0, p), digit m the coefficient of basis
+    element m, indexed base p, most significant first.  Over GF(2) the
+    index is a bitmask: products go through chunk-pair product tables,
+    built once per ring on the first product, and addition is XOR.  Odd p
+    uses the digit kernel: terms[o] lists the (i, j, c) with
+    c = c[i][j][o] != 0, so digit o of x·y is sum(c·x_i·y_j) mod p.  The
+    products sum in int64 and reduce once, which is exact while
+    p^dim <= 2^63 (every index fits) and max_o sum(c)·(p-1)^2 < 2^63;
+    otherwise _powers, and with it every use of an element, raises
+    InvalidModulus.
     """
 
     kind = "table"
@@ -707,31 +556,85 @@ class TableRing(_DigitRing):
     def __init__(self, p: int, labels: Sequence[str], unity: Sequence[int],
                  tensor: np.ndarray, enumeration_budget: int = DEFAULT_BUDGET):
         dim = len(labels)
-        terms = [[] for _ in range(dim)]
-        nonzero = np.nonzero(tensor)
-        for i, j, o, c in zip(*(v.tolist() for v in nonzero),
-                              tensor[nonzero].tolist()):
-            terms[o].append((i, j, c))
-        unity = tuple(int(u) % p for u in unity)
-        super().__init__(p, dim, terms, unity, enumeration_budget)
+        super().__init__(p ** dim, p, enumeration_budget)
         self.p = p
         self.dim = dim
         self.labels = tuple(labels)
-        self.unity = unity
+        self.unity = tuple(int(u) % p for u in unity)
         self.tensor = tensor  # dim x dim x dim, entries in [0, p)
+        self._terms = [[] for _ in range(dim)]
+        nonzero = np.nonzero(tensor)
+        for i, j, o, c in zip(*(v.tolist() for v in nonzero),
+                              tensor[nonzero].tolist()):
+            self._terms[o].append((i, j, c))
+        self._one_index = sum(u * p ** (dim - 1 - m)
+                              for m, u in enumerate(self.unity))
+        self._digit_powers = None
         self._chunk_products = None
 
     def descriptor(self):
         return ("table", self.p, self.labels, self.unity, self.tensor.tobytes())
 
+    # --- digit codec -------------------------------------------------------
+
+    def _exactness_error(self) -> Optional[str]:
+        p, dim = self.p, self.dim
+        if p ** dim > 1 << 63:
+            return (f"{self.kind} ring has {p}^{dim} elements; "
+                    f"indices must fit in int64 (at most 2^63)")
+        terms = max(sum(c for _, _, c in t) for t in self._terms)
+        if not _int64_exact(p, terms):
+            return (f"{self.kind} ring over GF({p}) sums digit products up to "
+                    f"{terms * (p - 1) ** 2}, past int64 (2^63)")
+        return None
+
+    @property
+    def _powers(self) -> np.ndarray:
+        """p^(dim-1), ..., p, 1 as int64, once the arithmetic is known exact."""
+        if self._digit_powers is None:
+            error = self._exactness_error()
+            if error is not None:
+                raise InvalidModulus(error)
+            self._digit_powers = self.p ** np.arange(
+                self.dim - 1, -1, -1, dtype=np.int64)
+        return self._digit_powers
+
+    def digits(self, i) -> list:
+        """The digits of index i as Python ints, most significant first."""
+        i = int(i)
+        return [i // power % self.p for power in self._powers.tolist()]
+
+    def _int_index(self, sums) -> int:
+        """The index whose digits are the given Python-int sums mod p; it
+        reads _powers, so an element past int64 is refused here too."""
+        return sum(s % self.p * power
+                   for s, power in zip(sums, self._powers.tolist()))
+
+    def _digit_arrays(self, I: np.ndarray) -> np.ndarray:
+        """(dim,) + I.shape int64 array of I's digits, most significant first."""
+        powers = self._powers.tolist()
+        out = np.empty((len(powers),) + I.shape, dtype=np.int64)
+        for m, power in enumerate(powers):
+            np.floor_divide(I, power, out=out[m, ...])  # I // p^(dim-1-m)
+        out[1:] -= self.p * out[:-1]
+        return out
+
+    def _fold(self, out, digit, scratch):
+        """out = out·p + digit mod p, in place; clobbers digit and scratch,
+        as writing into buffers avoids fresh allocations."""
+        out *= self.p
+        out += _mod(digit, self.p, scratch)
+
     def payload_of_index(self, i):
-        return tuple(self._int_digits(i))
+        return tuple(self.digits(i))
 
     def index_of_payload(self, payload):
         vec = np.asarray(payload, dtype=np.int64) % self.p
         if vec.shape != (self.dim,):
             raise BadTensorShape(f"expected a coefficient vector of length {self.dim}")
         return self._int_index(vec.tolist())
+
+    # --- raw arithmetic ------------------------------------------------------
 
     def _chunk_tables(self):
         """GF(2) chunk-pair product tables; built on the first product.
@@ -762,11 +665,10 @@ class TableRing(_DigitRing):
         return self._chunk_products
 
     def _raw_mul(self, I, J):
+        I, J = np.asarray(I, dtype=np.int64), np.asarray(J, dtype=np.int64)
         if self.p == 2:
             # XOR over the chunk pairs of I and J of one table lookup each
             tables, w, nc = self._chunk_tables()
-            I = np.asarray(I, dtype=np.int64)
-            J = np.asarray(J, dtype=np.int64)
             low = (1 << w) - 1
             rows = [(I >> c * w & low) << w for c in range(nc)]
             cols = [J >> e * w & low for e in range(nc)]
@@ -785,21 +687,87 @@ class TableRing(_DigitRing):
                         table.take(key, out=part, mode="clip")
                         acc ^= part
             return acc
-        return super()._raw_mul(I, J)
+        X, Y = self._digit_arrays(I), self._digit_arrays(J)
+        out, acc, part = _buffers(I.shape, J.shape)
+        for terms in self._terms:
+            acc[...] = 0
+            for i, j, c in terms:
+                np.multiply(X[i], Y[j], out=part)
+                if c != 1:
+                    part *= c
+                acc += part
+            self._fold(out, acc, part)
+        return out
 
     def _raw_add(self, I, J):
+        I, J = np.asarray(I, dtype=np.int64), np.asarray(J, dtype=np.int64)
         if self.p == 2:
-            return np.asarray(I, dtype=np.int64) ^ np.asarray(J, dtype=np.int64)
-        return super()._raw_add(I, J)
+            return I ^ J
+        out, acc, part = _buffers(I.shape, J.shape)
+        for x, y in zip(self._digit_arrays(I), self._digit_arrays(J)):
+            np.add(x, y, out=acc)
+            self._fold(out, acc, part)
+        return out
 
     def _raw_neg(self, I):
         if self.p == 2:
             return np.array(I, dtype=np.int64)  # a copy: never the operand
-        return super()._raw_neg(I)
+        I = np.asarray(I, dtype=np.int64)
+        out, acc, part = _buffers(I.shape)
+        for x in self._digit_arrays(I):
+            np.negative(x, out=acc)
+            self._fold(out, acc, part)
+        return out
 
     def generator_labels(self):
         return {label: power for label, power
                 in zip(self.labels, self._powers.tolist()) if label != "1"}
+
+    def additive_generator_indices(self):
+        return self._powers.copy()  # one digit set to 1: the basis
+
+    def scale_index(self, c, i):
+        return self._int_index(c * d for d in self.digits(i))
+
+
+class MatrixRing(TableRing):
+    """k-by-k matrices over GF(q), q prime: the GF(q)-algebra on the matrix
+    units e_rc, with e_rj·e_jc = e_rc.
+
+    Digit r·k + c is entry (r, c), row-major, labelled e{r+1}{c+1}.  The
+    kernel is exact while q^(k^2) <= 2^63 and k·(q-1)^2 < 2^63;
+    M_8(GF(2)) and M_1 over a 62-bit prime build but refuse element use.
+    The ring is simple, hence semiprime: the verdict is preset, not scanned.
+    """
+
+    kind = "matrix"
+
+    def __init__(self, k: int, q: int, enumeration_budget: int = DEFAULT_BUDGET):
+        units = np.zeros((k,) * 6, dtype=np.int64)  # [r, j, j', c, r', c']
+        r, j, c = np.indices((k, k, k))
+        units[r, j, j, c, r, c] = 1
+        labels = [f"e{r + 1}{c + 1}" for r in range(k) for c in range(k)]
+        super().__init__(q, labels, np.eye(k, dtype=np.int64).ravel(),
+                         units.reshape((k * k,) * 3), enumeration_budget)
+        self.k = k
+        self.q = q
+        self._semiprime = -1
+
+    def descriptor(self):
+        return ("matrix", self.k, self.q)
+
+    def payload_of_index(self, i):
+        d, k = self.digits(i), self.k
+        return tuple(tuple(d[r * k:r * k + k]) for r in range(k))
+
+    def index_of_payload(self, payload):
+        arr = np.asarray(payload, dtype=np.int64) % self.q
+        if arr.shape != (self.k, self.k):
+            raise BadTensorShape(f"expected a {self.k}x{self.k} grid")
+        return self._int_index(arr.ravel().tolist())
+
+    def matrix_of(self, e: Elem) -> np.ndarray:
+        return np.reshape(self.digits(e.index), (self.k, self.k))
 
 
 # ---------------------------------------------------------------------------
@@ -952,13 +920,12 @@ class SemiprimeVerdict(NamedTuple):
 def is_semiprime(ring: Ring) -> SemiprimeVerdict:
     """True iff no nonzero a has a·t·a = 0 for all t.
 
-    M_k(GF(q)) is simple, hence semiprime, so matrix rings get the verdict
-    without a scan, as is_regular and regular_elements read their
-    regularity constructively; past the enumeration budget they still
-    raise BudgetExceeded, like every other ring.  Other rings run
-    _semiprime_scan, on raw arithmetic unless the product table was
-    already built: it builds none, so a single query pays no |R|^2 table
-    build.
+    M_k(GF(q)) is simple, hence semiprime: MatrixRing presets the verdict,
+    as is_regular and regular_elements read its regularity constructively.
+    Every ring past the enumeration budget raises BudgetExceeded, preset or
+    not.  Other rings run _semiprime_scan once, on raw arithmetic unless
+    the product table was already built: it builds none, so a single query
+    pays no |R|^2 table build.
 
     The first verdict's witness index is kept on the ring, as unit_indices
     keeps the units, so the suite and the report header share one scan.
@@ -966,10 +933,9 @@ def is_semiprime(ring: Ring) -> SemiprimeVerdict:
     cycle would keep every checked ring and its product table alive until
     the garbage collector next ran.
     """
+    ring.ensure_enumerable()
     if ring._semiprime is None:
-        ring.ensure_enumerable()
-        ring._semiprime = (-1 if ring.kind == "matrix"
-                           else _semiprime_scan(ring))
+        ring._semiprime = _semiprime_scan(ring)
     w = ring._semiprime
     return SemiprimeVerdict(w < 0, None if w < 0 else Elem(ring, w))
 
@@ -979,7 +945,6 @@ def _semiprime_scan(ring: Ring) -> int:
 
     a R a = 0 is linear in t, so t ranges over additive generators only.
     """
-    ring.ensure_enumerable()
     idx = ring.all_indices()
     mask = np.ones(ring.size, dtype=bool)
     for g in ring.additive_generator_indices():

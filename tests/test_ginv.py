@@ -1,5 +1,6 @@
 """Inverse sets and annihilators checked against brute-force scans."""
 
+import math
 import random
 
 import numpy as np
@@ -16,7 +17,7 @@ from ginvlab import (BudgetExceeded, ElemSet, NotInnerInverse,
                      principal_right_ideal, ref_decomposition,
                      reflexive_inverses, right_annihilator,
                      singleton_conjugate_batch)
-from ginvlab import ginv, rings, theoremlab
+from ginvlab import gfmatrix, ginv, rings, theoremlab
 
 from conftest import (_pairwise, iann_per_element, inner_products,
                       param_per_element, ref_rows_per_element,
@@ -48,6 +49,35 @@ def test_sets_match_bruteforce(n):
         assert set(inner_annihilator(a).indices().tolist()) == iann
         assert set(left_annihilator(a).indices().tolist()) == left
         assert set(right_annihilator(a).indices().tolist()) == right
+
+
+def _inner_counts(ring):
+    """|I(a)| for every a, off one inner_inverse_pairs scan of the ring."""
+    pos = ginv.inner_inverse_pairs(ring, ring.all_indices())[0]
+    return np.bincount(pos, minlength=ring.size)
+
+
+@pytest.mark.parametrize("k,q", [(2, 2), (2, 3), (3, 2)])
+def test_matrix_counts_match_the_rank_closed_forms(k, q):
+    """In M_k(GF(q)) an element of rank r has |I(a)| = q^(k^2 - r^2) and
+    |Ref(a)| = q^(2r(k - r))."""
+    ring = build_matrix_ring(k, q)
+    inner = _inner_counts(ring)
+    for a in ring.elements():
+        r = gfmatrix.rank(ring.matrix_of(a), q)
+        assert inner[a.index] == q ** (k * k - r * r)
+        assert len(reflexive_inverses(a)) == q ** (2 * r * (k - r))
+
+
+@pytest.mark.parametrize("n,factors", [(30, [(2, 2), (3, 3), (5, 5)]),
+                                       (36, [(2, 4), (3, 9)])])
+def test_zmod_inner_counts_match_the_prime_power_product(n, factors):
+    """|I(a)| in Z/n is the product over the (p, p^e) with p^e || n of p^e
+    if p^e | a, 1 if p does not divide a, and 0 otherwise."""
+    inner = _inner_counts(build_zmod(n))
+    for a in range(n):
+        assert inner[a] == math.prod(pe if a % pe == 0 else 1 if a % p else 0
+                                     for p, pe in factors)
 
 
 def test_pinned_values_z6(z6):

@@ -36,9 +36,8 @@ def _digits(ring, i):
     """The payload of index i as a flat list of Python ints."""
     if ring.kind == "zmod":
         return [i]
-    count = ring.k ** 2 if ring.kind == "matrix" else ring.dim
-    return [i // ring.char ** (count - 1 - m) % ring.char
-            for m in range(count)]
+    return [i // ring.char ** (ring.dim - 1 - m) % ring.char
+            for m in range(ring.dim)]
 
 
 def _encode(ring, digits):

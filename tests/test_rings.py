@@ -508,7 +508,7 @@ def test_matrix_kernel_matches_entry_loops_on_every_pair(k, q):
     assert np.array_equal(ring._tables(), mul_ref)
 
 
-@pytest.mark.parametrize("k,q", [(3, 3), (2, 7), (4, 3)])
+@pytest.mark.parametrize("k,q", [(3, 3), (2, 7), (4, 3), (3, 2), (4, 2)])
 def test_matrix_kernel_matches_entry_loops_on_random_pairs(k, q):
     ring = build_matrix_ring(k, q)
     rng = np.random.default_rng(k * 100 + q)
@@ -519,6 +519,14 @@ def test_matrix_kernel_matches_entry_loops_on_random_pairs(k, q):
     assert np.array_equal(ring.idx_neg(I), neg)
 
 
+def _matrix_unit_algebra(q):
+    """M_2(GF(q)) as a table algebra on the matrix units."""
+    return build_table_algebra(
+        q, ["e11", "e12", "e21", "e22"], [1, 0, 0, 1],
+        [[2 * i + j, 2 * j + k, 2 * i + k, 1]
+         for i in range(2) for j in range(2) for k in range(2)])
+
+
 def _odd_table_algebras():
     gf3_t4 = build_table_algebra(  # GF(3)[t]/(t^4)
         3, ["1", "t", "t2", "t3"], [1, 0, 0, 0],
@@ -526,11 +534,15 @@ def _odd_table_algebras():
     gf9 = build_table_algebra(  # GF(3)[t]/(t^2 + 1): t·t = -1 = 2
         3, ["1", "t"], [1, 0],
         [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 2]])
-    m2 = build_table_algebra(  # M_2(GF(3)) on the matrix units
-        3, ["e11", "e12", "e21", "e22"], [1, 0, 0, 1],
-        [[2 * i + j, 2 * j + k, 2 * i + k, 1]
-         for i in range(2) for j in range(2) for k in range(2)])
-    return {"gf3[t]/(t^4)": gf3_t4, "gf9": gf9, "m2gf3-table": m2}
+    return {"gf3[t]/(t^4)": gf3_t4, "gf9": gf9,
+            "m2gf3-table": _matrix_unit_algebra(3)}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_matrix_ring_products_equal_the_matrix_unit_algebra(q):
+    ring, algebra = build_matrix_ring(2, q), _matrix_unit_algebra(q)
+    assert ring.labels == algebra.labels and ring.one().index == algebra.one().index
+    assert np.array_equal(ring._tables(), algebra._tables())
 
 
 @pytest.mark.parametrize("name", ["gf3[t]/(t^4)", "gf9", "m2gf3-table"])
