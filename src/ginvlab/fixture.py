@@ -72,20 +72,16 @@ def build_example_ring(enumeration_budget: int = DEFAULT_BUDGET) -> TableRing:
     unity = (1,) + (0,) * (len(BASIS) - 1)
     ring = build_table_algebra(2, BASIS, unity, example_tensor(),
                                enumeration_budget=enumeration_budget)
-    gens = ring.generator_labels()
-    a = ring.from_index(gens["a"])
-    b = ring.from_index(gens["b"])
-    x = ring.from_index(gens["x"])
-    one = ring.one()
-    zero = ring.zero()
-    relations_hold = (
-        a * x * a == a and b * x * b == b
-        and x * a * x == x and x * b * x == x
-        and a * a == zero and b * b == zero
-        and a * b == zero and b * a == zero and x * x == zero
-        and all(one * g == g and g * one == g for g in (a, b, x))
-    )
-    if not relations_hold:
+    # RELATIONS and the unity laws 1·g = g = g·1 as words of three atoms,
+    # short ones padded with the unity (build_table_algebra checked it)
+    index = {**ring.generator_labels(), "1": ring.one().index}
+    rules = RELATIONS + tuple((w, (g,)) for g in GENERATORS
+                              for w in (("1", g), (g, "1")))
+    words = np.array([[index[s] for s in (lhs + ("1",) * 3)[:3]]
+                      for lhs, _ in rules]).T
+    want = [0 if rhs is None else index[rhs[0]] for _, rhs in rules]
+    got = ring.idx_mul(ring.idx_mul(words[0], words[1]), words[2])
+    if not np.array_equal(got, want):
         raise WrongRing("embedded fixture table fails its defining relations")
     return ring
 

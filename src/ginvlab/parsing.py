@@ -62,14 +62,14 @@ def parse_element(ring, text: str):
         last = tokens[-1]
         raise ParseError("expected a term after '+'", last[2] + 1)
 
-    total = ring.zero()
+    total = None
     for term in terms:
         coeff = 1
         rest = term
         if term[0][0] == "int":
             coeff = term[0][1]
             rest = term[1:]
-        value = ring.one()
+        value = None  # a word starts at its first atom, not at 1·atom
         for kind, val, pos in rest:
             if kind == "int":
                 if val != 1:
@@ -77,8 +77,12 @@ def parse_element(ring, text: str):
                 continue  # multiplying by unity
             if val not in labels:
                 raise UnknownGenerator(f"unknown generator {val!r}", pos)
-            value = value * ring.from_index(labels[val])
-        total = total + ring.from_index(ring.scale_index(coeff % ring.char, value.index))
+            atom = ring.from_index(labels[val])
+            value = atom if value is None else value * atom
+        if value is None:
+            value = ring.one()
+        scaled = ring.from_index(ring.scale_index(coeff % ring.char, value.index))
+        total = scaled if total is None else total + scaled
     return total
 
 

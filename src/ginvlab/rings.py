@@ -850,9 +850,12 @@ def build_table_algebra(p: int, basis: Sequence[str], unity: Sequence[int],
 
     # the checks sum dim products of constants: past int64, use Python ints
     exact = tensor if _int64_exact(p, dim) else tensor.astype(object)
-    # associativity: sum_m c[i,j,m] c[m,l,k] == sum_m c[j,l,m] c[i,m,k]
-    left = np.einsum("ijm,mlk->ijlk", exact, exact) % p
-    right = np.einsum("jlm,imk->ijlk", exact, exact) % p
+    # associativity: sum_m c[i,j,m] c[m,l,k] == sum_m c[j,l,m] c[i,m,k],
+    # both sides as (i, j, l, k) arrays from one matmul each
+    pairs, quad = exact.reshape(dim * dim, dim), (dim,) * 4
+    left = (pairs @ exact.reshape(dim, -1)).reshape(quad) % p
+    right = (pairs @ exact.transpose(1, 0, 2).reshape(dim, -1)).reshape(
+        quad).transpose(2, 0, 1, 3) % p
     bad = np.argwhere((left != right).any(axis=3))
     if len(bad):
         i, j, l = (int(v) for v in bad[0])
@@ -943,14 +946,17 @@ def is_semiprime(ring: Ring) -> SemiprimeVerdict:
 def _semiprime_scan(ring: Ring) -> int:
     """The first nonzero a in canonical order with a·R·a = 0, or -1.
 
-    a R a = 0 is linear in t, so t ranges over additive generators only.
+    Such an a has a·a = 0 (t = 1), so one product over R keeps the
+    square-zero a as candidates, in canonical order.  a·t·a is linear in
+    t, so each candidate is then tested against the additive generators
+    only, one (candidates, generators) block at a time (_row_blocks).
     """
-    idx = ring.all_indices()
-    mask = np.ones(ring.size, dtype=bool)
-    for g in ring.additive_generator_indices():
-        ag = ring.idx_mul(idx, int(g))
-        aga = ring.idx_mul(ag, idx)
-        mask &= aga == 0
-    mask[0] = False
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if len(hits) else -1
+    idx = ring.all_indices()[1:]
+    cand = idx[ring.idx_mul(idx, idx) == 0]
+    gens = ring.additive_generator_indices()[None, :]
+    for rows in _row_blocks(len(cand), gens.size):
+        a = cand[rows, None]
+        hit = (ring.idx_mul(ring.idx_mul(a, gens), a) == 0).all(axis=1)
+        if hit.any():
+            return int(a[hit.argmax(), 0])
+    return -1

@@ -59,6 +59,19 @@ def inner_products(a, xs, ys):
                                    rep[_distinct(ring, [ay])]))
 
 
+def semiprime_scan_oracle(ring):
+    """The full-mask semiprime scan, the reference for rings._semiprime_scan:
+    a·g·a over all of R for each additive generator g, and the first
+    nonzero a with every product 0, or -1."""
+    idx = ring.all_indices()
+    mask = np.ones(ring.size, dtype=bool)
+    for g in ring.additive_generator_indices():
+        mask &= ring.idx_mul(ring.idx_mul(idx, int(g)), idx) == 0
+    mask[0] = False
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else -1
+
+
 def truncated_polynomials(p, dim):
     """GF(p)[t]/(t^dim) on the basis 1, t, ..., t^(dim-1)."""
     basis = ["1"] + [f"t{k}" for k in range(1, dim)]

@@ -4,9 +4,12 @@ import random
 
 import pytest
 
-from ginvlab import ParseError
+from ginvlab import ParseError, build_matrix_ring
 from ginvlab.errors import UnknownGenerator
 from ginvlab.parsing import parse_element, render_elem
+from ginvlab.rings import TableRing
+
+from conftest import truncated_polynomials
 
 
 def test_zmod_literals(z6):
@@ -50,6 +53,11 @@ def test_unity_word(z6, example):
     assert parse_element(z6, "1") == z6.one()
     assert parse_element(example, "1") == example.one()
     assert parse_element(example, "1 + a + a") == example.one()
+    a, x = (parse_element(example, g) for g in "ax")
+    assert parse_element(example, "x 1 a 1 x") == x * a * x == x
+    assert parse_element(example, "1 a") == parse_element(example, "a 1") == a
+    assert parse_element(example, "3 1 1") == example.one()
+    assert parse_element(z6, "5 1") == parse_element(z6, "5")
 
 
 @pytest.mark.parametrize("bad", ["", "3 +", "+ 3", "a ++ b", "(", "3 4 +"])
@@ -87,3 +95,19 @@ def test_render_parse_roundtrip(z4, z6, z30, m2gf2, m2gf3, example):
             e = ring.from_index(i)
             back = parse_element(ring, render_elem(e))
             assert back == e, (ring.kind, i, render_elem(e))
+
+
+def test_rendered_elements_parse_without_a_product(monkeypatch):
+    """A word starts at its first atom, so a canonical rendering (a sum of
+    scaled basis labels) parses with no product at all."""
+    rng = random.Random(13)
+    cases = [(ring, [ring.from_index(rng.randrange(ring.size)) for _ in range(40)])
+             for ring in (truncated_polynomials(2, 13), build_matrix_ring(2, 5))]
+
+    def refuse(self, I, J):
+        raise AssertionError("parsing a rendering multiplied")
+
+    monkeypatch.setattr(TableRing, "_raw_mul", refuse)
+    for ring, elems in cases:
+        for e in elems:
+            assert parse_element(ring, render_elem(e)) == e

@@ -4,6 +4,7 @@ import math
 import operator
 import random
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from ginvlab import (BadTensorShape, BudgetExceeded, Elem, ElemSet,
                      InvalidModulus, NoUnity, NotAssociative, RingMismatch,
                      build_matrix_ring, build_table_algebra, build_zmod,
                      is_regular, is_semiprime, parse_element, regular_elements)
-from ginvlab import gfmatrix, rings
+from ginvlab import cli, gfmatrix, rings
 from ginvlab.rings import TABLE_CAP
 
-from conftest import inner_products, squarefree, sumset
+from conftest import (inner_products, semiprime_scan_oracle, squarefree,
+                      sumset, truncated_polynomials)
+
+BENCH_SPECS = Path(__file__).resolve().parent.parent / "perfbench" / "specs"
 
 
 def test_zmod_basics(z6):
@@ -183,6 +187,67 @@ def test_table_algebra_rejects_non_associative_above_dim_16():
     assert info.value.triple == (1, 1, 1)
 
 
+def _associativity_oracle(tensor, p):
+    """The first (i, j, l) with (b_i·b_j)·b_l != b_i·(b_j·b_l), or None,
+    from two einsums over Python ints."""
+    exact = np.asarray(tensor).astype(object)
+    left = np.einsum("ijm,mlk->ijlk", exact, exact) % p
+    right = np.einsum("jlm,imk->ijlk", exact, exact) % p
+    bad = np.argwhere((left != right).any(axis=3))
+    return tuple(int(v) for v in bad[0]) if len(bad) else None
+
+
+def _first_bad_triple(p, tensor, unity):
+    """The triple NotAssociative names for this tensor, or None."""
+    basis = [f"x{k}" for k in range(len(unity))]
+    try:
+        build_table_algebra(p, basis, unity, tensor)
+    except NotAssociative as exc:
+        return exc.triple
+    except NoUnity:
+        pass
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_associativity_check_names_the_oracles_triple(p, dim):
+    # dense random tensors, and GF(p)[t]/(t^dim) with one constant changed
+    rng = np.random.default_rng(10 * dim + p)
+    i, j = np.indices((dim, dim))
+    low = i + j < dim
+    base = np.zeros((dim,) * 3, dtype=np.int64)
+    base[i[low], j[low], (i + j)[low]] = 1
+    unity = [1] + [0] * (dim - 1)
+    triples = set()
+    for draw in range(40):
+        if draw % 2:
+            tensor = rng.integers(0, p, (dim,) * 3)
+        else:  # b_i·b_j for i, j > 0, so that the unity still acts
+            tensor = base.copy()
+            i, j = rng.integers(min(1, dim - 1), dim, 2)
+            tensor[i, j, rng.integers(dim)] += rng.integers(1, p)
+            tensor %= p
+        want = _associativity_oracle(tensor, p)
+        assert _first_bad_triple(p, tensor, unity) == want
+        triples.add(want)
+    # GF(p) has no non-associative tensor; larger dims fail on many triples
+    assert triples == {None} if dim == 1 else len(triples) > 2
+
+
+def test_associativity_check_on_python_ints():
+    # dim·(p-1)^2 passes 2^63 for dim 2, so the load check sums Python ints
+    p = 3037000493
+    assert not rings._int64_exact(p, 2) and p * p <= 1 << 63
+    tensor = np.zeros((2, 2, 2), dtype=np.int64)
+    tensor[0, 0, 0] = tensor[1, 1, 1] = 1  # GF(p) x GF(p)
+    assert build_table_algebra(p, ["e", "f"], [1, 1], tensor).size == p * p
+    tensor[0, 1, 0], tensor[1, 0, 1] = p - 1, p - 2
+    want = _associativity_oracle(tensor, p)
+    assert want is not None
+    assert _first_bad_triple(p, tensor, [1, 1]) == want
+
+
 @pytest.mark.parametrize("p,dim", [(2, 64), (3, 40)])
 def test_table_algebra_rejects_indices_past_int64(p, dim):
     # the diagonal algebra GF(p)^dim is valid, but p^dim > 2^63
@@ -298,6 +363,39 @@ def test_squarefree_small_values():
                      True, False, False, True, True, False]
 
 
+@pytest.mark.parametrize("spec", sorted(p.name for p in BENCH_SPECS.glob("*.json")))
+def test_semiprime_scan_matches_the_oracle_on_the_bench_specs(spec):
+    ring = cli.load_ring(str(BENCH_SPECS / spec))
+    assert rings._semiprime_scan(ring) == semiprime_scan_oracle(ring)
+
+
+def test_semiprime_scan_matches_the_oracle_on_small_rings(example):
+    cases = [example] + [build_zmod(n) for n in range(2, 400)]
+    cases += [build_matrix_ring(k, q)
+              for k, q in ((1, 2), (1, 5), (2, 2), (2, 3), (3, 2))]
+    # the unity of a scrambled algebra is not a basis vector
+    cases += [_scrambled_algebra(dim, seed=dim) for dim in range(1, 10)]
+    cases += [truncated_polynomials(p, m) for p, top in ((2, 14), (3, 7))
+              for m in range(1, top)]
+    found = [rings._semiprime_scan(ring) for ring in cases]
+    assert found == [semiprime_scan_oracle(ring) for ring in cases]
+    assert -1 in found and len(set(found)) > 10
+
+
+def test_semiprime_scan_tests_only_square_zero_candidates(monkeypatch):
+    ring = truncated_polynomials(2, 13)
+    idx = ring.all_indices()
+    square_zero = int(np.count_nonzero(ring.idx_mul(idx, idx) == 0))
+    want = semiprime_scan_oracle(ring)
+    plain, sizes = ring.idx_mul, []
+    monkeypatch.setattr(ring, "idx_mul", lambda I, J: sizes.append(
+        np.broadcast(I, J).size) or plain(I, J))
+    assert rings._semiprime_scan(ring) == want > 0
+    # the full-mask scan multiplies 2·dim·|R| elements
+    assert sum(sizes) <= 2 * ring.size + 2 * ring.dim * square_zero
+    assert square_zero == 64
+
+
 def test_elements_iterator_budget(z6):
     assert [e.index for e in z6.elements()] == list(range(6))
     big = build_zmod(5000, enumeration_budget=100)
@@ -393,13 +491,6 @@ def _einsum_mul(ring, I, J):
     return (Z @ (1 << shifts)).reshape(I.shape)
 
 
-def _truncated_polynomials(dim):
-    """GF(2)[t]/(t^dim) on the basis 1, t, ..., t^(dim-1)."""
-    basis = ["1"] + [f"t{k}" for k in range(1, dim)]
-    constants = [[i, j, i + j, 1] for i in range(dim) for j in range(dim - i)]
-    return build_table_algebra(2, basis, [1] + [0] * (dim - 1), constants)
-
-
 def _scrambled_algebra(dim, seed):
     """M_2(GF(2)) x GF(2)[t]/(t^(dim-4)) (GF(2)[t]/(t^dim) for dim <= 4),
     on a random basis, so that most basis products have several terms."""
@@ -438,7 +529,7 @@ def test_gf2_products_match_structure_constants_on_every_example_pair(example):
 
 @pytest.mark.parametrize("dim", [13, 17])
 def test_gf2_products_match_structure_constants_on_random_pairs(dim):
-    ring = _truncated_polynomials(dim)
+    ring = truncated_polynomials(2, dim)
     rng = np.random.default_rng(dim)
     I, J = rng.integers(0, ring.size, (2, 10 ** 5))
     assert np.array_equal(ring.idx_mul(I, J), _einsum_mul(ring, I, J))
@@ -461,7 +552,7 @@ def test_gf2_products_match_structure_constants_where_chunking_changes(dim):
     (np.arange(3, dtype=np.uint16), np.arange(3, dtype=np.uint16), (3,)),
 ])
 def test_gf2_products_broadcast_to_int64(I, J, shape):
-    ring = _truncated_polynomials(13)
+    ring = truncated_polynomials(2, 13)
     got = ring._raw_mul(I, J)
     assert isinstance(got, np.ndarray)
     assert got.dtype == np.int64 and got.shape == shape
