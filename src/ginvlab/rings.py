@@ -3,11 +3,12 @@
 Two backends: integers mod n (ZmodRing), and finite-dimensional
 structure-constant algebras over a prime field (TableRing).  k-by-k
 matrices over GF(q) are the table algebra on the matrix units
-(MatrixRing, a thin TableRing subclass).  Every element is identified
-with a canonical index in [0, |R|): the mixed-radix encoding of its
-reduced payload, most significant component first (residue value;
-coefficient vector, for matrices the row-major entries).  The index
-order is the canonical order used by sets and reports.
+(MatrixRing, a thin TableRing subclass).  An element has one encoding,
+its canonical index in [0, |R|): the residue in Z/n, and in a table
+algebra the base-p number whose digits are its basis coefficients, most
+significant first (for matrices the row-major entries; TableRing.digits
+decodes it).  Text goes through parsing (parse_element, render_elem).
+The index order is the canonical order used by sets and reports.
 
 Arithmetic is exposed two ways: Elem objects with operator overloading,
 and vectorized numpy operations on index arrays for scan-heavy set
@@ -23,7 +24,8 @@ The set kernels read whole-ring rows a*R and R*a from mul_rows: rows or
 columns of the product table, or one broadcast raw product.  idx_*() and
 mul_rows take any integer dtype and return int64 (the uint16 table stays
 here).
-_inner_rows, the one scan of a*x*a = a over R, gives I(a), Reg(R), Ref(a).
+_inner_rows, the one scan of a*x*a = a over R, gives I(a), Reg(R), Ref(a)
+and is_regular's witness, on every backend.
 
 Z/n computes in int64, so it refuses a modulus whose residue products
 could pass 2^63 (n > 3037000500) with InvalidModulus.
@@ -48,7 +50,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import gfmatrix, parsing
+from . import parsing
 from .errors import (
     BadTensorShape,
     BudgetExceeded,
@@ -110,7 +112,7 @@ def _is_int(value) -> bool:
 
 
 class Ring:
-    """Base class; subclasses fill in payload codecs and raw arithmetic."""
+    """Base class; subclasses fill in raw arithmetic on indices."""
 
     kind = "abstract"
 
@@ -140,22 +142,6 @@ class Ring:
 
     def __repr__(self):
         return f"<{type(self).__name__} size={self.size}>"
-
-    # --- payload codec (subclass) --------------------------------------
-
-    def payload_of_index(self, i: int):
-        raise NotImplementedError
-
-    def index_of_payload(self, payload) -> int:
-        raise NotImplementedError
-
-    def element(self, payload) -> "Elem":
-        """Build an element from a payload, reducing mod the characteristic."""
-        if isinstance(payload, Elem):
-            if payload.ring != self:
-                raise RingMismatch("element belongs to a different ring")
-            return Elem(self, payload.index)
-        return Elem(self, self.index_of_payload(payload))
 
     # --- raw vectorized index arithmetic (subclass; no tables) ---------
     # Operands may have any integer dtype; each kernel converts them to
@@ -362,10 +348,6 @@ class Elem:
         self.ring = ring
         self.index = int(index)
 
-    @property
-    def payload(self):
-        return self.ring.payload_of_index(self.index)
-
     def _coerce(self, other) -> "Elem":
         if not isinstance(other, Elem):
             raise TypeError(f"expected Elem, got {type(other).__name__}")
@@ -462,17 +444,6 @@ class ElemSet:
         tail = ", ..." if len(self.idx) > 8 else ""
         return f"{{{shown}{tail}}} ({len(self.idx)} elements)"
 
-    def intersection(self, other: "ElemSet") -> "ElemSet":
-        if other.ring != self.ring:
-            raise RingMismatch("sets belong to different rings")
-        return ElemSet(self.ring, np.intersect1d(self.idx, other.idx,
-                                                   assume_unique=True))
-
-    def issubset(self, other: "ElemSet") -> bool:
-        if other.ring != self.ring:
-            raise RingMismatch("sets belong to different rings")
-        return bool(np.isin(self.idx, other.idx).all())
-
 
 # ---------------------------------------------------------------------------
 # modular backend
@@ -492,12 +463,6 @@ class ZmodRing(Ring):
 
     def descriptor(self):
         return ("zmod", self.n)
-
-    def payload_of_index(self, i):
-        return int(i)
-
-    def index_of_payload(self, payload):
-        return int(payload) % self.n
 
     def _raw_mul(self, I, J):
         I, J = np.asarray(I, dtype=np.int64), np.asarray(J, dtype=np.int64)
@@ -625,15 +590,6 @@ class TableRing(Ring):
         out *= self.p
         out += _mod(digit, self.p, scratch)
 
-    def payload_of_index(self, i):
-        return tuple(self.digits(i))
-
-    def index_of_payload(self, payload):
-        vec = np.asarray(payload, dtype=np.int64) % self.p
-        if vec.shape != (self.dim,):
-            raise BadTensorShape(f"expected a coefficient vector of length {self.dim}")
-        return self._int_index(vec.tolist())
-
     # --- raw arithmetic ------------------------------------------------------
 
     def _chunk_tables(self):
@@ -756,19 +712,6 @@ class MatrixRing(TableRing):
     def descriptor(self):
         return ("matrix", self.k, self.q)
 
-    def payload_of_index(self, i):
-        d, k = self.digits(i), self.k
-        return tuple(tuple(d[r * k:r * k + k]) for r in range(k))
-
-    def index_of_payload(self, payload):
-        arr = np.asarray(payload, dtype=np.int64) % self.q
-        if arr.shape != (self.k, self.k):
-            raise BadTensorShape(f"expected a {self.k}x{self.k} grid")
-        return self._int_index(arr.ravel().tolist())
-
-    def matrix_of(self, e: Elem) -> np.ndarray:
-        return np.reshape(self.digits(e.index), (self.k, self.k))
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -882,17 +825,11 @@ def build_table_algebra(p: int, basis: Sequence[str], unity: Sequence[int],
 
 
 def is_regular(a: Elem) -> Optional[Elem]:
-    """Some a0 with a·a0·a = a, or None.
-
-    Matrix rings get a constructive witness (one row reduction) with no
-    enumeration; other backends take the first hit of one _inner_rows row.
-    """
-    ring = a.ring
-    if ring.kind == "matrix":
-        g = gfmatrix.inner_inverse_matrix(ring.matrix_of(a), ring.q)
-        return ring.element(g)
-    hits = np.flatnonzero(next(_inner_rows(ring, a.index))[1])
-    return Elem(ring, int(hits[0])) if len(hits) else None
+    """The least a0 with a·a0·a = a, the first member of I(a), or None:
+    the first hit of one _inner_rows row, so past the enumeration budget
+    this raises BudgetExceeded."""
+    hits = np.flatnonzero(next(_inner_rows(a.ring, a.index))[1])
+    return Elem(a.ring, int(hits[0])) if len(hits) else None
 
 
 def regular_elements(ring: Ring) -> ElemSet:
@@ -924,7 +861,7 @@ def is_semiprime(ring: Ring) -> SemiprimeVerdict:
     """True iff no nonzero a has a·t·a = 0 for all t.
 
     M_k(GF(q)) is simple, hence semiprime: MatrixRing presets the verdict,
-    as is_regular and regular_elements read its regularity constructively.
+    as regular_elements presets its regularity (every matrix is regular).
     Every ring past the enumeration budget raises BudgetExceeded, preset or
     not.  Other rings run _semiprime_scan once, on raw arithmetic unless
     the product table was already built: it builds none, so a single query

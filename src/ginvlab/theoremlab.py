@@ -288,6 +288,11 @@ class _Scan:
         return self.frames
 
     @cached_property
+    def inner_collisions(self) -> tuple:
+        """_collisions of the domain's I-sets, for theorem_inner and nielsen."""
+        return _collisions(*self._domain)
+
+    @cached_property
     def ref_pairs(self) -> tuple:
         """(a, x) for every x in Ref(a), a in the domain, sorted by a, x."""
         a, a0s = self._domain
@@ -395,11 +400,12 @@ def _unmatched(a, x, b, y) -> np.ndarray:
 def _ref_products(frames: Frames) -> tuple:
     """(a, v) for every v in I(a)*a*I(a), every element of frames, sorted
     by a, then v: one x per distinct (a, x*a) times one y per distinct
-    (a, a*y), sum |I(a)*a|*|a*I(a)| = sum |Ref(a)| products, one idx_mul."""
+    (a, a*y), sum |I(a)*a|*|a*I(a)| = sum |Ref(a)| products, one idx_mul.
+    x*a and a*x are read off each pair's frame (f, e)."""
     ring, a, w = frames.ring, frames.a, frames.witnesses
-    xa = ring.idx_mul(w, a)
+    xa = frames.f[frames.of]
     left, _ = _group(a, xa)
-    right, _ = _group(a, ring.idx_mul(a, w))
+    right, _ = _group(a, frames.e[frames.of])
     k, j = _within(a[left], a[right])
     prods = ring.idx_mul(xa[left][k], w[right][j])
     first, _ = _group(a[left][k], prods)
@@ -661,11 +667,11 @@ def _theorem_verdict(s: _Scan, which: str, first_pair, npairs: int, extra=""):
 
 
 def _check_theorem_inner(s: _Scan):
-    return _theorem_verdict(s, "I", *_collisions(*s._domain)[2:])
+    return _theorem_verdict(s, "I", *s.inner_collisions[2:])
 
 
 def _check_nielsen(s: _Scan):
-    elems, lead, _, npairs = _collisions(*s._domain)
+    elems, lead, _, npairs = s.inner_collisions
     # every ordered pair within a group, groups by first member, then a, b
     order = np.lexsort((elems, lead))
     members, lead = elems[order], lead[order]

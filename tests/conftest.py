@@ -19,6 +19,11 @@ def squarefree(n: int) -> bool:
     return True
 
 
+def meets_in_zero(s, t):
+    """Whether the element sets s and t, two additive subgroups, share only 0."""
+    return len(np.intersect1d(s.indices(), t.indices(), assume_unique=True)) == 1
+
+
 def _pairwise(ring, op, left, right):
     """Deduplicated op(l, r) over the full cross product, chunked."""
     left = _distinct(ring, [np.asarray(left, dtype=np.int64)])

@@ -94,10 +94,9 @@ def test_subset_and_equality_against_enumeration(m2gf2):
     for i in range(16):
         isets[i] = tuple(inner_inverses(ring.from_index(i)).idx)
     for i in range(16):
-        a = ring.payload_of_index(i)
-        a = np.asarray(a)
+        a = np.reshape(ring.digits(i), (2, 2))
         for j in range(16):
-            b = np.asarray(ring.payload_of_index(j))
+            b = np.reshape(ring.digits(j), (2, 2))
             lib = inner_set_equal_matrices(a, b, 2)
             assert lib == (isets[i] == isets[j]), (i, j)
             sub = inner_subset_matrices(a, b, 2)
@@ -110,8 +109,8 @@ def test_membership_against_ideal_scans(m2gf3):
     rng = random.Random(60)
     pairs = [(rng.randrange(81), rng.randrange(81)) for _ in range(200)]
     for bi, ai in pairs:
-        b = np.asarray(ring.payload_of_index(bi))
-        a = np.asarray(ring.payload_of_index(ai))
+        b = np.reshape(ring.digits(bi), (2, 2))
+        a = np.reshape(ring.digits(ai), (2, 2))
         ar = principal_right_ideal(ring.from_index(ai))
         ra = principal_left_ideal(ring.from_index(ai))
         assert membership_aR(b, a, 3) == (ring.from_index(bi) in ar)

@@ -4,7 +4,7 @@ idx_mul, idx_add, idx_neg and idx_sub take operands of any integer dtype
 (Python ints, 0-d arrays, int64 and uint16 arrays) and return int64 of
 the operands' broadcast shape, on every backend, with or without op
 tables (the `-tables` cases call build_tables(), which leaves Z/n raw).
-Results are compared with Python-int arithmetic on the decoded payloads.
+Results are compared with Python-int arithmetic on the decoded digits.
 mul_rows(a, side) gives the whole-ring rows a*R or R*a, equal to the
 broadcast idx_mul, as fresh int64 arrays within the enumeration budget.
 """
@@ -33,7 +33,7 @@ CASES = ([(name, True) for name in TABLED]
 
 
 def _digits(ring, i):
-    """The payload of index i as a flat list of Python ints."""
+    """The digits of index i (the residue, for Z/n) as Python ints."""
     if ring.kind == "zmod":
         return [i]
     return [i // ring.char ** (ring.dim - 1 - m) % ring.char

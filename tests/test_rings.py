@@ -41,7 +41,8 @@ def test_zmod_is_exact_up_to_its_int64_bound():
     ring = build_zmod(n)
     assert int(ring.idx_mul(n - 1, n - 1)) == 1
     assert int(ring.idx_add(n - 1, n - 1)) == n - 2
-    assert (ring.element(n - 1) * ring.element(n - 1)).index == 1
+    a = parse_element(ring, str(n - 1))
+    assert (a * a).index == 1
 
 
 @pytest.mark.parametrize("n", [3037000501, 10 ** 18 + 9, 2 ** 63 + 25])
@@ -130,12 +131,11 @@ def test_matrix_ring_layout(m2gf2):
     assert (e12 * e11).index == 0
 
 
-def test_matrix_payload_roundtrip(m2gf3):
+def test_matrix_digits_roundtrip(m2gf3):
     rng = random.Random(0)
     for _ in range(25):
         i = rng.randrange(m2gf3.size)
-        mat = m2gf3.payload_of_index(i)
-        flat = [c for row in mat for c in row]
+        flat = m2gf3.digits(i)
         assert len(flat) == 4 and all(0 <= c < 3 for c in flat)
         back = int(sum(c * p for c, p in zip(flat, m2gf3._powers)))
         assert back == i
@@ -279,8 +279,6 @@ def test_elemset_behavior(z6):
     assert z6.from_index(3) in s
     assert z6.from_index(2) not in s
     assert s == ElemSet.from_indices(z6, [1, 3, 5])
-    assert s.issubset(ElemSet.from_indices(z6, range(6)))
-    assert len(s.intersection(ElemSet.from_indices(z6, [0, 1, 2]))) == 1
 
 
 def test_units(z6, m2gf2, example):
@@ -679,10 +677,8 @@ def test_matrix_kernel_broadcasts_to_int64(I, J, shape):
 def test_matrix_ring_past_int64_indices_refuses_element_use():
     ring = build_matrix_ring(8, 2)  # 2^64 elements: builds, never indexes
     assert ring.size == 2 ** 64
-    for make in (lambda: parse_element(ring, "e11"),
-                 lambda: ring.element(np.ones((8, 8), dtype=np.int64))):
-        with pytest.raises(InvalidModulus, match="2\\^64 elements"):
-            make()
+    with pytest.raises(InvalidModulus, match="2\\^64 elements"):
+        parse_element(ring, "e11")
     with pytest.raises(InvalidModulus):
         ring.idx_mul(np.arange(4), 3)
 
@@ -691,10 +687,9 @@ def test_matrix_ring_past_int64_digit_products_refuses_element_use():
     q = 4611686018427387847
     ring = build_matrix_ring(1, q)
     a = Elem(ring, 3037000500)
-    with pytest.raises(InvalidModulus, match="past int64"):
-        a * a
-    with pytest.raises(InvalidModulus, match="past int64"):
-        ring.element([[3037000500]])
+    for make in (lambda: a * a, lambda: parse_element(ring, "3037000500 e11")):
+        with pytest.raises(InvalidModulus, match="past int64"):
+            make()
     with pytest.raises(InvalidModulus):
         ring.idx_add(np.arange(3), 5)
 
