@@ -3,9 +3,9 @@
 Matrices are plain numpy arrays with entries reduced mod q; every
 function takes q explicitly.  Elimination is integer-exact (modular
 inverses via pow(x, -1, q)), so there is no floating point anywhere.
-Entries are int64 while a k-term sum of products of residues fits in
-int64 (rings._int64_exact), and Python ints (object arrays) past that,
-so that no product or sum below wraps.
+Entries are Python ints (object arrays) for every q, so that no product
+or sum below wraps, and the oracle shares no arithmetic with the ring
+backends it is compared against.
 
 One row reduction T·A = R gives the constructive inner inverse G0 = S·T
 (S places the pivot rows; see inner_inverse_matrix), which is reflexive
@@ -17,16 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import rings
 from .errors import BadTensorShape
 
 
 def _reduced(A, q: int) -> np.ndarray:
-    """A mod q, as int64 or, past the int64 bound, as Python ints."""
-    A = np.asarray(A, dtype=object) % q
-    if rings._int64_exact(q, max(A.shape, default=1)):
-        return A.astype(np.int64)
-    return A
+    """A mod q, as an array of Python ints."""
+    return np.asarray(A, dtype=object) % q
 
 
 def row_reduce(A: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, list[int]]:

@@ -12,14 +12,15 @@ The index order is the canonical order used by sets and reports.
 
 Arithmetic is exposed two ways: Elem objects with operator overloading,
 and vectorized numpy operations on index arrays for scan-heavy set
-computations.  Each backend has one vectorized kernel per operation
-(raw arithmetic), for arrays and 0-d operands alike.  Products run raw
+computations.  Each backend has two vectorized kernels, a product and a
+sum (raw arithmetic), for arrays and 0-d operands alike; -x is x·(-1),
+so negation and subtraction go through the product.  Products run raw
 until build_tables() builds the |R|^2 product table, which then answers
 by one flat take on the raveled table, key I*|R| + J.  The table pays
 only for quadratic work, so only theoremlab's _Scan and regular_elements
 build it, and only on rings of at most TABLE_CAP elements; Z/n never
 does, since a residue product is one numpy op, reduced by floor
-division.  Sums and negations always run raw, and single queries too.
+division.  Sums always run raw, and single queries too.
 The set kernels read whole-ring rows a*R and R*a from mul_rows: rows or
 columns of the product table, or one broadcast raw product.  idx_*() and
 mul_rows take any integer dtype and return int64 (the uint16 table stays
@@ -124,6 +125,7 @@ class Ring:
         self._all = None
         self._units = None
         self._semiprime = None
+        self._minus_one = None
 
     # --- identity ----------------------------------------------------
 
@@ -153,9 +155,6 @@ class Ring:
     def _raw_add(self, I, J):
         raise NotImplementedError
 
-    def _raw_neg(self, I):
-        raise NotImplementedError
-
     # --- table management ----------------------------------------------
 
     def has_tables(self) -> bool:
@@ -164,9 +163,9 @@ class Ring:
 
     def build_tables(self) -> None:
         """Build the product table once, if the ring has at most TABLE_CAP
-        elements; larger rings stay on raw arithmetic.  Sums and
-        negations always run raw: a table of them costs about what it
-        saves.
+        elements; larger rings stay on raw arithmetic.  Sums always run
+        raw: a table of them costs about what it saves.  Negations are
+        products by -1, so they read the table too.
 
         Building costs |R|^2 products, which only a quadratic scan earns
         back, so only _Scan and regular_elements call this.
@@ -195,7 +194,8 @@ class Ring:
     # Every idx_* result is int64, of the operands' broadcast shape (an
     # int64 scalar or 0-d array for scalar operands), whatever the integer
     # dtype of the operands; the uint16 product table never leaves this
-    # module.  Only idx_mul and mul_rows read it: sums and negations run raw.
+    # module.  Only idx_mul and mul_rows read it (idx_neg and idx_sub through
+    # idx_mul): sums run raw.
 
     def idx_mul(self, I, J):
         if self._mul_table is not None:
@@ -206,7 +206,11 @@ class Ring:
         return self._raw_add(I, J)
 
     def idx_neg(self, I):
-        return self._raw_neg(I)
+        """-I as I·(-1).  The index of -1 is kept after the first call; a
+        ring past int64 refuses element use here, inside scale_index."""
+        if self._minus_one is None:
+            self._minus_one = self.scale_index(self.char - 1, self._one_index)
+        return self.idx_mul(I, self._minus_one)
 
     def mul_rows(self, a, side: str) -> np.ndarray:
         """Row k is a_k*R (side "right") or R*a_k (side "left"): a fresh,
@@ -253,10 +257,6 @@ class Ring:
     def ensure_enumerable(self):
         if self.size > self.enumeration_budget:
             raise BudgetExceeded(self.size, self.enumeration_budget)
-
-    def elements(self) -> Iterator["Elem"]:
-        self.ensure_enumerable()
-        return (Elem(self, i) for i in range(self.size))
 
     # --- units -------------------------------------------------------------
 
@@ -472,9 +472,6 @@ class ZmodRing(Ring):
         I, J = np.asarray(I, dtype=np.int64), np.asarray(J, dtype=np.int64)
         return _mod(I + J, self.n)
 
-    def _raw_neg(self, I):
-        return _mod(-np.asarray(I, dtype=np.int64), self.n)
-
     def additive_generator_indices(self):
         return np.asarray([self._one_index], dtype=np.int64)
 
@@ -662,16 +659,6 @@ class TableRing(Ring):
         out, acc, part = _buffers(I.shape, J.shape)
         for x, y in zip(self._digit_arrays(I), self._digit_arrays(J)):
             np.add(x, y, out=acc)
-            self._fold(out, acc, part)
-        return out
-
-    def _raw_neg(self, I):
-        if self.p == 2:
-            return np.array(I, dtype=np.int64)  # a copy: never the operand
-        I = np.asarray(I, dtype=np.int64)
-        out, acc, part = _buffers(I.shape)
-        for x in self._digit_arrays(I):
-            np.negative(x, out=acc)
             self._fold(out, acc, part)
         return out
 

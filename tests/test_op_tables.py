@@ -3,14 +3,16 @@ changes no answer.
 
 A ring's |R|^2 product table is built only by build_tables(), which only
 theoremlab's _Scan and regular_elements call, and which leaves Z/n raw.
-Sums and negations always run raw.  Single queries (every `inv` kind,
-every `matrix` op, the semiprime header) run on raw arithmetic.  Builds
-are counted at Ring._tables, the one place that fills the table.
+Sums always run raw; a negation is the product by -1, so it reads the
+table once built.  Single queries (every `inv` kind, every `matrix` op,
+the semiprime header) run on raw arithmetic.  Builds are counted at
+Ring._tables, the one place that fills the table.
 """
 
 import json
 import random
 
+import numpy as np
 import pytest
 
 from ginvlab import (TABLE_CAP, BudgetExceeded, TableCapExceeded,
@@ -146,20 +148,34 @@ def test_tables_change_no_answer(name):
 
 
 @pytest.mark.parametrize("name", ["m2gf3", "example"])
-def test_sums_and_negations_run_raw_beside_the_product_table(
+def test_sums_run_raw_and_negations_read_the_product_table(
         name, request, monkeypatch):
     ring = request.getfixturevalue(name)
     ring.build_tables()
     assert ring.has_tables()
     calls = []
-    for op in ("_raw_add", "_raw_neg"):
+    for op in ("_raw_add", "_raw_mul"):
         plain = getattr(ring, op)
         monkeypatch.setattr(ring, op, lambda *args, op=op, plain=plain:
                             calls.append(op) or plain(*args))
     idx = ring.all_indices()
     ring.idx_add(idx, idx[::-1])
     ring.idx_neg(idx)
-    assert calls == ["_raw_add", "_raw_neg"]
+    assert calls == ["_raw_add"]
+
+
+@pytest.mark.parametrize("tables", [False, True])
+@pytest.mark.parametrize("name", ["z30", "m2gf3", "example10", "m2gf5"])
+def test_negation_is_the_product_by_minus_one(name, tables):
+    ring = {**RINGS, "m2gf5": lambda: build_matrix_ring(2, 5)}[name]()
+    if tables:
+        ring.build_tables()
+    idx = ring.all_indices()
+    # -1 found by sums alone: the one m with 1 + m = 0
+    (minus_one,) = np.flatnonzero(ring.idx_add(ring.one().index, idx) == 0)
+    neg = ring.idx_neg(idx)
+    assert np.array_equal(neg, ring.idx_mul(idx, minus_one))
+    assert not ring.idx_add(idx, neg).any()
 
 
 @pytest.mark.parametrize("k,q", [(2, 2), (2, 3), (3, 2), (2, 5)])

@@ -220,7 +220,8 @@ def test_hartwig_past_the_budget_skips_like_every_other_check():
 def test_decomposition_checks_every_reflexive_witness(m2gf2, monkeypatch):
     # break the kernel for one (a, a0) only: the last reflexive witness of
     # the last element that has several, so every earlier witness passes
-    a, a0 = [(a, ref.indices()[-1]) for a in m2gf2.elements()
+    a, a0 = [(a, ref.indices()[-1])
+             for a in map(m2gf2.from_index, range(m2gf2.size))
              for ref in [reflexive_inverses(a)] if len(ref) > 1][-1]
 
     def dropping_one(frames, sizes):
@@ -244,7 +245,8 @@ def test_decomposition_checks_every_reflexive_witness(m2gf2, monkeypatch):
 
 def _last_with_several(ring, setter):
     """(a, w): the last element whose set has several members, and its last."""
-    return [(a.index, int(got[-1])) for a in ring.elements()
+    return [(a.index, int(got[-1]))
+            for a in map(ring.from_index, range(ring.size))
             for got in [setter(a).indices()] if len(got) > 1][-1]
 
 
@@ -431,8 +433,8 @@ def test_refl_map_names_the_first_element_with_a_failing_property(m2gf2):
     # arrays: dropping a member from the later element's Ref(a) breaks the
     # image there, and merging the earlier element's frames breaks the
     # fibers there; the earlier element is named, with its first clash
-    several = [a.index for a in m2gf2.elements()
-               if len(reflexive_inverses(a)) > 1]
+    several = [i for i in range(m2gf2.size)
+               if len(reflexive_inverses(m2gf2.from_index(i))) > 1]
     early, late = several[0], several[-1]
     scan = theoremlab._Scan(m2gf2)
     a, x = scan._domain
@@ -463,8 +465,8 @@ def test_refl_map_names_a_value_shared_by_two_frames(m2gf2):
     # frame of its own leaves x*a*x constant on every frame, but gives the
     # element more frames than values; the frame's first witness is named
     # as x and the moved one as y
-    early = next(a.index for a in m2gf2.elements()
-                 if len(reflexive_inverses(a)) > 1)
+    early = next(i for i in range(m2gf2.size)
+                 if len(reflexive_inverses(m2gf2.from_index(i))) > 1)
     scan = theoremlab._Scan(m2gf2)
     frames = scan.frames
     mine = np.flatnonzero(frames.a == early)
@@ -857,8 +859,8 @@ def test_refl_map_names_the_first_element_then_a_property(
     # the later element loses a member of Ref(a), so its image fails; the
     # product law fails at the earlier element (or at the later one too):
     # an earlier product-law failure wins, a property wins at the same a
-    several = [a.index for a in m2gf2.elements()
-               if len(reflexive_inverses(a)) > 1]
+    several = [i for i in range(m2gf2.size)
+               if len(reflexive_inverses(m2gf2.from_index(i))) > 1]
     early, late = several[0], several[-1]
     lost = late if same else early
     x = int(reflexive_inverses(m2gf2.from_index(lost)).indices()[0])
