@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
 
 from . import __version__, fixture, ginv, gfmatrix, parsing, rings, theoremlab
 from .errors import BudgetExceeded, GinvError
@@ -19,14 +18,22 @@ from .rings import DEFAULT_BUDGET, Elem, Ring
 
 DISPLAY_CAP = 64
 
-# `inv --kind` -> (label, set function); the kind "ideals" lists aR and Ra
+# `inv --kind` -> its report entries (name, label with {} for the element,
+# set function); the kind "ideals" lists aR and Ra
 _INV_KINDS = {
-    "inner": ("inner inverses", ginv.inner_inverses),
-    "outer": ("outer inverses", ginv.outer_inverses),
-    "reflexive": ("reflexive inverses", ginv.reflexive_inverses),
-    "iann": ("inner annihilator", ginv.inner_annihilator),
-    "left-ann": ("left annihilator", ginv.left_annihilator),
-    "right-ann": ("right annihilator", ginv.right_annihilator),
+    "inner": (("inv_inner", "inner inverses of {}", ginv.inner_inverses),),
+    "outer": (("inv_outer", "outer inverses of {}", ginv.outer_inverses),),
+    "reflexive": (("inv_reflexive", "reflexive inverses of {}",
+                   ginv.reflexive_inverses),),
+    "iann": (("inv_iann", "inner annihilator of {}", ginv.inner_annihilator),),
+    "left-ann": (("inv_left_ann", "left annihilator of {}",
+                  ginv.left_annihilator),),
+    "right-ann": (("inv_right_ann", "right annihilator of {}",
+                   ginv.right_annihilator),),
+    "ideals": (("inv_right_ideal", "right ideal {}*R",
+                ginv.principal_right_ideal),
+               ("inv_left_ideal", "left ideal R*{}",
+                ginv.principal_left_ideal)),
 }
 
 
@@ -57,11 +64,10 @@ def _list_field(data: dict, name: str) -> list:
     return value
 
 
-def load_ring(spec: str, budget: Optional[int] = None) -> Ring:
+def load_ring(spec: str, budget: int = DEFAULT_BUDGET) -> Ring:
     """Builtin name or path to a JSON ring spec file."""
-    bud = DEFAULT_BUDGET if budget is None else budget
     if spec == "example10":
-        return fixture.build_example_ring(bud)
+        return fixture.build_example_ring(budget)
     path = Path(spec)
     if not path.is_file():
         raise ValueError(
@@ -71,14 +77,15 @@ def load_ring(spec: str, budget: Optional[int] = None) -> Ring:
         raise ValueError("ring spec must be a JSON object")
     kind = _field(data, "kind")
     if kind == "zmod":
-        return rings.build_zmod(_int_field(data, "n"), bud)
+        return rings.build_zmod(_int_field(data, "n"), budget)
     if kind == "matrix":
         return rings.build_matrix_ring(_int_field(data, "k"),
-                                       _int_field(data, "q"), bud)
+                                       _int_field(data, "q"), budget)
     if kind == "table":
         return rings.build_table_algebra(
             _int_field(data, "p"), _list_field(data, "basis"),
-            _list_field(data, "unity"), _list_field(data, "constants"), bud)
+            _list_field(data, "unity"), _list_field(data, "constants"),
+            budget)
     raise ValueError(f"unknown ring spec kind {kind!r}")
 
 
@@ -169,18 +176,9 @@ def cmd_inv(args) -> int:
     ring_obj, header = _ring_header(ring)
     cap = ring.size if args.all else DISPLAY_CAP
     shown = parsing.render_elem(a)
-    if args.kind == "ideals":
-        jobs = [("inv_right_ideal", f"right ideal {shown}*R",
-                 ginv.principal_right_ideal),
-                ("inv_left_ideal", f"left ideal R*{shown}",
-                 ginv.principal_left_ideal)]
-    else:
-        label, fn = _INV_KINDS[args.kind]
-        jobs = [(f"inv_{args.kind.replace('-', '_')}",
-                 f"{label} of {shown}", fn)]
     checks, lines = [], [header]
-    for name, label, fn in jobs:
-        entry, body = _set_entry(name, label, fn, a, cap)
+    for name, label, fn in _INV_KINDS[args.kind]:
+        entry, body = _set_entry(name, label.format(shown), fn, a, cap)
         checks.append(entry)
         lines.extend(body)
     _emit(args, _document(ring_obj, checks), lines)
@@ -225,9 +223,8 @@ def cmd_matrix(args) -> int:
         print(f"error: {args.op} takes {need} matrix argument(s), "
               f"got {len(args.matrices)}", file=sys.stderr)
         return 2
-    budget = DEFAULT_BUDGET if args.budget is None else args.budget
     # validates k and q before arithmetic
-    ring = rings.build_matrix_ring(k, q, budget)
+    ring = rings.build_matrix_ring(k, q, args.budget)
     mats = [gfmatrix.parse_matrix(t, k, q) for t in args.matrices]
     ring_obj, header = _ring_header(ring)
     lines = [header]
@@ -244,8 +241,7 @@ def cmd_matrix(args) -> int:
         lines.append("inner inverse sets equal: " + ("yes" if equal else "no"))
     else:
         b, a = mats
-        in_ar = gfmatrix.membership_aR(b, a, q)
-        in_ra = gfmatrix.membership_Ra(b, a, q)
+        in_ar, in_ra = gfmatrix.membership(b, a, q)
         witnesses = list(zip("ba", args.matrices))
         note = (f"b in aR: {str(in_ar).lower()}; "
                 f"b in Ra: {str(in_ra).lower()}")
@@ -264,7 +260,7 @@ def _common() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default text)")
-    common.add_argument("--budget", type=int, default=None,
+    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="enumeration budget override")
     common.add_argument("--no-timing", action="store_true",
                         help="zero out timing fields for reproducible output")
@@ -290,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("spec", help='ring spec file or "example10"')
     p_inv.add_argument("--elem", required=True,
                        help='element expression, e.g. "3" or "a + bx"')
-    p_inv.add_argument("--kind", choices=(*_INV_KINDS, "ideals"),
+    p_inv.add_argument("--kind", choices=tuple(_INV_KINDS),
                        default="inner")
     p_inv.add_argument("--all", action="store_true",
                        help=f"list every member (default caps at {DISPLAY_CAP})")
@@ -324,7 +320,7 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
-        if getattr(args, "budget", None) is not None and args.budget < 1:
+        if args.budget < 1:
             raise ValueError("--budget must be a positive integer, "
                              f"got {args.budget}")
         return args.func(args)

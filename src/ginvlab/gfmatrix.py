@@ -9,8 +9,9 @@ backends it is compared against.
 
 One row reduction T·A = R gives the constructive inner inverse G0 = S·T
 (S places the pivot rows; see inner_inverse_matrix), which is reflexive
-by construction.  Rank additivity gives the intersection tests behind
-the inner-inverse-set comparison criterion for matrix rings.
+by construction.  Rank additivity decides the inner-inverse-set
+comparison criterion for matrix rings.  Each oracle computes every rank,
+and every G0, that it needs once.
 """
 
 from __future__ import annotations
@@ -81,31 +82,19 @@ def inner_inverse_matrix(A, q: int) -> np.ndarray:
     return G
 
 
-def col_intersection_trivial(B, D, q: int) -> bool:
-    """True iff the column spaces of B and D meet only in 0.
-
-    Equivalent to rank([B | D]) = rank(B) + rank(D), and to
-    BR ∩ DR = {0} in the matrix ring.
-    """
-    B, D = _reduced(B, q), _reduced(D, q)
-    return rank(np.hstack([B, D]), q) == rank(B, q) + rank(D, q)
+def _meets_trivially(X, D, rank_sum: int, q: int) -> bool:
+    """XR ∩ DR = {0} and RX ∩ RD = {0}: rank([X | D]) and rank([X ; D])
+    both equal rank_sum = rank X + rank D."""
+    return (rank(np.hstack([X, D]), q) == rank_sum
+            and rank(np.vstack([X, D]), q) == rank_sum)
 
 
-def row_intersection_trivial(B, D, q: int) -> bool:
-    """True iff the row spaces of B and D meet only in 0 (RB ∩ RD dual)."""
-    return col_intersection_trivial(_reduced(B, q).T, _reduced(D, q).T, q)
-
-
-def membership_aR(b, a, q: int) -> bool:
-    """b ∈ aR, decided by a·a⁻·b = b for the constructive inner inverse."""
+def membership(b, a, q: int) -> tuple[bool, bool]:
+    """(b ∈ aR, b ∈ Ra), by a·G0·b = b and b·G0·a = b for one G0 of a."""
     a, b = _reduced(a, q), _reduced(b, q)
-    return np.array_equal((a @ inner_inverse_matrix(a, q) % q) @ b % q, b)
-
-
-def membership_Ra(b, a, q: int) -> bool:
-    """b ∈ Ra, decided by b·a⁻·a = b."""
-    a, b = _reduced(a, q), _reduced(b, q)
-    return np.array_equal((b @ inner_inverse_matrix(a, q) % q) @ a % q, b)
+    g = inner_inverse_matrix(a, q)
+    return (np.array_equal((a @ g % q) @ b % q, b),
+            np.array_equal((b @ g % q) @ a % q, b))
 
 
 def inner_subset_matrices(A, B, q: int) -> bool:
@@ -117,12 +106,17 @@ def inner_subset_matrices(A, B, q: int) -> bool:
     """
     B = _reduced(B, q)
     D = (_reduced(A, q) - B) % q
-    return col_intersection_trivial(B, D, q) and row_intersection_trivial(B, D, q)
+    return _meets_trivially(B, D, rank(B, q) + rank(D, q), q)
 
 
 def inner_set_equal_matrices(A, B, q: int) -> bool:
-    """Decides I(A) = I(B) via the subset criterion in both directions."""
-    return inner_subset_matrices(A, B, q) and inner_subset_matrices(B, A, q)
+    """Decides I(A) = I(B) via the subset criterion in both directions;
+    they share rank D, since B − A = −D spans the rows and columns of D."""
+    A, B = _reduced(A, q), _reduced(B, q)
+    D = (A - B) % q
+    rank_d = rank(D, q)
+    return (_meets_trivially(B, D, rank(B, q) + rank_d, q)
+            and _meets_trivially(A, D, rank(A, q) + rank_d, q))
 
 
 def parse_matrix(text: str, k: int, q: int) -> np.ndarray:

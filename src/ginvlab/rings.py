@@ -157,10 +157,6 @@ class Ring:
 
     # --- table management ----------------------------------------------
 
-    def has_tables(self) -> bool:
-        """Whether this ring's product table is built."""
-        return self._mul_table is not None
-
     def build_tables(self) -> None:
         """Build the product table once, if the ring has at most TABLE_CAP
         elements; larger rings stay on raw arithmetic.  Sums always run

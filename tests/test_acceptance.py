@@ -22,8 +22,7 @@ from ginvlab import (ZmodRing, additive_span, build_example_ring,
                      left_annihilator, parse_element, principal_left_ideal,
                      principal_right_ideal, reflexive_inverses,
                      regular_elements, right_annihilator)
-from ginvlab.gfmatrix import (inner_set_equal_matrices, membership_Ra,
-                              membership_aR)
+from ginvlab.gfmatrix import inner_set_equal_matrices, membership
 
 from conftest import meets_in_zero, squarefree
 
@@ -167,8 +166,8 @@ def test_c06_matrix_oracles_agree_with_enumeration(m2gf2, m2gf3):
                 assert inner_set_equal_matrices(mats[i], mats[j], q) \
                     == enum_equal
                 b = ring.from_index(i)
-                assert membership_aR(mats[i], mats[j], q) == (b in rid[j])
-                assert membership_Ra(mats[i], mats[j], q) == (b in lid[j])
+                assert membership(mats[i], mats[j], q) \
+                    == (b in rid[j], b in lid[j])
 
 
 def test_c07_shared_inverse_sets_force_nonregular_sum(

@@ -8,11 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ginvlab import BadTensorShape
+from ginvlab import BadTensorShape, gfmatrix
 from ginvlab.gfmatrix import (inner_inverse_matrix, inner_set_equal_matrices,
-                              inner_subset_matrices, membership_Ra,
-                              membership_aR, parse_matrix, rank,
-                              render_matrix, row_reduce)
+                              inner_subset_matrices, membership, parse_matrix,
+                              rank, render_matrix, row_reduce)
 from ginvlab.ginv import inner_inverses, principal_left_ideal, principal_right_ideal
 
 
@@ -88,20 +87,41 @@ def test_e11_is_its_own_ginverse():
     assert render_matrix(inner_inverse_matrix(e11, 2)) == "1,0;0,0"
 
 
-def test_subset_and_equality_against_enumeration(m2gf2):
-    ring = m2gf2
-    isets = {}
-    for i in range(16):
-        isets[i] = tuple(inner_inverses(ring.from_index(i)).idx)
-    for i in range(16):
-        a = np.reshape(ring.digits(i), (2, 2))
-        for j in range(16):
-            b = np.reshape(ring.digits(j), (2, 2))
-            lib = inner_set_equal_matrices(a, b, 2)
-            assert lib == (isets[i] == isets[j]), (i, j)
-            sub = inner_subset_matrices(a, b, 2)
-            brute = set(isets[i]) <= set(isets[j])
-            assert sub == brute, (i, j)
+def test_subset_and_equality_against_enumeration(m2gf2, m2gf3):
+    """Every ordered pair of M_2(GF(2)) and of M_2(GF(3)) (6,561 pairs)."""
+    for ring, q in ((m2gf2, 2), (m2gf3, 3)):
+        isets = [set(inner_inverses(ring.from_index(i)).indices().tolist())
+                 for i in range(ring.size)]
+        mats = [np.reshape(ring.digits(i), (2, 2)) for i in range(ring.size)]
+        for i, a in enumerate(mats):
+            for j, b in enumerate(mats):
+                lib = inner_set_equal_matrices(a, b, q)
+                assert lib == (isets[i] == isets[j]), (q, i, j)
+                sub = inner_subset_matrices(a, b, q)
+                assert sub == (isets[i] <= isets[j]), (q, i, j)
+
+
+def test_oracles_eliminate_each_matrix_once(monkeypatch):
+    """Subset: rank B, rank D and the two stackings of B and D.  Equality
+    of A with itself passes both directions, which share rank D: 7.
+    Membership reduces a once for its one G0."""
+    calls = []
+    plain = gfmatrix.row_reduce
+    monkeypatch.setattr(gfmatrix, "row_reduce",
+                        lambda A, q: calls.append(q) or plain(A, q))
+
+    def eliminations(oracle, *args):
+        calls.clear()
+        oracle(*args)
+        return len(calls)
+
+    rng = random.Random(70)
+    for _ in range(40):
+        k, q = rng.choice(((2, 2), (2, 3), (3, 3), (3, 5)))
+        a, b = _random_matrix(rng, k, q), _random_matrix(rng, k, q)
+        assert eliminations(inner_subset_matrices, a, b, q) <= 4
+        assert eliminations(inner_set_equal_matrices, a, a, q) == 7
+        assert eliminations(membership, b, a, q) == 1
 
 
 def test_membership_against_ideal_scans(m2gf3):
@@ -113,5 +133,5 @@ def test_membership_against_ideal_scans(m2gf3):
         a = np.reshape(ring.digits(ai), (2, 2))
         ar = principal_right_ideal(ring.from_index(ai))
         ra = principal_left_ideal(ring.from_index(ai))
-        assert membership_aR(b, a, 3) == (ring.from_index(bi) in ar)
-        assert membership_Ra(b, a, 3) == (ring.from_index(bi) in ra)
+        assert membership(b, a, 3) == (ring.from_index(bi) in ar,
+                                       ring.from_index(bi) in ra)

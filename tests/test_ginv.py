@@ -8,8 +8,8 @@ import pytest
 
 from ginvlab import (BudgetExceeded, ElemSet, NotInnerInverse,
                      NotReflexiveInverse, RingMismatch, ZmodRing,
-                     additive_span, build_matrix_ring, build_zmod,
-                     iann_decomposition_batch, idempotent_frames,
+                     additive_span, build_matrix_ring, build_table_algebra,
+                     build_zmod, iann_decomposition_batch, idempotent_frames,
                      inner_annihilator, inner_inverses,
                      inner_inverses_param_batch, is_regular,
                      left_annihilator, outer_inverses, parse_element,
@@ -72,6 +72,45 @@ def test_matrix_counts_match_the_rank_closed_forms(k, q):
     inner, refl = _inverse_counts(ring, a)
     assert np.array_equal(inner, q ** (k * k - r * r))
     assert np.array_equal(refl, q ** (2 * r * (k - r)))
+
+
+def _direct_product(factors):
+    """M_k1(GF(q)) x M_k2(GF(q)) x ... for factors [(k1, q), (k2, q), ...],
+    the table algebra with each factor's structure constants and unity as
+    one diagonal block."""
+    blocks = [build_matrix_ring(k, q) for k, q in factors]
+    dim = sum(m.dim for m in blocks)
+    tensor = np.zeros((dim,) * 3, dtype=np.int64)
+    start = 0
+    for m in blocks:
+        block = slice(start, start + m.dim)
+        tensor[block, block, block] = m.tensor
+        start += m.dim
+    return build_table_algebra(factors[0][1], [f"b{i}" for i in range(dim)],
+                               sum((m.unity for m in blocks), ()), tensor)
+
+
+@pytest.mark.parametrize("factors", [[(2, 2), (2, 2)], [(2, 3), (1, 3)],
+                                     [(1, 5)] * 3],
+                         ids=["m2gf2^2", "m2gf3*gf3", "gf5^3"])
+def test_direct_product_counts_are_products_of_the_closed_forms(factors):
+    """An element of a direct product is one matrix per factor, and its
+    inverse sets are the products of theirs, so |I(a)| and |Ref(a)| are
+    products of q^(k^2 - r^2) and q^(2r(k - r)) over the factors."""
+    ring = _direct_product(factors)
+    digits = [ring.digits(i) for i in range(ring.size)]
+    inner = np.ones(ring.size, dtype=np.int64)
+    refl = np.ones(ring.size, dtype=np.int64)
+    start = 0
+    for k, q in factors:
+        r = np.asarray([gfmatrix.rank(np.reshape(d[start:start + k * k],
+                                                 (k, k)), q) for d in digits])
+        inner *= q ** (k * k - r * r)
+        refl *= q ** (2 * r * (k - r))
+        start += k * k
+    assert ring.size == math.prod(q ** (k * k) for k, q in factors)
+    assert [a.tolist() for a in _inverse_counts(ring, ring.all_indices())] \
+        == [inner.tolist(), refl.tolist()]
 
 
 @pytest.mark.parametrize("n,factors", [
@@ -178,7 +217,7 @@ def test_param_matches_scan(z6, z4, m2gf2):
 def test_coset_verdicts_above_table_cap():
     # Z/5005 has no op tables: both verdicts run on raw arithmetic
     ring = build_zmod(5005)
-    assert not ring.has_tables()
+    assert ring._mul_table is None
     picks = random.Random(11).sample(range(ring.size), 40)
     regular = [a for a in map(ring.from_index, picks) if is_regular(a)][:5]
     assert len(regular) == 5
@@ -335,7 +374,7 @@ def test_ref_decomposition_matches_defining_family_example(example):
 def test_ref_decomposition_rows_above_table_cap():
     # Z/5005 has no op tables: the array form runs on raw arithmetic
     ring = build_zmod(5005)
-    assert not ring.has_tables()
+    assert ring._mul_table is None
     picks = random.Random(11).sample(range(ring.size), 40)
     regular = [a for a in map(ring.from_index, picks) if is_regular(a)][:5]
     assert len(regular) == 5
@@ -519,7 +558,7 @@ def test_pairwise_dedups_with_and_without_op_tables(z30, left, right):
     tabled = build_zmod(30)
     tabled._tables()  # build_tables() leaves Z/n raw; force the tables
     with_tables = _pairwise(tabled, tabled.idx_add, left, right)
-    assert not z30.has_tables()
+    assert z30._mul_table is None
     without_tables = _pairwise(z30, z30.idx_add, left, right)
     assert with_tables.dtype == without_tables.dtype == np.int64
     assert np.array_equal(with_tables, without_tables)
@@ -797,7 +836,7 @@ def test_frames_refuse_indices_outside_the_ring(name, elem, past, tables):
     ring = _FRESH[name]()
     if tables:
         ring._tables()  # forced: build_tables() leaves Z/n raw
-    assert ring.has_tables() == tables
+    assert (ring._mul_table is not None) == tables
     a = parse_element(ring, elem)
     inner = inner_inverses(a).indices().tolist()
     for i in past:

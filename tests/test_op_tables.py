@@ -98,7 +98,7 @@ def test_semiprime_header_builds_no_tables(name, spec_paths, builds):
     ring = cli.load_ring(spec_paths[name])
     is_semiprime(ring)
     assert builds == []
-    assert not ring.has_tables()
+    assert ring._mul_table is None
 
 
 @pytest.mark.parametrize("name,count", [("z30", 0), ("m2gf3", 0),
@@ -130,9 +130,9 @@ def test_run_suite_builds_tables_once_up_to_the_cap(name, builds):
 def test_tables_change_no_answer(name):
     raw, tabled = RINGS[name](), RINGS[name]()
     tabled.build_tables()
-    assert not raw.has_tables()
-    assert tabled.has_tables() == (raw.size <= TABLE_CAP
-                                   and raw.kind != "zmod")
+    assert raw._mul_table is None
+    assert (tabled._mul_table is not None) == (raw.size <= TABLE_CAP
+                                               and raw.kind != "zmod")
     if raw.size <= TABLE_CAP:
         assert regular_elements(raw) == regular_elements(tabled)
         assert raw.unit_indices().tolist() == tabled.unit_indices().tolist()
@@ -152,7 +152,7 @@ def test_sums_run_raw_and_negations_read_the_product_table(
         name, request, monkeypatch):
     ring = request.getfixturevalue(name)
     ring.build_tables()
-    assert ring.has_tables()
+    assert ring._mul_table is not None
     calls = []
     for op in ("_raw_add", "_raw_mul"):
         plain = getattr(ring, op)

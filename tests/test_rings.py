@@ -446,7 +446,7 @@ def test_from_indices_dedups_with_and_without_op_tables(z30, indices,
     tabled = build_zmod(30)
     tabled._tables()  # build_tables() leaves Z/n raw; force the tables
     with_tables = ElemSet.from_indices(tabled, indices).indices()
-    assert not z30.has_tables()
+    assert z30._mul_table is None
     without_tables = ElemSet.from_indices(z30, indices).indices()
     assert with_tables.dtype == without_tables.dtype == np.int64
     assert np.array_equal(with_tables, without_tables)
