@@ -73,7 +73,3 @@ class UnknownCheck(GinvError):
 
 class WrongRing(GinvError):
     """Ring claims to be the builtin fixture but fails its invariants."""
-
-
-class CompletionOverflow(GinvError):
-    """Rewriting completion exceeded its rule or basis budget."""

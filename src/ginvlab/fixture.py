@@ -11,10 +11,13 @@ regular elements a and b share the same inner-inverse set here, which is
 exactly the behavior the theorem checks are designed to catch on rings
 that are not semiprime.
 
-The product table below was derived once by running the rewriting
-completion in ginvlab.rewriting on the relations above; the build
-re-validates every relation at load, and the test suite re-derives the
-whole table from the relations independently.
+Every relation shortens a word, so the words containing no relation's
+left side span the quotient of the free algebra, and there are exactly
+the ten above.  The table below satisfies the relations (the build checks
+them at load) and spells each basis word as the product of its letters,
+so it is a 10-dimensional image of the quotient, hence the quotient
+itself; tests/test_fixture.py::test_example_is_the_quotient_by_its_relations
+checks the ten words and their products.
 """
 
 from __future__ import annotations

@@ -704,30 +704,23 @@ def _check_hartwig(s: _Scan):
     except TableCapExceeded as exc:  # past the budget, _run_one skips
         return SKIPPED, [], f"unit enumeration is not feasible here: {exc}"
     first, of = _group(*s.ideal_key(s.regulars))
-    laws = ("u with b = a*u", "v with b = v*a")
-    pairs = 0
-    for g in np.argsort(first).tolist():  # the classes by first member
+    # U is a group, so a class lies in a*U (U*a) for each of its members iff
+    # it lies in a0*U (U*a0) for its least member a0: the first failing a
+    # in class order is a0
+    for g in np.argsort(first).tolist():  # the classes by least member
         arr = s.regulars[of == g]
-        # mark the orbits a*U and U*a of a block of the class, one gather
-        # each, and read which members of the class they miss
-        for rows in _row_blocks(len(arr), max(len(units), ring.size)):
-            a = arr[rows, None]
-            miss = np.empty((len(a), 2, len(arr)), dtype=bool)
-            for k, orbit in enumerate((ring.idx_mul(a, units),
-                                       ring.idx_mul(units, a))):
-                marks = np.zeros((len(a), ring.size), dtype=bool)
-                marks.reshape(-1)[orbit + np.arange(len(a))[:, None]
-                                  * ring.size] = True
-                miss[:, k] = ~marks[:, arr]
-            if miss.any():
-                # the first a in class order, u before v, then the first b
-                i, k, j = np.unravel_index(np.argmax(miss), miss.shape)
-                return VIOLATION, [("a", int(a[i, 0])), ("b", int(arr[j]))], \
-                    s.note(f"no unit {laws[k]} although aR = bR and Ra = Rb")
-        pairs += len(arr) ** 2
+        a0 = arr[0]
+        for law, orbit in (("u with b = a*u", ring.idx_mul(a0, units)),
+                           ("v with b = v*a", ring.idx_mul(units, a0))):
+            marks = np.zeros(ring.size, dtype=bool)
+            marks[orbit] = True
+            miss = np.flatnonzero(~marks[arr])
+            if len(miss):
+                return VIOLATION, [("a", int(a0)), ("b", int(arr[miss[0]]))], \
+                    s.note(f"no unit {law} although aR = bR and Ra = Rb")
     return PASS, [], s.note(
-        f"{pairs} ordered pairs across {len(first)} ideal classes, "
-        f"unit group of order {len(units)}")
+        f"{int((np.bincount(of) ** 2).sum())} ordered pairs across "
+        f"{len(first)} ideal classes, unit group of order {len(units)}")
 
 
 def _check_example_claims(s: _Scan):

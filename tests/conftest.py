@@ -409,6 +409,30 @@ def nielsen_per_element(s):
         "no I-set collisions among regular elements")
 
 
+def hartwig_per_element(s):
+    """hartwig, one ordered pair (a, b) of each ideal class at a time: a
+    unit u with b = a*u, then a unit v with b = v*a."""
+    ring, units = s.ring, s.ring.unit_indices()
+    classes = {}  # in order of least member
+    for a in (int(v) for v in s.regulars):
+        key = tuple(int(k) for k in s.ideal_key(a))
+        classes.setdefault(key, []).append(a)
+    for members in classes.values():
+        for a in members:
+            for law, orbit in (("u with b = a*u", ring.idx_mul(a, units)),
+                               ("v with b = v*a", ring.idx_mul(units, a))):
+                reached = set(orbit.tolist())
+                for b in members:
+                    if b not in reached:
+                        return theoremlab.VIOLATION, [("a", a), ("b", b)], \
+                            s.note(f"no unit {law} although aR = bR and "
+                                   "Ra = Rb")
+    pairs = sum(len(members) ** 2 for members in classes.values())
+    return theoremlab.PASS, [], s.note(
+        f"{pairs} ordered pairs across {len(classes)} ideal classes, "
+        f"unit group of order {len(units)}")
+
+
 CHECK_ORACLES = {
     "refl_map": refl_map_per_element,
     "jain_prasad": jain_prasad_per_element,
@@ -416,4 +440,5 @@ CHECK_ORACLES = {
     "theorem_inner": theorem_inner_per_element,
     "nielsen": nielsen_per_element,
     "theorem_reflexive": theorem_reflexive_per_element,
+    "hartwig": hartwig_per_element,
 }

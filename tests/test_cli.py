@@ -1,9 +1,11 @@
 """Command-line behavior, exercised through real subprocess runs."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -458,3 +460,18 @@ def test_console_script(z6_spec):
     res = subprocess.run(["ginvlab", "check", z6_spec, "--checks", "nielsen"],
                          capture_output=True, text=True)
     assert res.returncode == 0
+
+
+def test_the_cli_imports_every_library_module():
+    # a module that no command loads is reached only by tests: it leaves
+    # the library (test-only code lives under tests/)
+    package = Path(ginvlab.__file__).parent
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, ginvlab.cli; print(*sys.modules)"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(package.parent)})
+    assert res.returncode == 0, res.stderr
+    loaded = set(res.stdout.split())
+    modules = {f"ginvlab.{p.stem}" for p in package.glob("*.py")
+               if p.stem not in ("__init__", "__main__")}
+    assert modules and not modules - loaded, sorted(modules - loaded)

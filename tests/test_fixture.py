@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from ginvlab import WrongRing, build_table_algebra
-from ginvlab.fixture import (BASIS, PRODUCTS, build_example_ring,
+from ginvlab import WrongRing, build_table_algebra, fixture
+from ginvlab.fixture import (BASIS, GENERATORS, PRODUCTS, build_example_ring,
                              example_tensor, is_example_ring,
                              looks_like_example_ring)
 from ginvlab.ginv import (additive_span, inner_inverses, left_annihilator,
@@ -35,6 +35,47 @@ def test_defining_relations(example, gens):
     assert a * b == zero
     assert b * a == zero
     assert x * x == zero
+
+
+def _irreducible_words(relations, cap=64):
+    """The words in GENERATORS with no relation's left side inside them,
+    level by level.  Appending a letter to an irreducible word creates new
+    subwords only as suffixes, so only suffixes are tested."""
+    lhs = {left for left, _ in relations}
+    longest = max(map(len, lhs))
+    words = level = [()]
+    while level:
+        level = [w + (g,) for w in level for g in GENERATORS
+                 if not any((w + (g,))[-k:] in lhs
+                            for k in range(1, longest + 1))]
+        words = words + level
+        assert len(words) <= cap, f"more than {cap} irreducible words"
+    return words
+
+
+def test_example_is_the_quotient_by_its_relations(example):
+    # Every relation shortens a word, so the irreducible words span the
+    # quotient A of the free algebra by RELATIONS, and dim A <= their
+    # number, 10.  The table satisfies the relations (build_example_ring
+    # checks them at load), so it is an image of A; each basis word being
+    # the product its letters spell makes the image 10-dimensional, so the
+    # table is A.
+    assert all(rhs is None or len(rhs) < len(lhs)
+               for lhs, rhs in fixture.RELATIONS)
+    words = _irreducible_words(fixture.RELATIONS)
+    assert tuple("".join(w) or "1" for w in words) == fixture.BASIS
+    gens = example.generator_labels()
+    for w, want in zip(words, example.additive_generator_indices().tolist()):
+        product = example.one()
+        for g in w:
+            product = product * example.from_index(gens[g])
+        assert product.index == want, w
+
+
+def test_without_ba_the_quotient_is_infinite():
+    smaller = tuple(r for r in fixture.RELATIONS if r[0] != ("b", "a"))
+    with pytest.raises(AssertionError, match="irreducible words"):
+        _irreducible_words(smaller)
 
 
 def test_products_table_identity_row(example):

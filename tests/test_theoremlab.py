@@ -816,6 +816,18 @@ def test_jain_prasad_evaluates_pairs_meeting_trivially_on_one_side(
         assert _verdicts(z30, ["jain_prasad"], oracle)["jain_prasad"] == want
 
 
+def test_hartwig_names_the_least_member_then_the_first_b(
+        z30, monkeypatch, note_prefix):
+    # without the unit 7, 1*U misses 7 in the class of the units (aR = R):
+    # the first class after {0}, whose least member 1 is the first a
+    units = z30.unit_indices()
+    monkeypatch.setattr(z30, "unit_indices", lambda: units[units != 7])
+    for oracle in (False, True):
+        assert _verdicts(z30, ["hartwig"], oracle)["hartwig"] == (
+            "violation", [("a", 1), ("b", 7)], note_prefix +
+            "no unit u with b = a*u although aR = bR and Ra = Rb")
+
+
 def _planted_proof_failure(a, b, which):
     """Wrap theoremlab._first_proof_failure: the triple (a, b, d) fails the
     identity named which, at the first x in I(a)."""
