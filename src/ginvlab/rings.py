@@ -18,9 +18,8 @@ so negation and subtraction go through the product.  Products run raw
 until build_tables() builds the |R|^2 product table, which then answers
 by one flat take on the raveled table, key I*|R| + J.  The table pays
 only for quadratic work, so only theoremlab's _Scan and regular_elements
-build it, and only on rings of at most TABLE_CAP elements; Z/n never
-does, since a residue product is one numpy op, reduced by floor
-division.  Sums always run raw, and single queries too.
+build it, and only on rings of at most TABLE_CAP elements, Z/n
+included.  Sums always run raw, and single queries too.
 The set kernels read whole-ring rows a*R and R*a from mul_rows: rows or
 columns of the product table, or one broadcast raw product.  idx_*() and
 mul_rows take any integer dtype and return int64 (the uint16 table stays
@@ -159,7 +158,8 @@ class Ring:
 
     def build_tables(self) -> None:
         """Build the product table once, if the ring has at most TABLE_CAP
-        elements; larger rings stay on raw arithmetic.  Sums always run
+        elements, on every backend; larger rings stay on raw arithmetic.
+        A table row copy beats even a Z/n residue product.  Sums always run
         raw: a table of them costs about what it saves.  Negations are
         products by -1, so they read the table too.
 
@@ -473,10 +473,6 @@ class ZmodRing(Ring):
 
     def scale_index(self, c, i):
         return (c * i) % self.n
-
-    def build_tables(self):
-        """Nothing: a residue product, one multiply and a floor division
-        by n, is faster than a flat table take, so Z/n always runs raw."""
 
     def unit_indices(self):
         idx = self.all_indices()
@@ -820,8 +816,8 @@ def regular_elements(ring: Ring) -> ElemSet:
 
     Matrix rings need no scan: every matrix over a field is regular.
     Other rings of at most TABLE_CAP elements mark the rows of _inner_rows
-    with a hit, after build_tables(): on the product table, or raw on
-    Z/n.  Larger ones raise TableCapExceeded, as the scan is quadratic.
+    with a hit, on the product table of build_tables().  Larger ones raise
+    TableCapExceeded, as the scan is quadratic.
     """
     ring.ensure_enumerable()
     if ring.kind == "matrix":

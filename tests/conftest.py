@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ginvlab import (ElemSet, RingMismatch, build_example_ring,
-                     build_matrix_ring, build_table_algebra, build_zmod, ginv,
-                     theoremlab)
+                     build_matrix_ring, build_table_algebra, build_zmod,
+                     gfmatrix, ginv, theoremlab)
 from ginvlab.rings import _distinct, _row_blocks, is_semiprime
 
 
@@ -84,39 +84,85 @@ def truncated_polynomials(p, dim):
     return build_table_algebra(p, basis, [1] + [0] * (dim - 1), constants)
 
 
+def _scrambled_algebra(dim, seed):
+    """M_2(GF(2)) x GF(2)[t]/(t^(dim-4)) (GF(2)[t]/(t^dim) for dim <= 4),
+    on a random basis, so that most basis products have several terms."""
+    poly = dim - 4 if dim > 4 else dim
+    tensor = np.zeros((dim, dim, dim), dtype=np.int64)
+    unity = np.zeros(dim, dtype=np.int64)
+    if dim > 4:  # matrix units e11, e12, e21, e22 first
+        for i, j, k in np.ndindex(2, 2, 2):
+            tensor[2 * i + j, 2 * j + k, 2 * i + k] = 1
+        unity[[0, 3]] = 1
+    base = dim - poly
+    for i in range(poly):
+        for j in range(poly - i):
+            tensor[base + i, base + j, base + i + j] = 1
+    unity[base] = 1
+    rng = np.random.default_rng(seed)
+    while True:
+        S = rng.integers(0, 2, (dim, dim))  # new basis vector i = S[i] · old
+        R, T, pivots = gfmatrix.row_reduce(S, 2)  # T·S = R = I if invertible
+        if len(pivots) == dim:
+            break
+    T = T.astype(np.int64)  # gfmatrix returns Python ints
+    scrambled = np.einsum("ia,jb,abk,km->ijm", S, S, tensor, T) % 2
+    return build_table_algebra(2, [f"x{k}" for k in range(dim)],
+                               list(unity @ T % 2), scrambled)
+
+
+# The shared rings by fixture name.  The session fixtures carry the caches
+# (product table, scans) of every test that used them; fresh_ring does not.
+FIXTURE_RINGS = {
+    "z4": lambda: build_zmod(4),
+    "z6": lambda: build_zmod(6),
+    "z30": lambda: build_zmod(30),
+    "m2gf2": lambda: build_matrix_ring(2, 2),
+    "m2gf3": lambda: build_matrix_ring(2, 3),
+    "example": build_example_ring,
+    "gf3t3": lambda: truncated_polynomials(3, 3),  # an odd-p table algebra
+}
+
+
+@pytest.fixture
+def fresh_ring():
+    """fresh_ring(name): a new FIXTURE_RINGS ring, with no table or cache."""
+    return lambda name: FIXTURE_RINGS[name]()
+
+
 @pytest.fixture(scope="session")
 def z4():
-    return build_zmod(4)
+    return FIXTURE_RINGS["z4"]()
 
 
 @pytest.fixture(scope="session")
 def z6():
-    return build_zmod(6)
+    return FIXTURE_RINGS["z6"]()
 
 
 @pytest.fixture(scope="session")
 def z30():
-    return build_zmod(30)
+    return FIXTURE_RINGS["z30"]()
 
 
 @pytest.fixture(scope="session")
 def m2gf2():
-    return build_matrix_ring(2, 2)
+    return FIXTURE_RINGS["m2gf2"]()
 
 
 @pytest.fixture(scope="session")
 def m2gf3():
-    return build_matrix_ring(2, 3)
+    return FIXTURE_RINGS["m2gf3"]()
 
 
 @pytest.fixture(scope="session")
 def example():
-    return build_example_ring()
+    return FIXTURE_RINGS["example"]()
 
 
 @pytest.fixture(scope="session")
 def gf3t3():
-    return truncated_polynomials(3, 3)  # an odd-p table algebra
+    return FIXTURE_RINGS["gf3t3"]()
 
 
 # ---------------------------------------------------------------------------

@@ -552,14 +552,14 @@ def test_set_plumbing(z6):
     ([], [1, 2]),
     ([1, 2], np.empty(0, dtype=np.int64)),
 ])
-def test_pairwise_dedups_with_and_without_op_tables(z30, left, right):
+def test_pairwise_dedups_with_and_without_op_tables(fresh_ring, left, right):
     brute = {(x + y) % 30 for x in np.asarray(left).tolist()
              for y in np.asarray(right).tolist()}
-    tabled = build_zmod(30)
-    tabled._tables()  # build_tables() leaves Z/n raw; force the tables
+    tabled, raw = fresh_ring("z30"), fresh_ring("z30")
+    tabled.build_tables()
     with_tables = _pairwise(tabled, tabled.idx_add, left, right)
-    assert z30._mul_table is None
-    without_tables = _pairwise(z30, z30.idx_add, left, right)
+    assert raw._mul_table is None
+    without_tables = _pairwise(raw, raw.idx_add, left, right)
     assert with_tables.dtype == without_tables.dtype == np.int64
     assert np.array_equal(with_tables, without_tables)
     assert with_tables.tolist() == sorted(brute)
@@ -571,13 +571,13 @@ def test_additive_span_example(example):
     assert set(span.indices().tolist()) == {0, a.index}
 
 
-def test_principal_ideals(monkeypatch):
+def test_principal_ideals(monkeypatch, fresh_ring):
     monkeypatch.setattr(rings, "_CHUNK", 20)  # rows come in several blocks
-    for build in (lambda: build_zmod(6), lambda: build_matrix_ring(2, 2)):
+    for name in ("z6", "m2gf2"):
         for tables in (True, False):  # op tables, then raw arithmetic
-            ring = build()
+            ring = fresh_ring(name)
             if tables:
-                ring._tables()  # forced: build_tables() leaves Z/n raw
+                ring.build_tables()
             s = ring.all_indices()[::-1]
             rows = [principal_ideal_rows(ring, side, s)
                     for side in ("right", "left")]
@@ -821,21 +821,18 @@ def test_batched_forms_name_the_first_non_witness(m2gf2):
                               f"inner inverse of {a}")
 
 
-_FRESH = {"z30": lambda: build_zmod(30),
-          "m2gf3": lambda: build_matrix_ring(2, 3)}
-
-
 @pytest.mark.parametrize("tables", [False, True])
 @pytest.mark.parametrize("name,elem,past", [
     ("z30", "5", [35, 30, -1, -25]),
     ("m2gf3", "e22", [82, 81, -1]),
 ])
-def test_frames_refuse_indices_outside_the_ring(name, elem, past, tables):
+def test_frames_refuse_indices_outside_the_ring(name, elem, past, tables,
+                                                fresh_ring):
     # an index past the ring must not wrap onto an element or reach a
     # table gather: it is refused like any non-witness, on both backends
-    ring = _FRESH[name]()
+    ring = fresh_ring(name)
     if tables:
-        ring._tables()  # forced: build_tables() leaves Z/n raw
+        ring.build_tables()
     assert (ring._mul_table is not None) == tables
     a = parse_element(ring, elem)
     inner = inner_inverses(a).indices().tolist()

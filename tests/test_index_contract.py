@@ -3,7 +3,7 @@
 idx_mul, idx_add, idx_neg and idx_sub take operands of any integer dtype
 (Python ints, 0-d arrays, int64 and uint16 arrays) and return int64 of
 the operands' broadcast shape, on every backend, with or without op
-tables (the `-tables` cases call build_tables(), which leaves Z/n raw).
+tables (the `-tables` cases call build_tables()).
 Results are compared with Python-int arithmetic on the decoded digits.
 mul_rows(a, side) gives the whole-ring rows a*R or R*a, equal to the
 broadcast idx_mul, as fresh int64 arrays within the enumeration budget.
@@ -118,8 +118,7 @@ def test_idx_ops_return_int64_of_the_broadcast_shape(name, tables):
     ring = RINGS[name]()
     if tables:
         ring.build_tables()
-    # Z/n stays raw after build_tables(): a residue product is one numpy op
-    assert (ring._mul_table is not None) == (tables and ring.kind != "zmod")
+    assert (ring._mul_table is not None) == tables
     for I, J in _operands(ring.size):
         shape = np.broadcast_shapes(np.shape(I), np.shape(J))
         Ib, Jb = (np.broadcast_to(np.asarray(v, dtype=np.int64), shape)
@@ -144,10 +143,7 @@ def test_op_tables_stay_uint16():
     for name in TABLED:
         ring = RINGS[name]()
         ring.build_tables()
-        if ring.kind == "zmod":
-            assert ring._mul_table is None
-        else:
-            assert ring._tables().dtype == np.uint16
+        assert ring._mul_table.dtype == np.uint16
 
 
 

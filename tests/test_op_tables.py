@@ -2,7 +2,8 @@
 changes no answer.
 
 A ring's |R|^2 product table is built only by build_tables(), which only
-theoremlab's _Scan and regular_elements call, and which leaves Z/n raw.
+theoremlab's _Scan and regular_elements call, on every backend up to
+TABLE_CAP.
 Sums always run raw; a negation is the product by -1, so it reads the
 table once built.  Single queries (every `inv` kind, every `matrix` op,
 the semiprime header) run on raw arithmetic.  Builds are counted at
@@ -101,18 +102,18 @@ def test_semiprime_header_builds_no_tables(name, spec_paths, builds):
     assert ring._mul_table is None
 
 
-@pytest.mark.parametrize("name,count", [("z30", 0), ("m2gf3", 0),
+@pytest.mark.parametrize("name,count", [("z30", 1), ("m2gf3", 0),
                                         ("example10", 1), ("gf3t3", 1)])
 def test_ring_info_builds_tables_for_its_regular_scan_only(
         name, count, spec_paths, builds, capsys):
-    # matrix rings are regular without a scan; Z/n scans raw
+    # matrix rings are regular without a scan
     _run(capsys, "ring", "info", spec_paths[name], "--format", "json")
     assert len(builds) == count
 
 
 # name -> (ring constructor, op-table builds of one run_suite)
 SUITE_BUILDS = {
-    "z30": (lambda: build_zmod(30), 0),
+    "z30": (lambda: build_zmod(30), 1),
     "m2gf2": (lambda: build_matrix_ring(2, 2), 1),
     "gf3t3": (lambda: truncated_polynomials(3, 3), 1),
     "gf2t13": (lambda: truncated_polynomials(2, 13), 0),  # above TABLE_CAP
@@ -131,8 +132,7 @@ def test_tables_change_no_answer(name):
     raw, tabled = RINGS[name](), RINGS[name]()
     tabled.build_tables()
     assert raw._mul_table is None
-    assert (tabled._mul_table is not None) == (raw.size <= TABLE_CAP
-                                               and raw.kind != "zmod")
+    assert (tabled._mul_table is not None) == (raw.size <= TABLE_CAP)
     if raw.size <= TABLE_CAP:
         assert regular_elements(raw) == regular_elements(tabled)
         assert raw.unit_indices().tolist() == tabled.unit_indices().tolist()

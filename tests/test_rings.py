@@ -13,11 +13,12 @@ from ginvlab import (BadTensorShape, BudgetExceeded, Elem, ElemSet,
                      InvalidModulus, NoUnity, NotAssociative, RingMismatch,
                      build_matrix_ring, build_table_algebra, build_zmod,
                      is_regular, is_semiprime, parse_element, regular_elements)
-from ginvlab import cli, gfmatrix, rings
+from ginvlab import cli, rings
 from ginvlab.rings import TABLE_CAP
 
-from conftest import (inner_products, semiprime_scan_oracle, squarefree,
-                      sumset, truncated_polynomials)
+from conftest import (_scrambled_algebra, inner_products,
+                      semiprime_scan_oracle, squarefree, sumset,
+                      truncated_polynomials)
 
 BENCH_SPECS = Path(__file__).resolve().parent.parent / "perfbench" / "specs"
 
@@ -441,13 +442,13 @@ def test_elemset_equal_sets_hash_equal(z6):
     (np.asarray([[4, 4], [0, 9]], dtype=np.int64), [0, 4, 9]),
     (range(30), list(range(30))),
 ])
-def test_from_indices_dedups_with_and_without_op_tables(z30, indices,
+def test_from_indices_dedups_with_and_without_op_tables(fresh_ring, indices,
                                                         expected):
-    tabled = build_zmod(30)
-    tabled._tables()  # build_tables() leaves Z/n raw; force the tables
+    tabled, raw = fresh_ring("z30"), fresh_ring("z30")
+    tabled.build_tables()
     with_tables = ElemSet.from_indices(tabled, indices).indices()
-    assert z30._mul_table is None
-    without_tables = ElemSet.from_indices(z30, indices).indices()
+    assert raw._mul_table is None
+    without_tables = ElemSet.from_indices(raw, indices).indices()
     assert with_tables.dtype == without_tables.dtype == np.int64
     assert np.array_equal(with_tables, without_tables)
     assert with_tables.tolist() == expected
@@ -482,36 +483,15 @@ def _einsum_mul(ring, I, J):
     return (Z @ (1 << shifts)).reshape(I.shape)
 
 
-def _scrambled_algebra(dim, seed):
-    """M_2(GF(2)) x GF(2)[t]/(t^(dim-4)) (GF(2)[t]/(t^dim) for dim <= 4),
-    on a random basis, so that most basis products have several terms."""
-    poly = dim - 4 if dim > 4 else dim
-    tensor = np.zeros((dim, dim, dim), dtype=np.int64)
-    unity = np.zeros(dim, dtype=np.int64)
-    if dim > 4:  # matrix units e11, e12, e21, e22 first
-        for i, j, k in np.ndindex(2, 2, 2):
-            tensor[2 * i + j, 2 * j + k, 2 * i + k] = 1
-        unity[[0, 3]] = 1
-    base = dim - poly
-    for i in range(poly):
-        for j in range(poly - i):
-            tensor[base + i, base + j, base + i + j] = 1
-    unity[base] = 1
-    rng = np.random.default_rng(seed)
-    while True:
-        S = rng.integers(0, 2, (dim, dim))  # new basis vector i = S[i] · old
-        R, T, pivots = gfmatrix.row_reduce(S, 2)  # T·S = R = I if invertible
-        if len(pivots) == dim:
-            break
-    T = T.astype(np.int64)  # gfmatrix returns Python ints
-    scrambled = np.einsum("ia,jb,abk,km->ijm", S, S, tensor, T) % 2
-    return build_table_algebra(2, [f"x{k}" for k in range(dim)],
-                               list(unity @ T % 2), scrambled)
+def _table(ring):
+    """The product table, as build_tables() fills it."""
+    ring.build_tables()
+    return ring._mul_table
 
 
 def test_gf2_products_match_structure_constants_on_every_example_pair(example):
     idx = example.all_indices()
-    mul = example._tables()
+    mul = _table(example)
     for lo in range(0, example.size, 128):
         rows = idx[lo:lo + 128, None]
         want = _einsum_mul(example, rows, idx[None, :])
@@ -588,7 +568,7 @@ def test_matrix_kernel_matches_entry_loops_on_every_pair(k, q):
     assert np.array_equal(ring._raw_mul(rows, cols), mul_ref)
     assert np.array_equal(ring._raw_add(rows, cols), add_ref)
     assert np.array_equal(ring.idx_neg(idx), neg_ref[:, 0])
-    assert np.array_equal(ring._tables(), mul_ref)
+    assert np.array_equal(_table(ring), mul_ref)
 
 
 @pytest.mark.parametrize("k,q", [(3, 3), (2, 7), (4, 3), (3, 2), (4, 2)])
@@ -625,7 +605,7 @@ def _odd_table_algebras():
 def test_matrix_ring_products_equal_the_matrix_unit_algebra(q):
     ring, algebra = build_matrix_ring(2, q), _matrix_unit_algebra(q)
     assert ring.labels == algebra.labels and ring.one().index == algebra.one().index
-    assert np.array_equal(ring._tables(), algebra._tables())
+    assert np.array_equal(_table(ring), _table(algebra))
 
 
 @pytest.mark.parametrize("name", ["gf3[t]/(t^4)", "gf9", "m2gf3-table"])
@@ -642,7 +622,7 @@ def test_odd_table_kernel_matches_einsum_on_every_pair(name):
     assert np.array_equal(ring._raw_mul(idx[:, None], idx[None, :]), want)
     assert np.array_equal(ring._raw_add(idx[:, None], idx[None, :]), add)
     assert np.array_equal(ring.idx_neg(idx), neg)
-    assert np.array_equal(ring._tables(), want)
+    assert np.array_equal(_table(ring), want)
     for i in range(ring.size):  # 0-d operands, on the same array kernel
         for j in range(ring.size):
             assert ring._raw_mul(i, j) == want[i, j]
